@@ -28,7 +28,6 @@ from .errors import (
     UnknownTool,
     Unsupported,
 )
-from .util import fmt_pct
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -76,13 +75,10 @@ def _load_models(model_dir: str | None):
 
 def cmd_scope(args) -> int:
     models = _load_models(args.models)
-    data = _read_binary(args.path)
-    fv = features.extract_features(parse_elf(data))
-    rep = scope.ScopeReport(
-        binary_id=args.path,
-        features=fv,
-        predictions={m.tool_name: dtree.predict(m, fv) for m in models},
-    )
+    try:
+        rep = scope.scope_binary(args.path, models)
+    except OSError as e:
+        raise CliInputError(f"cannot read {args.path!r}: {e}") from e
     print(rep.to_json() if args.format == "json" else rep.to_text())
     return EXIT_OK
 
@@ -98,25 +94,13 @@ def cmd_features(args) -> int:
 
 
 def cmd_size(args) -> int:
-    data = _read_binary(args.path)
-    profile = size_profile(parse_elf(data), len(data))
+    profile = _profile_path(args.path)
     if args.path2 is None:
-        rows = [["bucket", "bytes"]]
-        rows += [[name, str(n)] for name, n in profile.buckets.items()]
-        obj = profile.buckets
+        table = report.MapTable("bucket", "bytes", profile.buckets, str)
     else:
-        data2 = _read_binary(args.path2)
-        after = size_profile(parse_elf(data2), len(data2))
-        delta = size_delta(profile, after)
-        rows = [["bucket", "pct"]]
-        rows += [[name, fmt_pct(v)] for name, v in delta.items()]
-        obj = {name: (None if v is None else v) for name, v in delta.items()}
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    elif args.format == "csv":
-        print(report.rows_to_csv(rows), end="")
-    else:
-        print(report.rows_to_text(rows))
+        delta = size_delta(profile, _profile_path(args.path2))
+        table = report.MapTable("bucket", "pct", delta)
+    print(report.render(table, args.format), end="" if args.format == "csv" else "\n")
     return EXIT_OK
 
 
@@ -140,17 +124,13 @@ def cmd_run(args) -> int:
     tasks = _parse_tasks(args.tasks)
 
     with tempfile.TemporaryDirectory(prefix="rweval-run-") as workroot:
-        stream = open(args.out, "w", encoding="utf-8", newline="")
-        import csv as _csv
+        with open(args.out, "w", encoding="utf-8", newline="") as stream:
+            write_row = harness.results_writer(stream)
 
-        writer = _csv.writer(stream, lineterminator="\n")
-        writer.writerow(harness.RESULTS_COLUMNS)
+            def on_record(record):
+                write_row(record)
+                stream.flush()
 
-        def on_record(record):
-            writer.writerow(harness.record_to_row(record))
-            stream.flush()
-
-        try:
             records = harness.run_campaign(
                 manifest,
                 adapters,
@@ -161,8 +141,6 @@ def cmd_run(args) -> int:
                 workroot=workroot,
                 on_record=on_record,
             )
-        finally:
-            stream.close()
         if args.keep_outputs:
             _keep_outputs(records, manifest, workroot, args.keep_outputs)
     # rewrite sorted so reruns produce identical files regardless of scheduling
@@ -177,10 +155,10 @@ def _keep_outputs(records, manifest, workroot: str, dest: str) -> None:
     for r in records:
         if not r.exe_ok:
             continue
-        workdir = os.path.join(workroot, f"{r.binary_id}__{r.tool_name}__{r.task.value}")
-        src = harness.task_output_path(workdir, paths[r.binary_id])
+        name = harness.job_name(r.binary_id, r.tool_name, r.task)
+        src = harness.task_output_path(os.path.join(workroot, name), paths[r.binary_id])
         if src.is_file():
-            shutil.copy2(src, os.path.join(dest, f"{r.binary_id}__{r.tool_name}__{r.task.value}"))
+            shutil.copy2(src, os.path.join(dest, name))
 
 
 def _parse_tasks(spec: str) -> list[Task]:
@@ -233,7 +211,7 @@ def cmd_train(args) -> int:
             min_support=args.min_support,
             max_support_fraction=args.max_support_fraction,
         )
-        selected = dtree.select_features(matrix, k=args.k, seed=args.seed)
+        selected = dtree.select_features(matrix, k=args.k)
         projected = features.select_columns(matrix, selected)
         train, test = dtree.split_train_test(
             projected, args.train_fraction, seed=args.seed
@@ -242,7 +220,6 @@ def cmd_train(args) -> int:
             train,
             max_depth=args.max_depth,
             min_leaf=args.min_leaf,
-            seed=args.seed,
             tool_name=args.tool,
             task=task,
         )
@@ -300,29 +277,13 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-class _MapTable:
-    """Adapter so plain {name: pct|None} maps render like other tables."""
-
-    def __init__(self, key_label: str, values: dict[str, float | None]):
-        self.key_label = key_label
-        self.values = values
-
-    def to_rows(self):
-        rows = [[self.key_label, "pct"]]
-        rows += [[k, fmt_pct(v)] for k, v in self.values.items()]
-        return rows
-
-    def to_json_obj(self):
-        return self.values
-
-
 def _original_paths(args) -> dict[str, str]:
     if not args.manifest:
         raise CliConfigError("--manifest is required for this table")
     return {e.binary_id: e.path for e in _load_manifest(args.manifest)}
 
 
-def _size_table(args, records) -> _MapTable:
+def _size_table(args, records) -> report.MapTable:
     paths = _original_paths(args)
     pairs = []
     for r in records:
@@ -332,7 +293,7 @@ def _size_table(args, records) -> _MapTable:
         if path is None or not os.path.isfile(path):
             continue
         pairs.append((r.tool_name, os.path.getsize(path), r.output_size_bytes))
-    return _MapTable("tool", report.relative_size(pairs))
+    return report.MapTable("tool", "pct", report.relative_size(pairs))
 
 
 def _sections_table(args, records) -> report.SectionSizeTable:
@@ -345,7 +306,7 @@ def _sections_table(args, records) -> report.SectionSizeTable:
             continue
         original = paths.get(r.binary_id)
         rewritten = os.path.join(
-            args.outputs, f"{r.binary_id}__{r.tool_name}__{r.task.value}"
+            args.outputs, harness.job_name(r.binary_id, r.tool_name, r.task)
         )
         if original is None or not os.path.isfile(original) or not os.path.isfile(rewritten):
             continue

@@ -116,7 +116,6 @@ def train_cart(
     matrix: FeatureMatrix,
     max_depth: int = 6,
     min_leaf: int = 1,
-    seed: int = 0,
     *,
     tool_name: str = "",
     task: Task = Task.AFL,
@@ -127,8 +126,7 @@ def train_cart(
     with ties broken by lexicographic feature name; a node splits whenever
     any split keeps both children at min_leaf or more, even at zero Gini
     gain (XOR-style targets need the zero-gain split to become separable one
-    level down). The procedure is fully deterministic; ``seed`` is accepted
-    for interface symmetry but never consulted.
+    level down). The procedure is fully deterministic.
     """
     if len(matrix.feature_names) < 1:
         raise EmptyMatrix("cannot train on a matrix with no feature columns")
@@ -203,14 +201,12 @@ def select_features(
     epochs: int = 500,
     step: float = 0.1,
     reg: float = 0.01,
-    seed: int = 0,
 ) -> list[str]:
     """Rank features by a linear max-margin classifier and keep the top k.
 
     Minimizes L2-regularized hinge loss over {-1,+1} labels (PASS=+1) with
     full-batch subgradient descent from zero weights, learning rate
-    step/sqrt(t) at epoch t. Deterministic; ``seed`` is accepted for
-    interface symmetry but the zero initialization leaves it unused.
+    step/sqrt(t) at epoch t. Deterministic.
     Returns the k features with largest absolute weight, descending, ties
     by name.
     """

@@ -55,8 +55,6 @@ class SectionEntry:
 class ElfSummary:
     file_size: int
     elf_type: ElfType
-    elf_type_code: int  # raw e_type, meaningful when elf_type is OTHER
-    machine: int
     has_interp: bool
     sections: tuple[SectionEntry, ...]
     program_header_extent: tuple[int, int]  # (offset, length), (0, 0) if absent
@@ -90,7 +88,7 @@ def parse_elf(data: bytes) -> ElfSummary:
     if data[5] != 1:
         raise Unsupported("only little-endian (ELFDATA2LSB) images are supported")
 
-    e_type, e_machine = struct.unpack_from("<HH", data, 16)
+    (e_type,) = struct.unpack_from("<H", data, 16)
     e_phoff, e_shoff = struct.unpack_from("<QQ", data, 32)
     (e_phentsize, e_phnum, e_shentsize, e_shnum, e_shstrndx) = struct.unpack_from(
         "<HHHHH", data, 54
@@ -140,8 +138,6 @@ def parse_elf(data: bytes) -> ElfSummary:
     return ElfSummary(
         file_size=size,
         elf_type=ElfType.from_code(e_type),
-        elf_type_code=e_type,
-        machine=e_machine,
         has_interp=has_interp,
         sections=tuple(sections),
         program_header_extent=ph_extent,
@@ -256,11 +252,6 @@ def size_profile(summary: ElfSummary, file_size: int) -> SizeProfile:
 
     buckets[BUCKET_UNMAPPED] = file_size - claimed.total()
     return SizeProfile(buckets=buckets)
-
-
-def profile_file_bytes(data: bytes) -> SizeProfile:
-    """Convenience: parse and profile an in-memory image in one step."""
-    return size_profile(parse_elf(data), len(data))
 
 
 def size_delta(before: SizeProfile, after: SizeProfile) -> dict[str, float | None]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import glob as globlib
-import io
 import json
 import os
 import shlex
@@ -89,6 +88,7 @@ class ToolAdapter:
     ir_artifact_glob: str | None = None
 
     def __post_init__(self):
+        _check_name("tool name", self.tool_name)
         for label, tpl in (("nop_command", self.nop_command),
                            ("afl_command", self.afl_command)):
             if tpl is None:
@@ -140,9 +140,23 @@ class ManifestEntry:
     variant: VariantConfig
     null_invocation: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        _check_name("binary id", self.binary_id)
 
-class _Metered(NamedTuple):
-    exit_code: int
+
+def _check_name(kind: str, name: str) -> None:
+    """Binary ids and tool names become path components in job_name."""
+    if name in ("", ".", "..") or "/" in name or "\0" in name or "__" in name:
+        raise ValueError(f"{kind} {name!r} must be one path component without '__'")
+
+
+def job_name(binary_id: str, tool_name: str, task: Task) -> str:
+    """Name of a job's private workdir and of its kept output file."""
+    return f"{binary_id}__{tool_name}__{task.value}"
+
+
+class _Run(NamedTuple):
+    exit_code: int  # negative signal number when the process was killed
     runtime_seconds: float
     maxrss_kbytes: int
     timed_out: bool
@@ -160,29 +174,22 @@ def _substitute(template: str, mapping: dict[str, str]) -> list[str]:
     return argv
 
 
-def _run_metered(
-    argv: Sequence[str],
-    cwd: str,
-    timeout_s: float,
-    stdout=None,
-    stderr=None,
-) -> _Metered:
-    """Spawn argv in its own session, wait with rusage, kill the process
-    group at timeout. maxrss is the kernel's high-water mark in kbytes for
-    the child and everything it reaped."""
+def _run(argv: Sequence[str], cwd: str, timeout_s: float, log=None) -> _Run:
+    """The harness's one process runner.
+
+    Spawns argv in cwd in its own session, waits with rusage, and kills the
+    whole process group at timeout, so backgrounded children die with it.
+    Every exec failure (missing, not executable, not a runnable image)
+    raises SpawnError. stdout and stderr go to log, or to /dev/null. maxrss
+    is the kernel's high-water mark in kbytes for the child and everything
+    it reaped."""
     start = time.monotonic()
+    out = log if log is not None else subprocess.DEVNULL
     try:
-        proc = subprocess.Popen(
-            argv,
-            cwd=cwd,
-            stdout=stdout if stdout is not None else subprocess.DEVNULL,
-            stderr=stderr if stderr is not None else subprocess.DEVNULL,
-            start_new_session=True,
-        )
-    except FileNotFoundError as e:
-        raise SpawnError(f"command not found: {argv[0]!r}") from e
-    except PermissionError as e:
-        raise SpawnError(f"command not executable: {argv[0]!r}") from e
+        proc = subprocess.Popen(argv, cwd=cwd, stdout=out, stderr=out,
+                                start_new_session=True)
+    except OSError as e:
+        raise SpawnError(f"cannot execute {argv[0]!r}: {e.strerror}") from e
 
     timed_out = threading.Event()
     reaped = threading.Event()
@@ -208,7 +215,19 @@ def _run_metered(
     maxrss_kb = int(rusage.ru_maxrss)
     if os.uname().sysname == "Darwin":  # ru_maxrss is bytes there
         maxrss_kb //= 1024
-    return _Metered(proc.returncode, runtime, maxrss_kb, timed_out.is_set())
+    return _Run(proc.returncode, runtime, maxrss_kb, timed_out.is_set())
+
+
+def _run_test(argv: Sequence[str], rewritten: str, timeout_s: float) -> _Run | None:
+    """_run for a functional test, in the rewritten binary's directory (in
+    a campaign, the job workdir). None when the command exists but cannot
+    be executed; a missing command still raises SpawnError."""
+    try:
+        return _run(argv, os.path.dirname(os.path.abspath(rewritten)), timeout_s)
+    except SpawnError as e:
+        if isinstance(e.__cause__, FileNotFoundError):
+            raise
+        return None
 
 
 def _is_elf(path: Path) -> bool:
@@ -266,13 +285,12 @@ def run_task(
     except OSError as e:
         raise WorkdirError(f"cannot prepare workdir {workdir!r}: {e}") from e
 
-    output = Path(workdir) / (Path(input_path).name + ".rewritten")
+    output = task_output_path(workdir, input_path)
     argv = _substitute(
         template, {"{input}": os.path.abspath(input_path), "{output}": str(output)}
     )
     with open(Path(workdir) / "tool.log", "wb") as log:
-        metered = _run_metered(argv, cwd=workdir, timeout_s=timeout_s,
-                               stdout=log, stderr=log)
+        metered = _run(argv, workdir, timeout_s, log)
 
     notes = []
     if adapter.emits_ir:
@@ -314,24 +332,6 @@ def task_output_path(workdir: str, input_path: str) -> Path:
     return Path(workdir) / (Path(input_path).name + ".rewritten")
 
 
-def _run_plain(argv: Sequence[str], timeout_s: float) -> tuple[int | None, bool]:
-    """(exit code or negative signal, timed_out); None when exec failed."""
-    try:
-        done = subprocess.run(
-            argv,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            timeout=timeout_s,
-        )
-        return done.returncode, False
-    except subprocess.TimeoutExpired:
-        return None, True
-    except FileNotFoundError as e:
-        raise SpawnError(f"command not found: {argv[0]!r}") from e
-    except OSError:
-        return None, False  # e.g. ENOEXEC on a non-runnable image
-
-
 def null_function_test(
     original: str,
     rewritten: str,
@@ -342,25 +342,26 @@ def null_function_test(
 
     Both binaries run with the identical invocation; pass means the
     rewritten process terminated normally (no signal, no timeout) with the
-    same exit code as the original.
+    same exit code as the original. Both run in the rewritten binary's
+    directory.
     """
     for p in (original, rewritten):
         if not (os.path.isfile(p) and os.access(p, os.X_OK)):
             raise ValueError(f"not an executable file: {p!r}")
 
-    orig_rc, orig_to = _run_plain([os.path.abspath(original), *invocation], timeout_s)
-    new_rc, new_to = _run_plain([os.path.abspath(rewritten), *invocation], timeout_s)
+    orig = _run_test([os.path.abspath(original), *invocation], rewritten, timeout_s)
+    new = _run_test([os.path.abspath(rewritten), *invocation], rewritten, timeout_s)
 
-    if new_to:
-        return FuncTest(TriState.NO, "TimedOut")
-    if new_rc is None:
+    if new is None:
         return FuncTest(TriState.NO, "ExecFailed")
-    if new_rc < 0:
-        return FuncTest(TriState.NO, f"Signaled:{-new_rc}")
-    if orig_to or orig_rc is None:
+    if new.timed_out:
+        return FuncTest(TriState.NO, "TimedOut")
+    if new.exit_code < 0:
+        return FuncTest(TriState.NO, f"Signaled:{-new.exit_code}")
+    if orig is None or orig.timed_out:
         return FuncTest(TriState.NO, "OriginalUnusable")
-    if new_rc != orig_rc:
-        return FuncTest(TriState.NO, f"ExitCodeMismatch:{new_rc}!={orig_rc}")
+    if new.exit_code != orig.exit_code:
+        return FuncTest(TriState.NO, f"ExitCodeMismatch:{new.exit_code}!={orig.exit_code}")
     return FuncTest(TriState.YES)
 
 
@@ -369,15 +370,16 @@ def afl_function_test(
 ) -> FuncTest:
     """Run the configured fuzzer driver against an instrumented binary;
     pass means the driver exits 0 within the timeout. The driver is fully
-    pluggable -- tests ship stubs, production wires the real AFL++ one."""
+    pluggable -- tests ship stubs, production wires the real AFL++ one.
+    The driver runs in the rewritten binary's directory."""
     argv = _substitute(driver_command, {"{target}": os.path.abspath(rewritten)})
-    rc, timed_out = _run_plain(argv, timeout_s)
-    if timed_out:
-        return FuncTest(TriState.NO, "TimedOut")
-    if rc is None:
+    run = _run_test(argv, rewritten, timeout_s)
+    if run is None:
         return FuncTest(TriState.NO, "ExecFailed")
-    if rc != 0:
-        return FuncTest(TriState.NO, f"DriverExit:{rc}")
+    if run.timed_out:
+        return FuncTest(TriState.NO, "TimedOut")
+    if run.exit_code != 0:
+        return FuncTest(TriState.NO, f"DriverExit:{run.exit_code}")
     return FuncTest(TriState.YES)
 
 
@@ -412,9 +414,7 @@ def run_campaign(
     emit_lock = threading.Lock()
 
     def job(entry: ManifestEntry, adapter: ToolAdapter, task: Task) -> RunRecord:
-        workdir = os.path.join(
-            workroot, f"{entry.binary_id}__{adapter.tool_name}__{task.value}"
-        )
+        workdir = os.path.join(workroot, job_name(entry.binary_id, adapter.tool_name, task))
         try:
             record = run_task(
                 adapter,
@@ -618,12 +618,19 @@ def row_to_record(row: dict[str, str]) -> RunRecord:
     )
 
 
+def results_writer(stream) -> Callable[[RunRecord], None]:
+    """Write the results CSV header to a text stream and return the
+    function that appends one record's row."""
+    w = csv.writer(stream, lineterminator="\n")
+    w.writerow(RESULTS_COLUMNS)
+    return lambda record: w.writerow(record_to_row(record))
+
+
 def write_records_csv(records: Iterable[RunRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(RESULTS_COLUMNS)
+        write_row = results_writer(f)
         for record in records:
-            w.writerow(record_to_row(record))
+            write_row(record)
 
 
 def load_records_csv(path: str) -> list[RunRecord]:
@@ -633,12 +640,3 @@ def load_records_csv(path: str) -> list[RunRecord]:
         if missing:
             raise ValueError(f"results CSV missing columns {sorted(missing)}")
         return [row_to_record(row) for row in reader]
-
-
-def records_csv_text(records: Iterable[RunRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(RESULTS_COLUMNS)
-    for record in records:
-        w.writerow(record_to_row(record))
-    return buf.getvalue()

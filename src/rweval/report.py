@@ -273,6 +273,24 @@ def relative_size(
 
 
 @dataclass(frozen=True)
+class MapTable:
+    """A {name: value} map as a two-column table, such as relative_size's
+    per-tool percentages or a size profile. JSON keeps the raw values."""
+
+    key_label: str
+    value_label: str
+    values: dict[str, float | int | None]
+    fmt: Callable[[float | int | None], str] = fmt_pct
+
+    def to_rows(self) -> list[list[str]]:
+        return [[self.key_label, self.value_label],
+                *([k, self.fmt(v)] for k, v in self.values.items())]
+
+    def to_json_obj(self) -> dict:
+        return self.values
+
+
+@dataclass(frozen=True)
 class SectionSizeTable:
     buckets: tuple[str, ...]
     tools: tuple[str, ...]

@@ -11,12 +11,15 @@ are reported as "no model" rather than guessed.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
-from .dtree import DecisionTreeModel, Internal, Leaf, Prediction, Task, predict
+from . import dtree, features
+from .dtree import DecisionTreeModel, Internal, Leaf, Prediction, Task
 from .elf import parse_elf
-from .features import FeatureVector, extract_features
+from .features import FeatureVector
 
 TOOLS_WITHOUT_MODELS = ("egalito", "multiverse", "reopt", "revng", "uroboros")
 
@@ -458,9 +461,11 @@ def _zipr() -> DecisionTreeModel:
 _BUILDERS = (_ddisasm, _e9patch, _mctoll, _retrowrite, _zipr)
 
 
-def builtin_models() -> list[DecisionTreeModel]:
-    """The five published AFL-task predictors, in tool-name order."""
-    return [build() for build in _BUILDERS]
+@functools.cache
+def builtin_models() -> tuple[DecisionTreeModel, ...]:
+    """The five published AFL-task predictors, in tool-name order. The
+    trees are frozen, so they are built and validated once per process."""
+    return tuple(build() for build in _BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -496,16 +501,16 @@ class ScopeReport:
 
 
 def scope_binary(
-    path: str, models: list[DecisionTreeModel] | None = None
+    path: str, models: Sequence[DecisionTreeModel] | None = None
 ) -> ScopeReport:
     """Parse, extract features, and evaluate every model against one file."""
     with open(path, "rb") as f:
         data = f.read()
     if models is None:
         models = builtin_models()
-    fv = extract_features(parse_elf(data))
+    fv = features.extract_features(parse_elf(data))
     return ScopeReport(
         binary_id=path,
         features=fv,
-        predictions={m.tool_name: predict(m, fv) for m in models},
+        predictions={m.tool_name: dtree.predict(m, fv) for m in models},
     )

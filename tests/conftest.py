@@ -18,17 +18,21 @@ int main(int argc, char **argv) {
 """
 
 
+OPT_LEVELS = ("O0", "O1", "O2")
+
+
 @dataclass(frozen=True)
 class HelloVariant:
     path: Path
     compiler: str
+    opt: str
     pie: bool
     stripped: bool
 
     @property
     def name(self) -> str:
         return (
-            f"{self.compiler}-{'pie' if self.pie else 'nopie'}-"
+            f"{self.compiler}-{self.opt}-{'pie' if self.pie else 'nopie'}-"
             f"{'stripped' if self.stripped else 'symbols'}"
         )
 
@@ -39,27 +43,29 @@ def _available_compilers() -> list[str]:
 
 @pytest.fixture(scope="session")
 def hello_variants(tmp_path_factory) -> list[HelloVariant]:
-    """2 compilers x PIE/no-PIE x stripped/unstripped hello-world builds."""
+    """Each available compiler (gcc, clang) x -O0/-O1/-O2 x PIE/no-PIE x
+    stripped/unstripped hello-world builds: 12 per compiler."""
     compilers = _available_compilers()
-    if len(compilers) < 2 or not shutil.which("strip"):
-        pytest.skip("need gcc, clang, and strip on PATH")
+    if not compilers or not shutil.which("strip"):
+        pytest.skip("need gcc or clang, and strip, on PATH")
     root = tmp_path_factory.mktemp("hello")
     src = root / "hello.c"
     src.write_text(HELLO_C)
 
     variants = []
     for cc in compilers:
-        for pie in (True, False):
-            base = root / f"{cc}-{'pie' if pie else 'nopie'}"
-            flags = ["-fPIE", "-pie"] if pie else ["-fno-PIE", "-no-pie"]
-            subprocess.run(
-                [cc, *flags, "-O1", "-o", str(base), str(src)],
-                check=True,
-                capture_output=True,
-            )
-            variants.append(HelloVariant(base, cc, pie, stripped=False))
-            stripped = root / (base.name + "-stripped")
-            shutil.copy2(base, stripped)
-            subprocess.run(["strip", str(stripped)], check=True, capture_output=True)
-            variants.append(HelloVariant(stripped, cc, pie, stripped=True))
+        for opt in OPT_LEVELS:
+            for pie in (True, False):
+                base = root / f"{cc}-{opt}-{'pie' if pie else 'nopie'}"
+                flags = ["-fPIE", "-pie"] if pie else ["-fno-PIE", "-no-pie"]
+                subprocess.run(
+                    [cc, *flags, f"-{opt}", "-o", str(base), str(src)],
+                    check=True,
+                    capture_output=True,
+                )
+                variants.append(HelloVariant(base, cc, opt, pie, stripped=False))
+                stripped = root / (base.name + "-stripped")
+                shutil.copy2(base, stripped)
+                subprocess.run(["strip", str(stripped)], check=True, capture_output=True)
+                variants.append(HelloVariant(stripped, cc, opt, pie, stripped=True))
     return variants

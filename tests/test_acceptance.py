@@ -24,7 +24,7 @@ from rweval.harness import (
     VariantConfig,
     null_function_test,
     run_campaign,
-    records_csv_text,
+    write_records_csv,
     RunRecord,
 )
 from rweval.report import comparative_average, make_cohort, success_table
@@ -273,12 +273,14 @@ def _synthetic_20_records():
     return records
 
 
-def test_criterion_7_report_math():
+def test_criterion_7_report_math(tmp_path):
     with criterion(7, "report math vs independent tally and fixtures"):
         records = _synthetic_20_records()
         cohort = make_cohort("full", {}, records)
         table = success_table(records, cohort)
-        oracle = tally_success(records_csv_text(records), {})
+        results = tmp_path / "results.csv"
+        write_records_csv(records, str(results))
+        oracle = tally_success(results.read_text(encoding="utf-8"), {})
         assert cohort.denominator == oracle["__denominator__"]
         for tool in table.tool_order:
             for col in ("IR", "EXE", "NullFunc", "AFL_EXE", "AFL_Func"):

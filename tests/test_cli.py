@@ -170,6 +170,35 @@ class TestRunCommand:
                              "--out", str(tmp_path / "o.csv"))
         assert code == 3
 
+    def test_manifest_id_outside_workroot_exits_2(self, capsys, campaign_files, tmp_path):
+        manifest, adapters = campaign_files
+        entries = json.loads(manifest.read_text())
+        entries[0]["id"] = "../escape"
+        manifest.write_text(json.dumps(entries))
+        code, _, err = run_cli(capsys, "run", "--manifest", str(manifest),
+                               "--adapters", str(adapters), "--out", str(tmp_path / "o.csv"),
+                               "--keep-outputs", str(tmp_path / "kept"))
+        assert code == 2 and "../escape" in err
+        assert not (tmp_path / "escape__copytool__NOP").exists()
+
+    def test_job_name_collision_is_rejected(self, capsys, campaign_files, tmp_path):
+        # ("a__b", "c") and ("a", "b__c") would share the job name a__b__c__NOP
+        manifest, adapters = campaign_files
+        entries = json.loads(manifest.read_text())
+        entries[0]["id"], entries[1]["id"] = "a__b", "a"
+        manifest.write_text(json.dumps(entries))
+        code, _, _ = run_cli(capsys, "run", "--manifest", str(manifest),
+                             "--adapters", str(adapters), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        entries[0]["id"] = "b"
+        manifest.write_text(json.dumps(entries))
+        tools = json.loads(adapters.read_text())
+        tools[0]["tool_name"] = "b__c"
+        adapters.write_text(json.dumps(tools))
+        code, _, _ = run_cli(capsys, "run", "--manifest", str(manifest),
+                             "--adapters", str(adapters), "--out", str(tmp_path / "o.csv"))
+        assert code == 3
+
     def test_missing_manifest_exits_2(self, capsys, campaign_files, tmp_path):
         _, adapters = campaign_files
         code, _, _ = run_cli(capsys, "run", "--manifest", str(tmp_path / "no.json"),
@@ -251,7 +280,7 @@ class TestSizeReportPipeline:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([
             {"id": f"h{i}", "path": str(v.path), "program": "hello",
-             "compiler": v.compiler, "flags": "O1",
+             "compiler": v.compiler, "flags": v.opt,
              "relocation": "pie" if v.pie else "nopie",
              "symbols": "stripped" if v.stripped else "present", "os": "u22"}
             for i, v in enumerate(hello_variants[:2])

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import stat
 import time
 
@@ -21,7 +22,6 @@ from rweval.harness import (
     load_manifest,
     load_records_csv,
     null_function_test,
-    records_csv_text,
     run_campaign,
     run_task,
     task_output_path,
@@ -60,6 +60,22 @@ def script(path, body):
     path.write_text(f"#!/bin/sh\n{body}\n")
     path.chmod(path.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
     return str(path)
+
+
+def process_gone(pid, wait_s=5.0):
+    """True once pid has exited: no longer listed, or a zombie nobody reaped."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state = f.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return True
+        if state == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
 
 
 @pytest.fixture
@@ -229,6 +245,15 @@ class TestNullFunctionTest:
         assert null_function_test(a, b).result is TriState.YES  # default --help
         assert null_function_test(a, b, invocation=("other",)).result is TriState.YES
 
+    def test_runs_in_the_rewritten_binary_directory(self, tmp_path):
+        seen = tmp_path / "cwd.txt"
+        workdir = tmp_path / "job"
+        workdir.mkdir()
+        a = script(tmp_path / "orig", "exit 0")
+        b = script(workdir / "rewritten", f'pwd -P > "{seen}"')
+        assert null_function_test(a, b).result is TriState.YES
+        assert seen.read_text().strip() == os.path.realpath(workdir)
+
     def test_non_executable_violates_precondition(self, tmp_path):
         a = script(tmp_path / "orig", "exit 0")
         plain = tmp_path / "plain"
@@ -260,6 +285,48 @@ class TestAflFunctionTest:
         target = script(tmp_path / "target", "exit 0")
         with pytest.raises(SpawnError):
             afl_function_test(target, "no-such-driver {target}")
+
+    def test_timeout_kills_backgrounded_children(self, tmp_path):
+        target = script(tmp_path / "target", "exit 0")
+        pidfile = tmp_path / "bg.pid"
+        driver = script(tmp_path / "driver", f'sleep 30 & echo $! > "{pidfile}"; wait')
+        out = afl_function_test(target, f"{driver} {{target}}", timeout_s=0.5)
+        pid = int(pidfile.read_text())
+        try:
+            assert out == FuncTest(TriState.NO, "TimedOut")
+            assert process_gone(pid), "the driver's background sleep outlived it"
+        finally:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+class TestCampaignStubs:
+    """Campaign behaviour that needs only synthetic, non-runnable inputs."""
+
+    def test_unrunnable_rewriter_is_a_per_run_spawn_error(self, elf_input, tmp_path):
+        garbage = tmp_path / "garbage-tool"
+        garbage.write_bytes(b"\x00\x01 not a program \xff\n")
+        garbage.chmod(0o755)
+        broken = ToolAdapter("broken", False, nop_command=f"{garbage} {{input}} {{output}}")
+        records = run_campaign([ManifestEntry("bin", elf_input, variant())],
+                               [broken, COPY], tasks=(Task.NOP,), timeout_s=30)
+        by_tool = {r.tool_name: r for r in records}
+        assert len(records) == 2
+        assert by_tool["broken"].annotation.startswith("SpawnError")
+        assert not by_tool["broken"].exe_ok
+        assert by_tool["copytool"].exe_ok
+
+    def test_function_tests_run_in_the_job_workdir(self, elf_input, tmp_path):
+        seen = tmp_path / "cwd.txt"
+        driver = script(tmp_path / "driver", f'pwd -P > "{seen}"')
+        root = tmp_path / "root"
+        records = run_campaign([ManifestEntry("bin", elf_input, variant())], [COPY],
+                               tasks=(Task.AFL,), timeout_s=30, workroot=str(root),
+                               afl_driver=f"{driver} {{target}}")
+        assert [r.func_ok for r in records] == [TriState.YES]
+        assert seen.read_text().strip() == os.path.realpath(root / "bin__copytool__AFL")
 
 
 class TestCampaign:
@@ -353,11 +420,10 @@ class TestSerialization:
         ]
 
     def test_csv_round_trip(self, tmp_path):
-        records = self.make_records()
-        path = str(tmp_path / "results.csv")
-        write_records_csv(records, path)
-        loaded = load_records_csv(path)
-        assert records_csv_text(loaded) == records_csv_text(records)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_records_csv(self.make_records(), str(first))
+        write_records_csv(load_records_csv(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_csv_header(self, tmp_path):
         path = str(tmp_path / "results.csv")
@@ -426,6 +492,24 @@ class TestConfigLoaders:
         ]))
         (adapter,) = load_adapters(str(path))
         assert adapter.emits_ir and adapter.ir_artifact_glob == "*.ir"
+
+    @pytest.mark.parametrize("bad_id", ["../x", "a/b", "..", ".", "", "a__b"])
+    def test_manifest_ids_are_single_names_without_separator(self, tmp_path, bad_id):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{
+            "id": bad_id, "path": "/bin/a", "program": "p", "compiler": "gcc",
+            "flags": "O0", "relocation": "pie", "symbols": "present", "os": "u20"}]))
+        with pytest.raises(ValueError):
+            load_manifest(str(path))
+
+    @pytest.mark.parametrize("bad_name", ["../t", "t/u", "b__c", ""])
+    def test_tool_names_are_single_names_without_separator(self, tmp_path, bad_name):
+        path = tmp_path / "adapters.json"
+        path.write_text(json.dumps([
+            {"tool_name": bad_name, "nop_command": "t {input} {output}"},
+        ]))
+        with pytest.raises(ValueError):
+            load_adapters(str(path))
 
     def test_adapters_missing_placeholder(self, tmp_path):
         path = tmp_path / "adapters.json"

@@ -11,7 +11,7 @@ from rweval.harness import (
     Symbols,
     TriState,
     VariantConfig,
-    records_csv_text,
+    write_records_csv,
 )
 from rweval.report import (
     COHORT_PRESETS,
@@ -83,12 +83,19 @@ def synthetic_records(seed=0, n_binaries=5, tools=("alpha", "beta")):
     return records
 
 
+def csv_text(records, tmp_path):
+    """The results CSV the harness writes for records."""
+    path = tmp_path / "results.csv"
+    write_records_csv(records, str(path))
+    return path.read_text(encoding="utf-8")
+
+
 class TestSuccessTable:
-    def test_matches_independent_tally(self):
+    def test_matches_independent_tally(self, tmp_path):
         records = synthetic_records(seed=7)
         cohort = make_cohort("full", {}, records)
         table = success_table(records, cohort)
-        oracle = tally_success(records_csv_text(records), {})
+        oracle = tally_success(csv_text(records, tmp_path), {})
         assert cohort.denominator == oracle["__denominator__"]
         for tool in table.tool_order:
             for col in ("IR", "EXE", "NullFunc", "AFL_EXE", "AFL_Func"):
@@ -100,12 +107,12 @@ class TestSuccessTable:
                     assert cell.count == want[0], (tool, col)
                     assert cell.raw_pct == pytest.approx(want[1]), (tool, col)
 
-    def test_cohort_filter_matches_tally(self):
+    def test_cohort_filter_matches_tally(self, tmp_path):
         records = synthetic_records(seed=3)
         cohort = make_cohort("pi_symbols", COHORT_PRESETS["pi_symbols"], records)
         table = success_table(records, cohort)
         oracle = tally_success(
-            records_csv_text(records), {"relocation": "pie", "symbols": "present"}
+            csv_text(records, tmp_path), {"relocation": "pie", "symbols": "present"}
         )
         assert cohort.denominator == oracle["__denominator__"]
         for tool in table.tool_order:

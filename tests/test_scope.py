@@ -19,6 +19,10 @@ class TestBuiltinModels:
         assert sorted(MODELS) == ["ddisasm", "e9patch", "mctoll", "retrowrite", "zipr"]
         assert all(m.task is Task.AFL for m in MODELS.values())
 
+    def test_built_once_per_process(self):
+        assert isinstance(builtin_models(), tuple)
+        assert builtin_models() is builtin_models()
+
     def test_reported_accuracies(self):
         expected = {
             "ddisasm": 81.47,
