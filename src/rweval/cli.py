@@ -119,28 +119,35 @@ def _load_adapters(path: str):
 
 
 def cmd_run(args) -> int:
+    try:
+        harness.check_run_settings(args.parallelism, args.timeout_s)
+    except ValueError as e:
+        raise CliConfigError(f"bad run settings: {e}") from e
     manifest = _load_manifest(args.manifest)
     adapters = _load_adapters(args.adapters)
     tasks = _parse_tasks(args.tasks)
+    try:
+        stream = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        raise CliInputError(f"cannot write {args.out!r}: {e}") from e
 
-    with tempfile.TemporaryDirectory(prefix="rweval-run-") as workroot:
-        with open(args.out, "w", encoding="utf-8", newline="") as stream:
-            write_row = harness.results_writer(stream)
+    with stream, tempfile.TemporaryDirectory(prefix="rweval-run-") as workroot:
+        write_row = harness.results_writer(stream)
 
-            def on_record(record):
-                write_row(record)
-                stream.flush()
+        def on_record(record):
+            write_row(record)
+            stream.flush()
 
-            records = harness.run_campaign(
-                manifest,
-                adapters,
-                tasks=tasks,
-                parallelism=args.parallelism,
-                timeout_s=args.timeout_s,
-                afl_driver=args.afl_driver,
-                workroot=workroot,
-                on_record=on_record,
-            )
+        records = harness.run_campaign(
+            manifest,
+            adapters,
+            tasks=tasks,
+            parallelism=args.parallelism,
+            timeout_s=args.timeout_s,
+            afl_driver=args.afl_driver,
+            workroot=workroot,
+            on_record=on_record,
+        )
         if args.keep_outputs:
             _keep_outputs(records, manifest, workroot, args.keep_outputs)
     # rewrite sorted so reruns produce identical files regardless of scheduling

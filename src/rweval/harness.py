@@ -18,6 +18,7 @@ import csv
 import glob as globlib
 import json
 import os
+import select
 import shlex
 import signal
 import subprocess
@@ -177,12 +178,12 @@ def _substitute(template: str, mapping: dict[str, str]) -> list[str]:
 def _run(argv: Sequence[str], cwd: str, timeout_s: float, log=None) -> _Run:
     """The harness's one process runner.
 
-    Spawns argv in cwd in its own session, waits with rusage, and kills the
-    whole process group at timeout, so backgrounded children die with it.
-    Every exec failure (missing, not executable, not a runnable image)
-    raises SpawnError. stdout and stderr go to log, or to /dev/null. maxrss
-    is the kernel's high-water mark in kbytes for the child and everything
-    it reaped."""
+    Spawns argv in cwd in its own session and waits up to timeout_s for it
+    to exit. Then, whether it exited or timed out, kills its whole process
+    group and reaps it, so nothing it put in the background outlives it.
+    Every exec failure raises SpawnError. stdout and stderr go to log, or
+    to /dev/null. maxrss is the kernel's high-water mark in kbytes for the
+    child and everything it reaped. Needs Linux >= 5.3 (pidfd_open)."""
     start = time.monotonic()
     out = log if log is not None else subprocess.DEVNULL
     try:
@@ -190,43 +191,32 @@ def _run(argv: Sequence[str], cwd: str, timeout_s: float, log=None) -> _Run:
                                 start_new_session=True)
     except OSError as e:
         raise SpawnError(f"cannot execute {argv[0]!r}: {e.strerror}") from e
-
-    timed_out = threading.Event()
-    reaped = threading.Event()
-
-    def on_timeout():
-        if reaped.is_set():  # lost the race; never signal a recycled pid
-            return
-        timed_out.set()
-        try:
-            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
-
-    timer = threading.Timer(timeout_s, on_timeout)
-    timer.start()
+    pidfd = os.pidfd_open(proc.pid)
     try:
-        _, status, rusage = os.wait4(proc.pid, 0)
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        # poll takes at most INT_MAX milliseconds, about 24.8 days
+        timed_out = not poller.poll(min(timeout_s * 1000, 2**31 - 1))
     finally:
-        reaped.set()
-        timer.cancel()
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    runtime = time.monotonic() - start
-    maxrss_kb = int(rusage.ru_maxrss)
-    if os.uname().sysname == "Darwin":  # ru_maxrss is bytes there
-        maxrss_kb //= 1024
-    return _Run(proc.returncode, runtime, maxrss_kb, timed_out.is_set())
-
-
-def _run_test(argv: Sequence[str], rewritten: str, timeout_s: float) -> _Run | None:
-    """_run for a functional test, in the rewritten binary's directory (in
-    a campaign, the job workdir). None when the command exists but cannot
-    be executed; a missing command still raises SpawnError."""
+        os.close(pidfd)
+    # The leader is not reaped yet, so its pid (the group id) cannot have
+    # been reused. Members running as another user cannot be signalled.
     try:
-        return _run(argv, os.path.dirname(os.path.abspath(rewritten)), timeout_s)
-    except SpawnError as e:
-        if isinstance(e.__cause__, FileNotFoundError):
-            raise
+        os.killpg(proc.pid, signal.SIGKILL)
+    except PermissionError:
+        pass
+    _, status, rusage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return _Run(proc.returncode, time.monotonic() - start, rusage.ru_maxrss, timed_out)
+
+
+def _run_under_test(argv: Sequence[str], cwd: str, timeout_s: float) -> _Run | None:
+    """_run for a binary under test. None when it cannot be executed for any
+    reason (missing loader, bad image, ...): that is the test's outcome.
+    A driver that cannot be executed is a harness fault and raises."""
+    try:
+        return _run(argv, cwd, timeout_s)
+    except SpawnError:
         return None
 
 
@@ -256,28 +246,12 @@ def run_task(
     """
     if binary_id is None:
         binary_id = Path(input_path).name
-    ir_na = TriState.NA if not adapter.emits_ir else TriState.NO
-
-    def failed(annotation: str) -> RunRecord:
-        return RunRecord(
-            binary_id=binary_id,
-            variant=variant,
-            tool_name=adapter.tool_name,
-            task=task,
-            ir_ok=ir_na,
-            exe_ok=False,
-            func_ok=TriState.NA,
-            runtime_seconds=0.0,
-            memory_kbytes=0,
-            output_size_bytes=None,
-            annotation=annotation,
-        )
-
     template = adapter.command_for(task)
     if template is None:
-        return failed("NoAflSupport")
+        return _failed_record(adapter, task, binary_id, variant, "NoAflSupport")
     if not os.path.isfile(input_path):
-        return failed(f"InputMissing: {input_path}")
+        return _failed_record(adapter, task, binary_id, variant,
+                              f"InputMissing: {input_path}")
 
     workdir = os.path.abspath(workdir)
     try:
@@ -328,6 +302,24 @@ def run_task(
     )
 
 
+def _failed_record(adapter: ToolAdapter, task: Task, binary_id: str,
+                   variant: VariantConfig | None, annotation: str) -> RunRecord:
+    """Record of a run that produced nothing: no EXE, and no IR where the
+    tool was meant to emit one."""
+    return RunRecord(
+        binary_id=binary_id,
+        variant=variant,
+        tool_name=adapter.tool_name,
+        task=task,
+        ir_ok=TriState.NO if adapter.emits_ir else TriState.NA,
+        exe_ok=False,
+        func_ok=TriState.NA,
+        runtime_seconds=0.0,
+        memory_kbytes=0,
+        annotation=annotation,
+    )
+
+
 def task_output_path(workdir: str, input_path: str) -> Path:
     return Path(workdir) / (Path(input_path).name + ".rewritten")
 
@@ -343,14 +335,17 @@ def null_function_test(
     Both binaries run with the identical invocation; pass means the
     rewritten process terminated normally (no signal, no timeout) with the
     same exit code as the original. Both run in the rewritten binary's
-    directory.
+    directory. A rewritten binary that cannot be executed fails the test
+    (ExecFailed); an original that cannot be executed gives
+    OriginalUnusable.
     """
     for p in (original, rewritten):
         if not (os.path.isfile(p) and os.access(p, os.X_OK)):
             raise ValueError(f"not an executable file: {p!r}")
 
-    orig = _run_test([os.path.abspath(original), *invocation], rewritten, timeout_s)
-    new = _run_test([os.path.abspath(rewritten), *invocation], rewritten, timeout_s)
+    cwd = os.path.dirname(os.path.abspath(rewritten))
+    orig = _run_under_test([os.path.abspath(original), *invocation], cwd, timeout_s)
+    new = _run_under_test([os.path.abspath(rewritten), *invocation], cwd, timeout_s)
 
     if new is None:
         return FuncTest(TriState.NO, "ExecFailed")
@@ -371,11 +366,10 @@ def afl_function_test(
     """Run the configured fuzzer driver against an instrumented binary;
     pass means the driver exits 0 within the timeout. The driver is fully
     pluggable -- tests ship stubs, production wires the real AFL++ one.
-    The driver runs in the rewritten binary's directory."""
+    The driver runs in the rewritten binary's directory; a driver that
+    cannot be executed raises SpawnError."""
     argv = _substitute(driver_command, {"{target}": os.path.abspath(rewritten)})
-    run = _run_test(argv, rewritten, timeout_s)
-    if run is None:
-        return FuncTest(TriState.NO, "ExecFailed")
+    run = _run(argv, os.path.dirname(os.path.abspath(rewritten)), timeout_s)
     if run.timed_out:
         return FuncTest(TriState.NO, "TimedOut")
     if run.exit_code != 0:
@@ -401,8 +395,7 @@ def run_campaign(
     sorted by (binary_id, tool, task) so the output is independent of the
     parallelism degree; on_record streams records in completion order.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
+    check_run_settings(parallelism, timeout_s)
     own_root = None
     if workroot is None:
         import tempfile
@@ -426,18 +419,8 @@ def run_campaign(
                 variant=entry.variant,
             )
         except (SpawnError, WorkdirError) as e:
-            record = RunRecord(
-                binary_id=entry.binary_id,
-                variant=entry.variant,
-                tool_name=adapter.tool_name,
-                task=task,
-                ir_ok=TriState.NA if not adapter.emits_ir else TriState.NO,
-                exe_ok=False,
-                func_ok=TriState.NA,
-                runtime_seconds=0.0,
-                memory_kbytes=0,
-                annotation=f"{type(e).__name__}: {e}",
-            )
+            record = _failed_record(adapter, task, entry.binary_id, entry.variant,
+                                    f"{type(e).__name__}: {e}")
         if record.exe_ok:
             record = _apply_functional(record, entry, workdir, timeout_s, afl_driver)
         if on_record is not None:
@@ -463,6 +446,14 @@ def run_campaign(
 
     records.sort(key=lambda r: (r.binary_id, r.tool_name, r.task.value))
     return records
+
+
+def check_run_settings(parallelism: int, timeout_s: float) -> None:
+    """Raise ValueError for campaign settings no run could honour."""
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
+    if not timeout_s > 0:  # also rejects NaN
+        raise ValueError("timeout_s must be positive")
 
 
 def _apply_functional(

@@ -199,6 +199,26 @@ class TestRunCommand:
                              "--adapters", str(adapters), "--out", str(tmp_path / "o.csv"))
         assert code == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--parallelism", "0"), ("--timeout-s", "0"), ("--timeout-s", "-1"),
+    ])
+    def test_bad_settings_exit_3_before_anything_runs(self, capsys, campaign_files,
+                                                      tmp_path, flag, value):
+        manifest, adapters = campaign_files
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "run", "--manifest", str(manifest),
+                               "--adapters", str(adapters), "--out", str(out_csv),
+                               flag, value)
+        assert code == 3 and "bad run settings" in err
+        assert not out_csv.exists()
+
+    def test_unwritable_out_exits_2(self, capsys, campaign_files, tmp_path):
+        manifest, adapters = campaign_files
+        code, _, err = run_cli(capsys, "run", "--manifest", str(manifest),
+                               "--adapters", str(adapters),
+                               "--out", str(tmp_path / "missing" / "o.csv"))
+        assert code == 2 and "cannot write" in err
+
     def test_missing_manifest_exits_2(self, capsys, campaign_files, tmp_path):
         _, adapters = campaign_files
         code, _, _ = run_cli(capsys, "run", "--manifest", str(tmp_path / "no.json"),

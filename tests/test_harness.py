@@ -1,7 +1,9 @@
 import json
 import os
+import shutil
 import signal
 import stat
+import struct
 import time
 
 import pytest
@@ -76,6 +78,38 @@ def process_gone(pid, wait_s=5.0):
         if time.monotonic() > deadline:
             return False
         time.sleep(0.05)
+
+
+def with_missing_loader(src, dest):
+    """Copy src, an ELF executable, to dest with its PT_INTERP string
+    replaced by a path of the same length that does not exist."""
+    data = bytearray(src.read_bytes())
+    (phoff,) = struct.unpack_from("<Q", data, 0x20)
+    phentsize, phnum = struct.unpack_from("<HH", data, 0x36)
+    for i in range(phnum):
+        p_type, _, offset, _, _, filesz = struct.unpack_from(
+            "<IIQQQQ", data, phoff + i * phentsize)
+        if p_type == 3:  # PT_INTERP; filesz counts the trailing NUL
+            data[offset:offset + filesz - 1] = b"/nonexistent/".ljust(filesz - 1, b"x")
+            break
+    else:
+        raise AssertionError(f"{src} has no PT_INTERP")
+    dest.write_bytes(bytes(data))
+    dest.chmod(0o755)
+    return str(dest)
+
+
+@pytest.fixture
+def bg_pidfile(tmp_path):
+    """Where a test program records the pid of a sleep it put in the
+    background; a sleep that survived is killed at teardown."""
+    path = tmp_path / "bg.pid"
+    yield path
+    if path.exists():
+        try:
+            os.kill(int(path.read_text()), signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 @pytest.fixture
@@ -168,6 +202,14 @@ class TestRunTask:
         assert 0.5 <= rec.runtime_seconds <= elapsed
         assert elapsed < 4  # the sleep was actually cut short
 
+    def test_backgrounded_children_die_with_the_rewriter(self, elf_input, tmp_path,
+                                                         bg_pidfile):
+        tool = script(tmp_path / "tool", f'sleep 30 & echo $! > "{bg_pidfile}"; cp "$1" "$2"')
+        bg = ToolAdapter("bg", False, nop_command=f"{tool} {{input}} {{output}}")
+        rec = run_task(bg, Task.NOP, elf_input, str(tmp_path / "w"), timeout_s=10)
+        assert rec.exe_ok is True
+        assert process_gone(int(bg_pidfile.read_text())), "the tool's background sleep outlived it"
+
     def test_missing_afl_command(self, elf_input, tmp_path):
         rec = run_task(LIFT, Task.AFL, elf_input, str(tmp_path / "w"), 10)
         assert rec.exe_ok is False
@@ -254,6 +296,20 @@ class TestNullFunctionTest:
         assert null_function_test(a, b).result is TriState.YES
         assert seen.read_text().strip() == os.path.realpath(workdir)
 
+    @pytest.mark.parametrize("broken_role,expected", [
+        ("rewritten", FuncTest(TriState.NO, "ExecFailed")),
+        ("original", FuncTest(TriState.NO, "OriginalUnusable")),
+    ], ids=["rewritten", "original"])
+    def test_missing_loader_is_an_outcome_of_the_test(self, hello_variants, tmp_path,
+                                                     broken_role, expected):
+        good = tmp_path / "good"
+        shutil.copy2(hello_variants[0].path, good)
+        broken = with_missing_loader(hello_variants[0].path, tmp_path / "broken")
+        if broken_role == "rewritten":
+            assert null_function_test(str(good), broken) == expected
+        else:
+            assert null_function_test(broken, str(good)) == expected
+
     def test_non_executable_violates_precondition(self, tmp_path):
         a = script(tmp_path / "orig", "exit 0")
         plain = tmp_path / "plain"
@@ -281,25 +337,26 @@ class TestAflFunctionTest:
         out = afl_function_test(target, f"{driver} {{target}}", timeout_s=0.5)
         assert out == FuncTest(TriState.NO, "TimedOut")
 
-    def test_missing_driver_raises(self, tmp_path):
+    @pytest.mark.parametrize("exists", [False, True], ids=["missing", "no_exec_bit"])
+    def test_driver_that_cannot_be_executed_raises(self, tmp_path, exists):
         target = script(tmp_path / "target", "exit 0")
+        driver = tmp_path / "driver"
+        if exists:
+            driver.write_text("#!/bin/sh\nexit 0\n")  # without the exec bit
         with pytest.raises(SpawnError):
-            afl_function_test(target, "no-such-driver {target}")
+            afl_function_test(target, f"{driver} {{target}}")
 
-    def test_timeout_kills_backgrounded_children(self, tmp_path):
+    @pytest.mark.parametrize("ending,timeout_s,expected", [
+        ("wait", 0.5, FuncTest(TriState.NO, "TimedOut")),
+        ("exit 0", 10, FuncTest(TriState.YES)),
+    ], ids=["timeout", "exit0"])
+    def test_backgrounded_children_die_with_the_driver(self, tmp_path, bg_pidfile,
+                                                       ending, timeout_s, expected):
         target = script(tmp_path / "target", "exit 0")
-        pidfile = tmp_path / "bg.pid"
-        driver = script(tmp_path / "driver", f'sleep 30 & echo $! > "{pidfile}"; wait')
-        out = afl_function_test(target, f"{driver} {{target}}", timeout_s=0.5)
-        pid = int(pidfile.read_text())
-        try:
-            assert out == FuncTest(TriState.NO, "TimedOut")
-            assert process_gone(pid), "the driver's background sleep outlived it"
-        finally:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        driver = script(tmp_path / "driver", f'sleep 30 & echo $! > "{bg_pidfile}"; {ending}')
+        out = afl_function_test(target, f"{driver} {{target}}", timeout_s=timeout_s)
+        assert out == expected
+        assert process_gone(int(bg_pidfile.read_text())), "the driver's background sleep outlived it"
 
 
 class TestCampaignStubs:
