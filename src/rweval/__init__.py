@@ -53,9 +53,7 @@ from .features import (
 )
 from .harness import (
     ManifestEntry,
-    Relocation,
     RunRecord,
-    Symbols,
     ToolAdapter,
     TriState,
     VariantConfig,

@@ -170,9 +170,12 @@ def _keep_outputs(records, manifest, workroot: str, dest: str) -> None:
 
 def _parse_tasks(spec: str) -> list[Task]:
     try:
-        return [Task(t.strip()) for t in spec.split(",") if t.strip()]
+        tasks = [Task(t.strip()) for t in spec.split(",") if t.strip()]
     except ValueError as e:
         raise CliConfigError(f"bad --tasks value {spec!r}: {e}") from e
+    if len(set(tasks)) != len(tasks):
+        raise CliConfigError(f"bad --tasks value {spec!r}: repeated task")
+    return tasks
 
 
 def _load_results(path: str):

@@ -17,18 +17,21 @@ from __future__ import annotations
 import csv
 import glob as globlib
 import json
+import operator
 import os
 import select
 import shlex
 import signal
 import subprocess
+import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dtree import Task
 from .elf import ELF_MAGIC
@@ -40,16 +43,13 @@ DEFAULT_TIMEOUT_S = 300.0
 COMPILERS = ("clang", "gcc", "icx", "ollvm")
 OPT_FLAGS = ("O0", "O1", "O2", "O3", "Os", "Ofast")
 OLLVM_FLAGS = ("fla", "sub", "bcf")
+RELOCATIONS = ("pie", "nopie")
+SYMBOLS = ("present", "stripped")
 
-
-class Relocation(Enum):
-    POSITION_INDEPENDENT = "pie"
-    POSITION_DEPENDENT = "nopie"
-
-
-class Symbols(Enum):
-    PRESENT = "present"
-    STRIPPED = "stripped"
+# The binary class's key names, shared by the manifest, the results CSV and
+# cohort predicates, in VariantConfig's field order.
+VARIANT_COLUMNS = ("program", "compiler", "flags", "relocation", "symbols", "os")
+_variant_cells = operator.itemgetter(*VARIANT_COLUMNS)
 
 
 class TriState(Enum):
@@ -63,11 +63,14 @@ class TriState(Enum):
 
 @dataclass(frozen=True)
 class VariantConfig:
+    """A binary's class: one field per VARIANT_COLUMNS entry, in order.
+    All but program and os_tag are checked against their closed sets."""
+
     program: str
     compiler: str
     flags: str
-    relocation: Relocation
-    symbols: Symbols
+    relocation: str
+    symbols: str
     os_tag: str
 
     def __post_init__(self):
@@ -78,6 +81,21 @@ class VariantConfig:
             raise ValueError(
                 f"flags {self.flags!r} invalid for compiler {self.compiler!r}"
             )
+        if self.relocation not in RELOCATIONS:
+            raise ValueError(f"unknown relocation {self.relocation!r}")
+        if self.symbols not in SYMBOLS:
+            raise ValueError(f"unknown symbols {self.symbols!r}")
+
+    @classmethod
+    def from_columns(cls, columns: Mapping[str, str]) -> VariantConfig:
+        """From a manifest entry or results-CSV row; KeyError if a column is
+        missing. Values are interned: a loaded report's rows share them."""
+        return cls(*map(sys.intern, _variant_cells(columns)))
+
+    def columns(self) -> tuple[str, ...]:
+        """The field values in VARIANT_COLUMNS order."""
+        return (self.program, self.compiler, self.flags, self.relocation,
+                self.symbols, self.os_tag)
 
 
 @dataclass(frozen=True)
@@ -335,14 +353,11 @@ def null_function_test(
     Both binaries run with the identical invocation; pass means the
     rewritten process terminated normally (no signal, no timeout) with the
     same exit code as the original. Both run in the rewritten binary's
-    directory. A rewritten binary that cannot be executed fails the test
+    directory. A rewritten binary that cannot be executed for any reason
+    (missing, no exec bit, bad image, missing loader, ...) fails the test
     (ExecFailed); an original that cannot be executed gives
     OriginalUnusable.
     """
-    for p in (original, rewritten):
-        if not (os.path.isfile(p) and os.access(p, os.X_OK)):
-            raise ValueError(f"not an executable file: {p!r}")
-
     cwd = os.path.dirname(os.path.abspath(rewritten))
     orig = _run_under_test([os.path.abspath(original), *invocation], cwd, timeout_s)
     new = _run_under_test([os.path.abspath(rewritten), *invocation], cwd, timeout_s)
@@ -473,7 +488,7 @@ def _apply_functional(
             if afl_driver is None:
                 return record
             outcome = afl_function_test(output, afl_driver, timeout_s)
-    except (ValueError, SpawnError, OSError) as e:
+    except (ValueError, SpawnError, OSError) as e:  # ValueError: unsplittable driver
         return replace(record, annotation=_join(record.annotation, f"FuncError: {e}"))
     return replace(
         record,
@@ -488,90 +503,61 @@ def _join(*parts: str) -> str:
 
 # --- manifest / adapter / results I/O --------------------------------------
 
-RESULTS_COLUMNS = (
-    "binary_id",
-    "program",
-    "compiler",
-    "flags",
-    "relocation",
-    "symbols",
-    "os",
-    "tool",
-    "task",
-    "ir",
-    "exe",
-    "func",
-    "runtime_s",
-    "mem_kb",
-    "out_size_bytes",
-)
+RESULTS_COLUMNS = ("binary_id", *VARIANT_COLUMNS, "tool", "task", "ir", "exe", "func",
+                   "runtime_s", "mem_kb", "out_size_bytes")
 
 
 def load_manifest(path: str) -> list[ManifestEntry]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    if not isinstance(raw, list):
-        raise ValueError("manifest must be a JSON array")
-    entries = []
-    for i, obj in enumerate(raw):
-        try:
-            variant = VariantConfig(
-                program=obj["program"],
-                compiler=obj["compiler"],
-                flags=obj["flags"],
-                relocation=Relocation(obj["relocation"]),
-                symbols=Symbols(obj["symbols"]),
-                os_tag=obj["os"],
-            )
-            invocation = obj.get("null_invocation")
-            entries.append(
-                ManifestEntry(
-                    binary_id=obj["id"],
-                    path=obj["path"],
-                    variant=variant,
-                    null_invocation=tuple(invocation) if invocation else None,
-                )
-            )
-        except (KeyError, ValueError, TypeError) as e:
-            raise ValueError(f"manifest entry {i}: {e}") from e
-    ids = [e.binary_id for e in entries]
-    if len(set(ids)) != len(ids):
-        raise ValueError("manifest contains duplicate binary ids")
-    return entries
+    def entry(obj) -> ManifestEntry:
+        invocation = obj.get("null_invocation")
+        return ManifestEntry(
+            binary_id=obj["id"],
+            path=obj["path"],
+            variant=VariantConfig.from_columns(obj),
+            null_invocation=tuple(invocation) if invocation else None,
+        )
+
+    return _load_json_list(path, "manifest", entry, lambda e: e.binary_id)
 
 
 def load_adapters(path: str) -> list[ToolAdapter]:
+    def adapter(obj) -> ToolAdapter:
+        return ToolAdapter(
+            tool_name=obj["tool_name"],
+            emits_ir=bool(obj.get("emits_ir", False)),
+            nop_command=obj["nop_command"],
+            afl_command=obj.get("afl_command"),
+            ir_artifact_glob=obj.get("ir_artifact_glob"),
+        )
+
+    return _load_json_list(path, "adapter config", adapter, lambda a: a.tool_name)
+
+
+def _load_json_list(path: str, kind: str, build: Callable, name: Callable) -> list:
+    """Build one item per element of the JSON array in path. ValueError
+    names the first bad element, or a name that two items share: names
+    become job names, and two jobs must never share a workdir."""
     with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
     if not isinstance(raw, list):
-        raise ValueError("adapter config must be a JSON array")
-    adapters = []
+        raise ValueError(f"{kind} must be a JSON array")
+    items = []
     for i, obj in enumerate(raw):
         try:
-            adapters.append(
-                ToolAdapter(
-                    tool_name=obj["tool_name"],
-                    emits_ir=bool(obj.get("emits_ir", False)),
-                    nop_command=obj["nop_command"],
-                    afl_command=obj.get("afl_command"),
-                    ir_artifact_glob=obj.get("ir_artifact_glob"),
-                )
-            )
+            items.append(build(obj))
         except (KeyError, ValueError, TypeError) as e:
-            raise ValueError(f"adapter entry {i}: {e}") from e
-    return adapters
+            raise ValueError(f"{kind} entry {i}: {e}") from e
+    repeated = sorted(n for n, c in Counter(map(name, items)).items() if c > 1)
+    if repeated:
+        raise ValueError(f"{kind} contains duplicate names {repeated}")
+    return items
 
 
 def record_to_row(record: RunRecord) -> list[str]:
     v = record.variant
     return [
         record.binary_id,
-        v.program if v else "",
-        v.compiler if v else "",
-        v.flags if v else "",
-        v.relocation.value if v else "",
-        v.symbols.value if v else "",
-        v.os_tag if v else "",
+        *(v.columns() if v else ("",) * len(VARIANT_COLUMNS)),
         record.tool_name,
         record.task.value,
         record.ir_ok.value,
@@ -584,20 +570,10 @@ def record_to_row(record: RunRecord) -> list[str]:
 
 
 def row_to_record(row: dict[str, str]) -> RunRecord:
-    variant = None
-    if row["program"]:
-        variant = VariantConfig(
-            program=row["program"],
-            compiler=row["compiler"],
-            flags=row["flags"],
-            relocation=Relocation(row["relocation"]),
-            symbols=Symbols(row["symbols"]),
-            os_tag=row["os"],
-        )
     out_size = row["out_size_bytes"]
     return RunRecord(
         binary_id=row["binary_id"],
-        variant=variant,
+        variant=VariantConfig.from_columns(row) if any(_variant_cells(row)) else None,
         tool_name=row["tool"],
         task=Task(row["task"]),
         ir_ok=TriState(row["ir"]),

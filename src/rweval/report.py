@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 from .dtree import Task
 from .elf import SizeProfile, size_delta
 from .errors import UnknownTool
-from .harness import RunRecord, TriState
+from .harness import VARIANT_COLUMNS, RunRecord, TriState
 from .util import fmt_pct, trunc_pct
 
 COHORT_PRESETS: dict[str, dict[str, str]] = {
@@ -46,16 +46,7 @@ class Cohort:
 
 def _variant_matches(record: RunRecord, predicate: dict[str, str]) -> bool:
     v = record.variant
-    if v is None:
-        return not predicate
-    actual = {
-        "program": v.program,
-        "compiler": v.compiler,
-        "flags": v.flags,
-        "relocation": v.relocation.value,
-        "symbols": v.symbols.value,
-        "os": v.os_tag,
-    }
+    actual = dict(zip(VARIANT_COLUMNS, v.columns())) if v and predicate else {}
     return all(actual.get(k) == want for k, want in predicate.items())
 
 
@@ -64,9 +55,7 @@ def make_cohort(
 ) -> Cohort:
     """Build a cohort whose denominator is the number of distinct binaries
     in the record set matching the predicate."""
-    unknown = set(predicate) - {
-        "program", "compiler", "flags", "relocation", "symbols", "os",
-    }
+    unknown = set(predicate) - set(VARIANT_COLUMNS)
     if unknown:
         raise ValueError(f"unknown cohort fields {sorted(unknown)}")
     ids = {r.binary_id for r in records if _variant_matches(r, predicate)}
@@ -125,13 +114,10 @@ def success_table(
 ) -> SuccessTable:
     """Checkpoint/functional success counts and percentages per tool."""
     in_cohort = [r for r in records if cohort.matches(r)]
-    present = sorted({r.tool_name for r in records})
     if tool_order is None:
-        tool_order = present
+        tool_order = sorted({r.tool_name for r in records})
     else:
-        missing = set(tool_order) - set(present)
-        if missing:
-            raise UnknownTool(f"no records for tools {sorted(missing)}")
+        _check_tools(tool_order, records)
 
     cells: dict[tuple[str, str], Cell] = {}
     denom = cohort.denominator
@@ -157,6 +143,13 @@ def success_table(
             distinct(afl, lambda r: r.func_ok is TriState.YES), denom
         )
     return SuccessTable(cohort=cohort, tool_order=tuple(tool_order), cells=cells)
+
+
+def _check_tools(tool_order: Sequence[str], records: Sequence[RunRecord]) -> None:
+    """Raise UnknownTool when a requested tool has no records at all."""
+    missing = set(tool_order) - {r.tool_name for r in records}
+    if missing:
+        raise UnknownTool(f"no records for tools {sorted(missing)}")
 
 
 def _cell(count: int, denom: int) -> Cell:
@@ -213,9 +206,12 @@ def comparative_average(
 ) -> ComparativeTable:
     """Pairwise metric comparison over the intersection of binaries both
     tools handled; cell(row, col) is row's average as a percentage of
-    col's. NA when no binary was handled by both."""
+    col's. NA when no binary was handled by both. UnknownTool when
+    tool_order names a tool with no records."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
+    if tool_order:
+        _check_tools(tool_order, records)
     if success_filter is None:
         success_filter = default_success_filter
 

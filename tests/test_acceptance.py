@@ -17,8 +17,6 @@ from rweval.elf import BUCKET_UNMAPPED, parse_elf, size_profile
 from rweval.features import FeatureMatrix, FeatureVector, Label, MatrixRow, extract_features
 from rweval.harness import (
     ManifestEntry,
-    Relocation,
-    Symbols,
     ToolAdapter,
     TriState,
     VariantConfig,
@@ -191,14 +189,12 @@ def _campaign_fixtures(hello_variants):
         ManifestEntry(
             "bin-a",
             str(hello_variants[0].path),
-            VariantConfig("hello", "gcc", "O1", Relocation.POSITION_INDEPENDENT,
-                          Symbols.PRESENT, "u22"),
+            VariantConfig("hello", "gcc", "O1", "pie", "present", "u22"),
         ),
         ManifestEntry(
             "bin-b",
             str(hello_variants[1].path),
-            VariantConfig("hello", "gcc", "O1", Relocation.POSITION_INDEPENDENT,
-                          Symbols.STRIPPED, "u22"),
+            VariantConfig("hello", "gcc", "O1", "pie", "stripped", "u22"),
         ),
     ]
     adapters = [
@@ -257,9 +253,7 @@ def _synthetic_20_records():
                     TriState.NO if exe else TriState.NA)
                 records.append(RunRecord(
                     binary_id=f"bin{i}",
-                    variant=VariantConfig("p", "gcc", "O2",
-                                          Relocation.POSITION_INDEPENDENT,
-                                          Symbols.PRESENT, "u20"),
+                    variant=VariantConfig("p", "gcc", "O2", "pie", "present", "u20"),
                     tool_name=tool,
                     task=task,
                     ir_ok=ir,

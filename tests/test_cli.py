@@ -212,6 +212,25 @@ class TestRunCommand:
         assert code == 3 and "bad run settings" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("repeated", ["tool_name", "task"])
+    def test_shared_job_names_exit_3_before_anything_runs(self, capsys, campaign_files,
+                                                          tmp_path, repeated):
+        # a repeated tool or task would run two jobs in one workdir
+        manifest, adapters = campaign_files
+        tasks = "NOP"
+        if repeated == "tool_name":
+            tools = json.loads(adapters.read_text())
+            tools[1]["tool_name"] = tools[0]["tool_name"]
+            adapters.write_text(json.dumps(tools))
+        else:
+            tasks = "NOP,NOP"
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "run", "--manifest", str(manifest),
+                               "--adapters", str(adapters), "--out", str(out_csv),
+                               "--tasks", tasks)
+        assert code == 3 and ("duplicate" in err or "repeated" in err)
+        assert not out_csv.exists()
+
     def test_unwritable_out_exits_2(self, capsys, campaign_files, tmp_path):
         manifest, adapters = campaign_files
         code, _, err = run_cli(capsys, "run", "--manifest", str(manifest),
@@ -389,6 +408,11 @@ class TestReportCommand:
     def test_unknown_tool_exits_2(self, capsys, results_csv):
         code, _, _ = run_cli(capsys, "report", results_csv, "--tools", "ghost")
         assert code == 2
+
+    def test_unknown_tool_in_comparative_exits_2(self, capsys, results_csv):
+        code, out, err = run_cli(capsys, "report", results_csv, "--table",
+                                 "comparative", "--tools", "alpha,nosuch")
+        assert code == 2 and "nosuch" in err and out == ""
 
     def test_bad_table_choice_exits_3(self, capsys, results_csv):
         assert run_cli(capsys, "report", results_csv, "--table", "nope")[0] == 3

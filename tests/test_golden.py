@@ -171,7 +171,8 @@ def test_report_tables(tmp_path, seeded_results, table, fmt):
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_run_campaign_with_stub_tools(tmp_path, images, parallelism):
     # dyn and rel are executable, so their null tests run (and fail); the
-    # non-executable nonames original makes the null test a FuncError.
+    # nonames original has no exec bit, so its null test gives
+    # OriginalUnusable (func=no), like any original that cannot be executed.
     for name in ("dyn", "rel"):
         images[name].chmod(0o755)
     manifest = tmp_path / "manifest.json"
@@ -270,8 +271,11 @@ GOLDEN = {
         "f19900879a79e92c5c64055240d7821ff6fd6de7cce044968aa9a9288ff9b7b8",
     "report-success-pi_symbols-text":
         "bed87efde3371c7aef9f85e15f4b88910d121fe446689f1ec2abd9515c9b6da6",
+    # Changed once on purpose: the nonames/cp/NOP row's func went from na to
+    # no when a non-executable original stopped being a FuncError and became
+    # OriginalUnusable.
     "run-stub":
-        "4518a25c70a0e746e58cfa79e82ee5f1a71612f209c6a77c0c57d75932644a34",
+        "3781f5e87c4909c3a44ebf3dbab0a1c01259c1ef4d12c1e52a3aedaf6b7e387a",
     "scope-dyn-json":
         "622a03b51cc6058d9d6fbf2d91bda1b516b0c294dabbd5906517b2393f76d2dc",
     "scope-dyn-text":

@@ -13,9 +13,7 @@ from rweval.errors import SpawnError
 from rweval.harness import (
     FuncTest,
     ManifestEntry,
-    Relocation,
     RunRecord,
-    Symbols,
     ToolAdapter,
     TriState,
     VariantConfig,
@@ -54,7 +52,7 @@ SLEEPER = ToolAdapter("sleeper", emits_ir=False,
 
 
 def variant(program="prog", compiler="gcc", flags="O2",
-            relocation=Relocation.POSITION_INDEPENDENT, symbols=Symbols.PRESENT):
+            relocation="pie", symbols="present"):
     return VariantConfig(program, compiler, flags, relocation, symbols, "ubuntu20")
 
 
@@ -96,6 +94,13 @@ def with_missing_loader(src, dest):
         raise AssertionError(f"{src} has no PT_INTERP")
     dest.write_bytes(bytes(data))
     dest.chmod(0o755)
+    return str(dest)
+
+
+def without_exec_bit(src, dest):
+    """Copy src to dest with every exec bit cleared."""
+    shutil.copyfile(src, dest)
+    dest.chmod(0o644)
     return str(dest)
 
 
@@ -296,26 +301,21 @@ class TestNullFunctionTest:
         assert null_function_test(a, b).result is TriState.YES
         assert seen.read_text().strip() == os.path.realpath(workdir)
 
-    @pytest.mark.parametrize("broken_role,expected", [
-        ("rewritten", FuncTest(TriState.NO, "ExecFailed")),
-        ("original", FuncTest(TriState.NO, "OriginalUnusable")),
-    ], ids=["rewritten", "original"])
+    @pytest.mark.parametrize("broken_role,breakage,expected", [
+        ("rewritten", with_missing_loader, FuncTest(TriState.NO, "ExecFailed")),
+        ("original", with_missing_loader, FuncTest(TriState.NO, "OriginalUnusable")),
+        ("rewritten", without_exec_bit, FuncTest(TriState.NO, "ExecFailed")),
+        ("original", without_exec_bit, FuncTest(TriState.NO, "OriginalUnusable")),
+    ], ids=["rewritten", "original", "rewritten_no_exec_bit", "original_no_exec_bit"])
     def test_missing_loader_is_an_outcome_of_the_test(self, hello_variants, tmp_path,
-                                                     broken_role, expected):
+                                                     broken_role, breakage, expected):
         good = tmp_path / "good"
         shutil.copy2(hello_variants[0].path, good)
-        broken = with_missing_loader(hello_variants[0].path, tmp_path / "broken")
+        broken = breakage(hello_variants[0].path, tmp_path / "broken")
         if broken_role == "rewritten":
             assert null_function_test(str(good), broken) == expected
         else:
             assert null_function_test(broken, str(good)) == expected
-
-    def test_non_executable_violates_precondition(self, tmp_path):
-        a = script(tmp_path / "orig", "exit 0")
-        plain = tmp_path / "plain"
-        plain.write_text("data")
-        with pytest.raises(ValueError):
-            null_function_test(a, str(plain))
 
 
 class TestAflFunctionTest:
@@ -497,6 +497,16 @@ class TestSerialization:
         assert rows[1].split(",")[9:12] == ["yes", "1", "yes"]
         assert rows[2].split(",")[9:12] == ["na", "0", "na"]
 
+    def test_bad_relocation_value_rejected(self, tmp_path):
+        path = str(tmp_path / "results.csv")
+        write_records_csv(self.make_records()[:1], path)
+        with open(path) as f:
+            text = f.read()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace(",pie,", ",PIE,"))
+        with pytest.raises(ValueError):
+            load_records_csv(str(bad))
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("binary_id,tool\nx,y\n")
@@ -518,15 +528,17 @@ class TestConfigLoaders:
         path.write_text(json.dumps(entries))
         loaded = load_manifest(str(path))
         assert loaded[0].null_invocation == ("--version",)
-        assert loaded[1].variant.relocation is Relocation.POSITION_DEPENDENT
+        assert loaded[1].variant.relocation == "nopie"
         assert loaded[1].null_invocation is None
 
-    def test_manifest_bad_relocation(self, tmp_path):
+    @pytest.mark.parametrize("field,bad", [("relocation", "partially"),
+                                           ("symbols", "some"), ("program", 5)])
+    def test_manifest_bad_relocation(self, tmp_path, field, bad):
+        entry = {"id": "a", "path": "/bin/a", "program": "p", "compiler": "gcc",
+                 "flags": "O0", "relocation": "pie", "symbols": "present",
+                 "os": "u20"}
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps([{
-            "id": "a", "path": "/bin/a", "program": "p", "compiler": "gcc",
-            "flags": "O0", "relocation": "partially", "symbols": "present",
-            "os": "u20"}]))
+        path.write_text(json.dumps([{**entry, field: bad}]))
         with pytest.raises(ValueError):
             load_manifest(str(path))
 

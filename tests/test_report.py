@@ -6,9 +6,7 @@ from rweval.dtree import Task
 from rweval.elf import SizeProfile
 from rweval.errors import UnknownTool
 from rweval.harness import (
-    Relocation,
     RunRecord,
-    Symbols,
     TriState,
     VariantConfig,
     write_records_csv,
@@ -31,8 +29,8 @@ def variant(program="prog", compiler="gcc", pie=True, symbols=True):
         program=program,
         compiler=compiler,
         flags="O2",
-        relocation=Relocation.POSITION_INDEPENDENT if pie else Relocation.POSITION_DEPENDENT,
-        symbols=Symbols.PRESENT if symbols else Symbols.STRIPPED,
+        relocation="pie" if pie else "nopie",
+        symbols="present" if symbols else "stripped",
         os_tag="ubuntu20",
     )
 
@@ -172,6 +170,15 @@ class TestComparativeAverage:
             records.append(record(f"b{i}", "beta", Task.NOP, TriState.NA, True,
                                   TriState.YES, runtime=float(b_val)))
         return records
+
+    def test_unknown_tool_rejected(self):
+        records = self.fixture_records()
+        records.append(record("b0", "gamma", Task.NOP, TriState.NA, False, TriState.NA))
+        with pytest.raises(UnknownTool):
+            comparative_average(records, tool_order=["alpha", "nosuch"])
+        # a tool with records but no successful run is known: its cells are NA
+        table = comparative_average(records, tool_order=["alpha", "gamma"])
+        assert table.cell("alpha", "gamma") is None
 
     def test_2_4_6_versus_4_8_12_is_50_percent(self):
         table = comparative_average(self.fixture_records(), "runtime_s")
