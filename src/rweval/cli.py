@@ -10,9 +10,7 @@ import argparse
 import glob
 import json
 import os
-import shutil
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,19 +117,25 @@ def _load_adapters(path: str):
 
 
 def cmd_run(args) -> int:
-    try:
-        harness.check_run_settings(args.parallelism, args.timeout_s)
-    except ValueError as e:
-        raise CliConfigError(f"bad run settings: {e}") from e
     manifest = _load_manifest(args.manifest)
     adapters = _load_adapters(args.adapters)
     tasks = _parse_tasks(args.tasks)
+    try:
+        harness.check_run_settings(manifest, adapters, tasks, args.parallelism,
+                                   args.timeout_s)
+    except ValueError as e:
+        raise CliConfigError(f"bad run settings: {e}") from e
+    if args.keep_outputs is not None:
+        try:
+            os.makedirs(args.keep_outputs, exist_ok=True)
+        except OSError as e:
+            raise CliInputError(f"cannot write {args.keep_outputs!r}: {e}") from e
     try:
         stream = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as e:
         raise CliInputError(f"cannot write {args.out!r}: {e}") from e
 
-    with stream, tempfile.TemporaryDirectory(prefix="rweval-run-") as workroot:
+    with stream:
         write_row = harness.results_writer(stream)
 
         def on_record(record):
@@ -145,37 +149,20 @@ def cmd_run(args) -> int:
             parallelism=args.parallelism,
             timeout_s=args.timeout_s,
             afl_driver=args.afl_driver,
-            workroot=workroot,
+            keep_outputs=args.keep_outputs,
             on_record=on_record,
         )
-        if args.keep_outputs:
-            _keep_outputs(records, manifest, workroot, args.keep_outputs)
     # rewrite sorted so reruns produce identical files regardless of scheduling
     harness.write_records_csv(records, args.out)
     print(f"{len(records)} records -> {args.out}")
     return EXIT_OK
 
 
-def _keep_outputs(records, manifest, workroot: str, dest: str) -> None:
-    os.makedirs(dest, exist_ok=True)
-    paths = {e.binary_id: e.path for e in manifest}
-    for r in records:
-        if not r.exe_ok:
-            continue
-        name = harness.job_name(r.binary_id, r.tool_name, r.task)
-        src = harness.task_output_path(os.path.join(workroot, name), paths[r.binary_id])
-        if src.is_file():
-            shutil.copy2(src, os.path.join(dest, name))
-
-
 def _parse_tasks(spec: str) -> list[Task]:
     try:
-        tasks = [Task(t.strip()) for t in spec.split(",") if t.strip()]
+        return [Task(t.strip()) for t in spec.split(",") if t.strip()]
     except ValueError as e:
         raise CliConfigError(f"bad --tasks value {spec!r}: {e}") from e
-    if len(set(tasks)) != len(tasks):
-        raise CliConfigError(f"bad --tasks value {spec!r}: repeated task")
-    return tasks
 
 
 def _load_results(path: str):
@@ -330,8 +317,7 @@ def _sections_table(args, records) -> report.SectionSizeTable:
 
 
 def _profile_path(path: str):
-    data = _read_binary(path)
-    return size_profile(parse_elf(data), len(data))
+    return size_profile(parse_elf(_read_binary(path)))
 
 
 def build_parser() -> _Parser:
@@ -391,14 +377,9 @@ def build_parser() -> _Parser:
                    help="preset name or key=value[,key=value...]")
     p.add_argument("--metric", choices=report.METRICS, default="runtime_s")
     p.add_argument("--tools", default=None, help="comma-separated tool order")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--ratio-of-means", dest="mean_of_ratios",
-                      action="store_false", help="comparative cells as ratio of "
-                      "per-tool means over the intersection (default)")
-    mode.add_argument("--mean-of-ratios", dest="mean_of_ratios",
-                      action="store_true",
-                      help="comparative cells as mean of per-binary ratios")
-    p.set_defaults(mean_of_ratios=False)
+    p.add_argument("--mean-of-ratios", action="store_true",
+                   help="comparative cells as mean of per-binary ratios "
+                   "(default: ratio of per-tool means over the intersection)")
     p.add_argument("--manifest", default=None)
     p.add_argument("--outputs", default=None, metavar="DIR")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")

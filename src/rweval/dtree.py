@@ -195,18 +195,19 @@ def train_cart(
     )
 
 
-def select_features(
-    matrix: FeatureMatrix,
-    k: int = 8,
-    epochs: int = 500,
-    step: float = 0.1,
-    reg: float = 0.01,
-) -> list[str]:
+# select_features's descent: epochs, base learning rate, L2 weight
+SELECT_EPOCHS = 500
+SELECT_STEP = 0.1
+SELECT_REG = 0.01
+
+
+def select_features(matrix: FeatureMatrix, k: int = 8) -> list[str]:
     """Rank features by a linear max-margin classifier and keep the top k.
 
-    Minimizes L2-regularized hinge loss over {-1,+1} labels (PASS=+1) with
-    full-batch subgradient descent from zero weights, learning rate
-    step/sqrt(t) at epoch t. Deterministic.
+    Minimizes L2-regularized hinge loss (weight SELECT_REG) over {-1,+1}
+    labels (PASS=+1) with full-batch subgradient descent from zero weights
+    for SELECT_EPOCHS epochs, learning rate SELECT_STEP/sqrt(t) at epoch t.
+    Deterministic.
     Returns the k features with largest absolute weight, descending, ties
     by name.
     """
@@ -221,12 +222,12 @@ def select_features(
 
     w = np.zeros(d)
     b = 0.0
-    for t in range(1, epochs + 1):
+    for t in range(1, SELECT_EPOCHS + 1):
         margins = y * (x @ w + b)
         viol = margins < 1.0
-        grad_w = reg * w - (y[viol] @ x[viol]) / n
+        grad_w = SELECT_REG * w - (y[viol] @ x[viol]) / n
         grad_b = -float(np.sum(y[viol])) / n
-        lr = step / math.sqrt(t)
+        lr = SELECT_STEP / math.sqrt(t)
         w = w - lr * grad_w
         b = b - lr * grad_b
 
@@ -263,9 +264,6 @@ def split_train_test(
 class Accuracy:
     ratio: float  # raw fraction correct in [0, 1]
     percent: float  # ratio * 100 rounded half-up to 2 decimals
-
-    def __str__(self) -> str:
-        return f"{self.percent:.2f}%"
 
 
 def accuracy(model: DecisionTreeModel, matrix: FeatureMatrix) -> Accuracy:

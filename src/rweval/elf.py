@@ -177,67 +177,41 @@ def _read_name(strtab: bytes, off: int) -> str:
     return strtab[off:end].decode("latin-1")
 
 
-class _ClaimedRanges:
-    """Disjoint half-open intervals of already-attributed file bytes."""
+def _claim(claimed: list[tuple[int, int]], start: int, end: int) -> int:
+    """Claim the unclaimed parts of [start, end); return the bytes gained.
 
-    def __init__(self):
-        self._spans: list[tuple[int, int]] = []
-
-    def claim(self, start: int, end: int) -> int:
-        """Claim the unclaimed part of [start, end); return bytes gained."""
-        if end <= start:
-            return 0
-        gained = 0
-        merged = []
-        cursor = start
-        for s, e in self._spans:
-            if e <= start or s >= end:
-                merged.append((s, e))
-                continue
-            # overlap: count the gap before this span, then skip it
-            if s > cursor:
-                gained += s - cursor
-            cursor = max(cursor, e)
-            merged.append((s, e))
-        if end > cursor:
-            gained += end - cursor
-        merged.append((start, end))
-        merged.sort()
-        # normalize to keep the span list short
-        norm = [merged[0]]
-        for s, e in merged[1:]:
-            ls, le = norm[-1]
-            if s <= le:
-                norm[-1] = (ls, max(le, e))
-            else:
-                norm.append((s, e))
-        self._spans = norm
-        return gained
-
-    def total(self) -> int:
-        return sum(e - s for s, e in self._spans)
+    claimed holds disjoint half-open spans; only the new pieces are added,
+    so it stays disjoint without merging."""
+    pieces = [(start, end)] if start < end else []
+    for s, e in claimed:
+        if s < end and e > start:
+            pieces = [(ps, pe) for a, b in pieces
+                      for ps, pe in ((a, min(b, s)), (max(a, e), b)) if ps < pe]
+    claimed.extend(pieces)
+    return sum(pe - ps for ps, pe in pieces)
 
 
-def size_profile(summary: ElfSummary, file_size: int) -> SizeProfile:
+def size_profile(summary: ElfSummary) -> SizeProfile:
     """Attribute every byte of a file to exactly one bucket.
 
     Claim precedence: ELF header, then program header table, then section
     header table, then sections in ascending file-offset order (section-table
     order breaks ties); a byte already claimed is never re-claimed. NOBITS
     sections claim nothing. Whatever remains is "[Unmapped]". Bucket values
-    always sum to file_size exactly.
+    always sum to summary.file_size exactly.
     """
-    claimed = _ClaimedRanges()
+    file_size = summary.file_size
+    claimed: list[tuple[int, int]] = []
     buckets: dict[str, int] = {}
 
-    def clip(off: int, length: int) -> tuple[int, int]:
+    def claim(off: int, length: int) -> int:
         start = min(max(off, 0), file_size)
         end = min(max(off + length, 0), file_size)
-        return start, end
+        return _claim(claimed, start, end)
 
-    buckets[BUCKET_EHDR] = claimed.claim(*clip(0, EHDR_SIZE))
-    buckets[BUCKET_PHDRS] = claimed.claim(*clip(*summary.program_header_extent))
-    buckets[BUCKET_SHDRS] = claimed.claim(*clip(*summary.section_header_extent))
+    buckets[BUCKET_EHDR] = claim(0, EHDR_SIZE)
+    buckets[BUCKET_PHDRS] = claim(*summary.program_header_extent)
+    buckets[BUCKET_SHDRS] = claim(*summary.section_header_extent)
 
     for sec in summary.sections:
         # the unnamed null section would otherwise pollute every profile
@@ -247,10 +221,10 @@ def size_profile(summary: ElfSummary, file_size: int) -> SizeProfile:
         (s for s in summary.sections if s.file_size_on_disk > 0),
         key=lambda s: s.file_offset,
     ):
-        start, end = clip(sec.file_offset, sec.file_size_on_disk)
-        buckets[sec.name] = buckets.get(sec.name, 0) + claimed.claim(start, end)
+        gained = claim(sec.file_offset, sec.file_size_on_disk)
+        buckets[sec.name] = buckets.get(sec.name, 0) + gained
 
-    buckets[BUCKET_UNMAPPED] = file_size - claimed.total()
+    buckets[BUCKET_UNMAPPED] = file_size - sum(e - s for s, e in claimed)
     return SizeProfile(buckets=buckets)
 
 

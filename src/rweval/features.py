@@ -7,8 +7,6 @@ feature spellings (".note.ABI-tag" -> "note.abi_tag").
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 
@@ -149,34 +147,3 @@ def select_columns(matrix: FeatureMatrix, names: list[str]) -> FeatureMatrix:
         for row in matrix.rows
     )
     return FeatureMatrix(feature_names=tuple(names), rows=rows)
-
-
-def matrix_to_csv(matrix: FeatureMatrix) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["binary_id", *matrix.feature_names, "label"])
-    for row in matrix.rows:
-        w.writerow(
-            [row.binary_id, *("1" if v else "0" for v in row.values), row.label.value]
-        )
-    return buf.getvalue()
-
-
-def matrix_from_csv(text: str) -> FeatureMatrix:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if not header or header[0] != "binary_id" or header[-1] != "label":
-        raise ValueError("matrix CSV must have header binary_id,<features...>,label")
-    names = tuple(header[1:-1])
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(
-            MatrixRow(
-                binary_id=rec[0],
-                values=tuple(v == "1" for v in rec[1:-1]),
-                label=Label(rec[-1]),
-            )
-        )
-    return FeatureMatrix(feature_names=names, rows=tuple(rows))

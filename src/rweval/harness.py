@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import csv
 import glob as globlib
+import itertools
 import json
 import operator
 import os
 import select
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -400,29 +403,26 @@ def run_campaign(
     *,
     timeout_s: float = DEFAULT_TIMEOUT_S,
     afl_driver: str | None = None,
-    workroot: str | None = None,
+    keep_outputs: str | None = None,
     on_record: Callable[[RunRecord], None] | None = None,
 ) -> list[RunRecord]:
     """Run the full (binary x adapter x task) cross product.
 
-    Each job owns a private working directory; per-run failures land in the
-    record's annotation and never abort the campaign. The returned list is
-    sorted by (binary_id, tool, task) so the output is independent of the
-    parallelism degree; on_record streams records in completion order.
+    Each job owns a private working directory under a temporary root;
+    per-run failures land in the record's annotation and never abort the
+    campaign. A job that passes EXE copies its output to
+    keep_outputs/<job_name> when it finishes. The returned list is sorted by
+    (binary_id, tool, task) so the output is independent of the parallelism
+    degree; on_record streams records in completion order.
     """
-    check_run_settings(parallelism, timeout_s)
-    own_root = None
-    if workroot is None:
-        import tempfile
-
-        own_root = tempfile.TemporaryDirectory(prefix="rweval-campaign-")
-        workroot = own_root.name
-    os.makedirs(workroot, exist_ok=True)
-
+    check_run_settings(manifest, adapters, tasks, parallelism, timeout_s)
+    if keep_outputs is not None:
+        os.makedirs(keep_outputs, exist_ok=True)
     emit_lock = threading.Lock()
 
     def job(entry: ManifestEntry, adapter: ToolAdapter, task: Task) -> RunRecord:
-        workdir = os.path.join(workroot, job_name(entry.binary_id, adapter.tool_name, task))
+        name = job_name(entry.binary_id, adapter.tool_name, task)
+        workdir = os.path.join(workroot, name)
         try:
             record = run_task(
                 adapter,
@@ -438,37 +438,42 @@ def run_campaign(
                                     f"{type(e).__name__}: {e}")
         if record.exe_ok:
             record = _apply_functional(record, entry, workdir, timeout_s, afl_driver)
+            output = task_output_path(workdir, entry.path)
+            if keep_outputs is not None and output.is_file():
+                shutil.copy2(output, os.path.join(keep_outputs, name))
         if on_record is not None:
             with emit_lock:
                 on_record(record)
         return record
 
-    jobs = [
-        (entry, adapter, task)
-        for entry in manifest
-        for adapter in adapters
-        for task in tasks
-    ]
-    try:
-        if parallelism == 1:
-            records = [job(*args) for args in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                records = list(pool.map(lambda args: job(*args), jobs))
-    finally:
-        if own_root is not None:
-            own_root.cleanup()
-
+    with (tempfile.TemporaryDirectory(prefix="rweval-campaign-") as workroot,
+          ThreadPoolExecutor(max_workers=parallelism) as pool):
+        records = list(pool.map(
+            lambda args: job(*args),
+            itertools.product(manifest, adapters, tasks),
+        ))
     records.sort(key=lambda r: (r.binary_id, r.tool_name, r.task.value))
     return records
 
 
-def check_run_settings(parallelism: int, timeout_s: float) -> None:
-    """Raise ValueError for campaign settings no run could honour."""
+def check_run_settings(
+    manifest: Sequence[ManifestEntry],
+    adapters: Sequence[ToolAdapter],
+    tasks: Sequence[Task],
+    parallelism: int,
+    timeout_s: float,
+) -> None:
+    """Raise ValueError for a campaign no run could honour, including one
+    where two jobs would share a job name and so a workdir."""
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     if not timeout_s > 0:  # also rejects NaN
         raise ValueError("timeout_s must be positive")
+    names = Counter(job_name(e.binary_id, a.tool_name, t)
+                    for e in manifest for a in adapters for t in tasks)
+    repeated = sorted(n for n, c in names.items() if c > 1)
+    if repeated:
+        raise ValueError(f"duplicate job names {repeated}")
 
 
 def _apply_functional(

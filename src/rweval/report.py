@@ -200,24 +200,21 @@ class ComparativeTable:
 def comparative_average(
     records: Sequence[RunRecord],
     metric: str = "runtime_s",
-    success_filter: Callable[[RunRecord], bool] | None = None,
     tool_order: Sequence[str] | None = None,
     mean_of_ratios: bool = False,
 ) -> ComparativeTable:
     """Pairwise metric comparison over the intersection of binaries both
-    tools handled; cell(row, col) is row's average as a percentage of
+    tools handled (NOP runs that passed EXE); cell(row, col) is row's average as a percentage of
     col's. NA when no binary was handled by both. UnknownTool when
     tool_order names a tool with no records."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     if tool_order:
         _check_tools(tool_order, records)
-    if success_filter is None:
-        success_filter = default_success_filter
 
     per_tool: dict[str, dict[str, float]] = {}
     for r in records:
-        if not success_filter(r):
+        if not default_success_filter(r):
             continue
         value = _metric_value(r, metric)
         if value is None:

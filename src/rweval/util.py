@@ -2,24 +2,22 @@
 
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 
+_HUNDREDTH = Decimal("0.01")
 
-def round_half_up(value: float, ndigits: int = 2) -> float:
-    """Round with ties away from zero (accuracy display convention).
 
-    Python's built-in round() is banker's rounding; 0.125 must become 0.13.
+def round_half_up(value: float) -> float:
+    """Round to two decimals with ties away from zero (accuracy display
+    convention). Python's built-in round() is banker's rounding; 0.125 must
+    become 0.13.
     """
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(str(value)).quantize(q, rounding=ROUND_HALF_UP))
+    return float(Decimal(str(value)).quantize(_HUNDREDTH, rounding=ROUND_HALF_UP))
 
 
-def trunc_pct(value: float, ndigits: int = 2) -> float:
-    """Truncate toward zero, the convention the published tables follow
-    (3282/3344 prints as 98.14, not 98.15)."""
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(str(value)).quantize(q, rounding=ROUND_DOWN))
+def trunc_pct(value: float) -> float:
+    """Truncate toward zero at two decimals, the convention the published
+    tables follow (3282/3344 prints as 98.14, not 98.15)."""
+    return float(Decimal(str(value)).quantize(_HUNDREDTH, rounding=ROUND_DOWN))
 
 
-def fmt_pct(value: float | None, na: str = "NA") -> str:
-    if value is None:
-        return na
-    return f"{trunc_pct(value):.2f}%"
+def fmt_pct(value: float | None) -> str:
+    return "NA" if value is None else f"{trunc_pct(value):.2f}%"

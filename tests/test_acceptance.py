@@ -104,10 +104,10 @@ def test_criterion_4_size_conservation(hello_variants):
         images.append(build_elf([Sec(".text", b"\x90" * 10, gap_before=3)]))
         images.append(build_elf([Sec(".bss", b"\x00" * 50, sh_type=8)]))
         for data in images:
-            profile = size_profile(parse_elf(data), len(data))
+            profile = size_profile(parse_elf(data))
             assert profile.total() == len(data)
             grown = data + bytes(137)
-            p1 = size_profile(parse_elf(grown), len(grown))
+            p1 = size_profile(parse_elf(grown))
             assert p1.buckets[BUCKET_UNMAPPED] == profile.buckets[BUCKET_UNMAPPED] + 137
             for name, value in profile.buckets.items():
                 if name != BUCKET_UNMAPPED:

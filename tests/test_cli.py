@@ -231,6 +231,18 @@ class TestRunCommand:
         assert code == 3 and ("duplicate" in err or "repeated" in err)
         assert not out_csv.exists()
 
+    def test_unusable_keep_outputs_exits_2_before_anything_runs(self, capsys,
+                                                                campaign_files, tmp_path):
+        manifest, adapters = campaign_files
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "run", "--manifest", str(manifest),
+                               "--adapters", str(adapters), "--out", str(out_csv),
+                               "--keep-outputs", str(afile / "sub"))
+        assert code == 2 and f"cannot write {str(afile / 'sub')!r}" in err
+        assert not out_csv.exists()
+
     def test_unwritable_out_exits_2(self, capsys, campaign_files, tmp_path):
         manifest, adapters = campaign_files
         code, _, err = run_cli(capsys, "run", "--manifest", str(manifest),

@@ -137,15 +137,15 @@ class TestReadelfParity:
 class TestSizeProfile:
     def test_gap_free_file_has_zero_unmapped(self):
         img = build_elf([Sec(".text", b"\x90" * 32), Sec(".data", b"\x01" * 8)])
-        profile = size_profile(parse_elf(img), len(img))
+        profile = size_profile(parse_elf(img))
         assert profile.buckets[BUCKET_UNMAPPED] == 0
         assert profile.total() == len(img)
 
     def test_trailing_bytes_go_to_unmapped_only(self):
         base = build_elf([Sec(".text", b"\x90" * 32)])
         grown = base + bytes(100)
-        p0 = size_profile(parse_elf(base), len(base))
-        p1 = size_profile(parse_elf(grown), len(grown))
+        p0 = size_profile(parse_elf(base))
+        p1 = size_profile(parse_elf(grown))
         assert p1.buckets[BUCKET_UNMAPPED] == p0.buckets[BUCKET_UNMAPPED] + 100
         for name, value in p0.buckets.items():
             if name != BUCKET_UNMAPPED:
@@ -154,14 +154,14 @@ class TestSizeProfile:
     def test_hello_world_buckets_sum_to_disk_size(self, hello_variants):
         for variant in hello_variants:
             data = variant.path.read_bytes()
-            profile = size_profile(parse_elf(data), len(data))
+            profile = size_profile(parse_elf(data))
             assert profile.total() == variant.path.stat().st_size, variant.name
             assert all(v >= 0 for v in profile.buckets.values())
 
     def test_header_buckets_have_expected_sizes(self):
         img = build_elf([Sec(".text", b"\x90" * 16)])
         s = parse_elf(img)
-        profile = size_profile(s, len(img))
+        profile = size_profile(s)
         assert profile.buckets[BUCKET_EHDR] == 64
         assert profile.buckets[BUCKET_PHDRS] == 56
         assert profile.buckets[BUCKET_SHDRS] == 3 * 64
@@ -169,14 +169,14 @@ class TestSizeProfile:
 
     def test_gaps_are_unmapped(self):
         img = build_elf([Sec(".text", b"\x90" * 16, gap_before=7)])
-        profile = size_profile(parse_elf(img), len(img))
+        profile = size_profile(parse_elf(img))
         assert profile.buckets[BUCKET_UNMAPPED] == 7
 
     def test_nobits_claims_nothing(self):
         img = build_elf(
             [Sec(".text", b"\x90" * 16), Sec(".bss", b"\x00" * 999, SHT_NOBITS)]
         )
-        profile = size_profile(parse_elf(img), len(img))
+        profile = size_profile(parse_elf(img))
         assert profile.buckets[".bss"] == 0
         assert profile.total() == len(img)
 
@@ -189,7 +189,7 @@ class TestSizeProfile:
         # rewrite .dup's header (entry 2) to alias .text's bytes
         struct.pack_into("<QQ", img, shoff + 2 * 64 + 24, text.file_offset, 16)
         s2 = parse_elf(bytes(img))
-        profile = size_profile(s2, len(img))
+        profile = size_profile(s2)
         assert profile.buckets[".text"] == 16
         assert profile.buckets[".dup"] == 0
         assert profile.total() == len(img)
@@ -197,7 +197,7 @@ class TestSizeProfile:
     def test_deterministic(self):
         img = build_elf()
         s = parse_elf(img)
-        assert size_profile(s, len(img)) == size_profile(s, len(img))
+        assert size_profile(s) == size_profile(s)
         assert parse_elf(img) == s
 
     @settings(max_examples=60, deadline=None)
@@ -219,7 +219,7 @@ class TestSizeProfile:
             for name, size, nobits, gap in sections
         ]
         img = build_elf(secs, trailing=b"\xee" * trailing)
-        profile = size_profile(parse_elf(img), len(img))
+        profile = size_profile(parse_elf(img))
         assert profile.total() == len(img)
         assert all(v >= 0 for v in profile.buckets.values())
 
@@ -227,7 +227,7 @@ class TestSizeProfile:
 class TestSizeDelta:
     def test_identity_is_100_everywhere(self):
         img = build_elf()
-        p = size_profile(parse_elf(img), len(img))
+        p = size_profile(parse_elf(img))
         delta = size_delta(p, p)
         assert all(v == 100.0 for v in delta.values() if v is not None)
         assert delta[".text"] == 100.0

@@ -10,8 +10,6 @@ from rweval.features import (
     build_matrix,
     canonicalize,
     extract_features,
-    matrix_from_csv,
-    matrix_to_csv,
 )
 
 from elfbuild import ET_EXEC, SHT_SYMTAB, Sec, build_elf
@@ -142,9 +140,3 @@ class TestBuildMatrix:
         rows = self.rows(fv(a=True, b=True), fv(b=True), fv(a=True))
         assert build_matrix(rows, min_support=1) == build_matrix(rows, min_support=1)
 
-    def test_csv_round_trip(self):
-        rows = self.rows(fv(a=True, note__abi_tag=True), fv(a=True), fv())
-        m = build_matrix(rows, min_support=1)
-        text = matrix_to_csv(m)
-        assert text.splitlines()[0] == "binary_id," + ",".join(m.feature_names) + ",label"
-        assert matrix_from_csv(text) == m

@@ -4,10 +4,14 @@ import shutil
 import signal
 import stat
 import struct
+import subprocess
+import sys
 import time
+from dataclasses import replace
 
 import pytest
 
+import rweval
 from rweval.dtree import Task
 from rweval.errors import SpawnError
 from rweval.harness import (
@@ -378,12 +382,66 @@ class TestCampaignStubs:
     def test_function_tests_run_in_the_job_workdir(self, elf_input, tmp_path):
         seen = tmp_path / "cwd.txt"
         driver = script(tmp_path / "driver", f'pwd -P > "{seen}"')
-        root = tmp_path / "root"
         records = run_campaign([ManifestEntry("bin", elf_input, variant())], [COPY],
-                               tasks=(Task.AFL,), timeout_s=30, workroot=str(root),
+                               tasks=(Task.AFL,), timeout_s=30,
                                afl_driver=f"{driver} {{target}}")
         assert [r.func_ok for r in records] == [TriState.YES]
-        assert seen.read_text().strip() == os.path.realpath(root / "bin__copytool__AFL")
+        assert os.path.basename(seen.read_text().strip()) == "bin__copytool__AFL"
+
+    def test_kept_outputs_are_copied_for_exe_passing_jobs(self, elf_input, tmp_path):
+        kept = tmp_path / "kept" / "sub"
+        run_campaign([ManifestEntry("bin", elf_input, variant())], [COPY, FAIL],
+                     tasks=(Task.NOP,), timeout_s=30, keep_outputs=str(kept))
+        assert os.listdir(kept) == ["bin__copytool__NOP"]
+        assert (kept / "bin__copytool__NOP").read_bytes() == open(elf_input, "rb").read()
+
+    @pytest.mark.parametrize("repeated", ["tool_name", "task"])
+    def test_shared_job_names_are_rejected_before_any_process_starts(
+            self, elf_input, tmp_path, repeated):
+        # two jobs with one job name would share a workdir and a kept output
+        marker = tmp_path / "ran"
+        tool = script(tmp_path / "tool", f'touch "{marker}"; cp "$1" "$2"')
+        first = ToolAdapter("t", False, nop_command=f"{tool} {{input}} {{output}}")
+        second = replace(first, nop_command="false {input} {output}")
+        adapters, tasks = [first, second], (Task.NOP,)
+        if repeated == "task":
+            adapters, tasks = [first], (Task.NOP, Task.NOP)
+        with pytest.raises(ValueError, match="duplicate job names"):
+            run_campaign([ManifestEntry("bin", elf_input, variant())], adapters,
+                         tasks=tasks, timeout_s=30)
+        assert not marker.exists()
+
+    def test_sigint_at_parallelism_1_leaves_no_tool_behind(self, elf_input, tmp_path,
+                                                           bg_pidfile):
+        tool = script(tmp_path / "tool", f'sleep 30 & echo $! > "{bg_pidfile}"; wait')
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"id": "bin", "path": elf_input, "program": "p", "compiler": "gcc",
+             "flags": "O0", "relocation": "pie", "symbols": "present", "os": "u20"}]))
+        adapters = tmp_path / "adapters.json"
+        adapters.write_text(json.dumps([
+            {"tool_name": "slow", "nop_command": f"{tool} {{input}} {{output}}"}]))
+        src = os.path.dirname(os.path.dirname(rweval.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rweval.cli", "run", "--manifest", str(manifest),
+             "--adapters", str(adapters), "--out", str(tmp_path / "o.csv"),
+             "--tasks", "NOP", "--parallelism", "1", "--timeout-s", "2"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            # an ignored SIGINT would be inherited, as under a background shell job
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            deadline = time.monotonic() + 20
+            while not (bg_pidfile.exists() and bg_pidfile.read_text().strip()):
+                assert proc.poll() is None and time.monotonic() < deadline, \
+                    "the tool never started"
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=20)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert process_gone(int(bg_pidfile.read_text())), "the tool outlived the campaign"
 
 
 class TestCampaign:

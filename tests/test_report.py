@@ -325,7 +325,7 @@ class TestRounding:
     def test_half_up_at_two_decimals(self):
         assert round_half_up(33.335) == 33.34
         assert round_half_up(33.334) == 33.33
-        assert round_half_up(0.125, 2) == 0.13
+        assert round_half_up(0.125) == 0.13
         assert round_half_up(98.144999) == 98.14
 
     def test_tables_truncate_like_the_published_ones(self):
