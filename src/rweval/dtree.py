@@ -17,8 +17,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from .errors import DegenerateSplit, EmptyMatrix, SchemaError
 from .features import FeatureMatrix, FeatureVector, Label, MatrixRow
 from .util import round_half_up
@@ -215,6 +213,7 @@ def select_features(matrix: FeatureMatrix, k: int = 8) -> list[str]:
         raise ValueError("k must be at least 1")
     if not matrix.rows:
         raise EmptyMatrix("cannot select features from an empty matrix")
+    import numpy as np  # here, not at the top: it is most of rweval's import time
 
     x = np.array([[1.0 if v else 0.0 for v in r.values] for r in matrix.rows])
     y = np.array([1.0 if r.label is Label.PASS else -1.0 for r in matrix.rows])

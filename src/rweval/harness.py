@@ -18,6 +18,7 @@ import csv
 import glob as globlib
 import itertools
 import json
+import math
 import operator
 import os
 import select
@@ -90,10 +91,11 @@ class VariantConfig:
             raise ValueError(f"unknown symbols {self.symbols!r}")
 
     @classmethod
-    def from_columns(cls, columns: Mapping[str, str]) -> VariantConfig:
-        """From a manifest entry or results-CSV row; KeyError if a column is
-        missing. Values are interned: a loaded report's rows share them."""
-        return cls(*map(sys.intern, _variant_cells(columns)))
+    def from_cells(cls, cells: Iterable[str]) -> VariantConfig:
+        """From the values in VARIANT_COLUMNS order, as a manifest entry or a
+        results row holds them. Values are interned: the variants of a
+        loaded report share them."""
+        return cls(*map(sys.intern, cells))
 
     def columns(self) -> tuple[str, ...]:
         """The field values in VARIANT_COLUMNS order."""
@@ -140,7 +142,10 @@ class RunRecord:
     annotation: str = ""
 
     def __post_init__(self):
-        if self.runtime_seconds < 0 or self.memory_kbytes < 0:
+        if not math.isfinite(self.runtime_seconds):
+            raise ValueError(f"runtime {self.runtime_seconds} is not finite")
+        if (self.runtime_seconds < 0 or self.memory_kbytes < 0
+                or (self.output_size_bytes or 0) < 0):
             raise ValueError("resource fields must be non-negative")
         if self.func_ok is TriState.YES and not self.exe_ok:
             raise ValueError("func_ok=yes requires exe_ok")
@@ -518,7 +523,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         return ManifestEntry(
             binary_id=obj["id"],
             path=obj["path"],
-            variant=VariantConfig.from_columns(obj),
+            variant=VariantConfig.from_cells(_variant_cells(obj)),
             null_invocation=tuple(invocation) if invocation else None,
         )
 
@@ -574,18 +579,47 @@ def record_to_row(record: RunRecord) -> list[str]:
     ]
 
 
-def row_to_record(row: dict[str, str]) -> RunRecord:
-    out_size = row["out_size_bytes"]
+_TASKS = {t.value: t for t in Task}
+_TRISTATES = {t.value: t for t in TriState}
+_EXE_CELLS = {"1": True, "0": False}
+_result_cells = operator.itemgetter(*RESULTS_COLUMNS)
+
+
+def row_to_record(row: Mapping[str, str]) -> RunRecord:
+    """One results row keyed by column name, such as a csv.DictReader row."""
+    return _record_from_cells(_result_cells(row), {})
+
+
+def _record_from_cells(
+    cells: tuple[str, ...], variants: dict[tuple[str, ...], VariantConfig | None]
+) -> RunRecord:
+    """One results row's cells, in RESULTS_COLUMNS order, as a RunRecord.
+    variants maps six variant cells to their VariantConfig, or to None when
+    all six are empty; one load shares it, so a binary's rows share one."""
+    binary_id, *_, tool, task, ir, exe, func, runtime, mem, out_size = cells
+    key = cells[1:7]
+    try:
+        variant = variants[key]
+    except KeyError:
+        variant = variants[key] = VariantConfig.from_cells(key) if any(key) else None
+    if task not in _TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    if ir not in _TRISTATES:
+        raise ValueError(f"unknown ir value {ir!r}")
+    if func not in _TRISTATES:
+        raise ValueError(f"unknown func value {func!r}")
+    if exe not in _EXE_CELLS:
+        raise ValueError(f"exe must be 0 or 1, got {exe!r}")
     return RunRecord(
-        binary_id=row["binary_id"],
-        variant=VariantConfig.from_columns(row) if any(_variant_cells(row)) else None,
-        tool_name=row["tool"],
-        task=Task(row["task"]),
-        ir_ok=TriState(row["ir"]),
-        exe_ok=row["exe"] == "1",
-        func_ok=TriState(row["func"]),
-        runtime_seconds=float(row["runtime_s"]),
-        memory_kbytes=int(row["mem_kb"]),
+        binary_id=binary_id,
+        variant=variant,
+        tool_name=tool,
+        task=_TASKS[task],
+        ir_ok=_TRISTATES[ir],
+        exe_ok=_EXE_CELLS[exe],
+        func_ok=_TRISTATES[func],
+        runtime_seconds=float(runtime),
+        memory_kbytes=int(mem),
         output_size_bytes=int(out_size) if out_size else None,
     )
 
@@ -606,9 +640,29 @@ def write_records_csv(records: Iterable[RunRecord], path: str) -> None:
 
 
 def load_records_csv(path: str) -> list[RunRecord]:
+    """The records of a results CSV. Columns may come in any order, extra
+    columns are ignored and blank lines skipped. ValueError names the
+    1-based line of the first malformed row."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        missing = set(RESULTS_COLUMNS) - set(reader.fieldnames or ())
+        reader = csv.reader(f)
+        header = next(reader, [])
+        index = {name: i for i, name in enumerate(header)}
+        missing = set(RESULTS_COLUMNS) - index.keys()
         if missing:
             raise ValueError(f"results CSV missing columns {sorted(missing)}")
-        return [row_to_record(row) for row in reader]
+        pick = operator.itemgetter(*(index[c] for c in RESULTS_COLUMNS))
+        variants: dict[tuple[str, ...], VariantConfig | None] = {}
+        records = []
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"expected {len(header)} fields, got {len(row)}")
+                records.append(_record_from_cells(pick(row), variants))
+        except UnicodeDecodeError:
+            raise  # decoding runs ahead of the parser, so line_num would mislead
+        except (ValueError, csv.Error) as e:
+            raise ValueError(f"line {reader.line_num}: {e}") from e
+        return records

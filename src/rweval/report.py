@@ -44,10 +44,20 @@ class Cohort:
         return _variant_matches(record, self.predicate)
 
 
+_VARIANT_INDEX = {name: i for i, name in enumerate(VARIANT_COLUMNS)}
+
+
 def _variant_matches(record: RunRecord, predicate: dict[str, str]) -> bool:
+    if not predicate:
+        return True
     v = record.variant
-    actual = dict(zip(VARIANT_COLUMNS, v.columns())) if v and predicate else {}
-    return all(actual.get(k) == want for k, want in predicate.items())
+    if v is None:
+        return False
+    cells = v.columns()
+    for key, want in predicate.items():
+        if cells[_VARIANT_INDEX[key]] != want:
+            return False
+    return True
 
 
 def make_cohort(
@@ -113,35 +123,45 @@ def success_table(
     tool_order: Sequence[str] | None = None,
 ) -> SuccessTable:
     """Checkpoint/functional success counts and percentages per tool."""
-    in_cohort = [r for r in records if cohort.matches(r)]
     if tool_order is None:
         tool_order = sorted({r.tool_name for r in records})
     else:
         _check_tools(tool_order, records)
 
-    cells: dict[tuple[str, str], Cell] = {}
+    # One pass: per (tool, task), the binaries that passed IR, EXE and the
+    # functional test, and the keys with at least one IR verdict.
+    passed: dict[tuple[str, Task], tuple[set[str], set[str], set[str]]] = {}
+    ir_judged: set[tuple[str, Task]] = set()
+    for r in records:
+        if not cohort.matches(r):
+            continue
+        key = (r.tool_name, r.task)
+        sets = passed.get(key)
+        if sets is None:
+            sets = passed[key] = (set(), set(), set())
+        ir, exe, func = sets
+        if r.ir_ok is not TriState.NA:
+            ir_judged.add(key)
+            if r.ir_ok is TriState.YES:
+                ir.add(r.binary_id)
+        if r.exe_ok:
+            exe.add(r.binary_id)
+        if r.func_ok is TriState.YES:
+            func.add(r.binary_id)
+
+    empty = (set(), set(), set())
     denom = cohort.denominator
+    cells: dict[tuple[str, str], Cell] = {}
     for tool in tool_order:
-        nop = [r for r in in_cohort if r.tool_name == tool and r.task is Task.NOP]
-        afl = [r for r in in_cohort if r.tool_name == tool and r.task is Task.AFL]
-
-        def distinct(rs: list[RunRecord], pred: Callable[[RunRecord], bool]) -> int:
-            return len({r.binary_id for r in rs if pred(r)})
-
-        ir_applicable = any(r.ir_ok is not TriState.NA for r in nop)
+        nop_ir, nop_exe, nop_func = passed.get((tool, Task.NOP), empty)
+        _, afl_exe, afl_func = passed.get((tool, Task.AFL), empty)
         cells[(tool, "IR")] = (
-            _cell(distinct(nop, lambda r: r.ir_ok is TriState.YES), denom)
-            if ir_applicable
-            else Cell(None, None)
+            _cell(len(nop_ir), denom) if (tool, Task.NOP) in ir_judged else Cell(None, None)
         )
-        cells[(tool, "EXE")] = _cell(distinct(nop, lambda r: r.exe_ok), denom)
-        cells[(tool, "NullFunc")] = _cell(
-            distinct(nop, lambda r: r.func_ok is TriState.YES), denom
-        )
-        cells[(tool, "AFL_EXE")] = _cell(distinct(afl, lambda r: r.exe_ok), denom)
-        cells[(tool, "AFL_Func")] = _cell(
-            distinct(afl, lambda r: r.func_ok is TriState.YES), denom
-        )
+        cells[(tool, "EXE")] = _cell(len(nop_exe), denom)
+        cells[(tool, "NullFunc")] = _cell(len(nop_func), denom)
+        cells[(tool, "AFL_EXE")] = _cell(len(afl_exe), denom)
+        cells[(tool, "AFL_Func")] = _cell(len(afl_func), denom)
     return SuccessTable(cohort=cohort, tool_order=tuple(tool_order), cells=cells)
 
 

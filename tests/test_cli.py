@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rweval
 from rweval.cli import main
 
 from elfbuild import Sec, build_elf
@@ -426,6 +430,26 @@ class TestReportCommand:
                                  "comparative", "--tools", "alpha,nosuch")
         assert code == 2 and "nosuch" in err and out == ""
 
+    @pytest.mark.parametrize("column,cell", [
+        ("func", None),  # the row ends after func, as in a partly written --out
+        ("exe", "yes"),
+        ("runtime_s", "nan"),
+    ])
+    def test_malformed_row_exits_2_and_names_its_line(self, capsys, results_csv,
+                                                      column, cell):
+        lines = open(results_csv).read().splitlines()
+        cells = lines[2].split(",")
+        index = harness_header().index(column)
+        cells = cells[:index + 1] if cell is None else [
+            *cells[:index], cell, *cells[index + 1:]]
+        lines[2] = ",".join(cells)
+        with open(results_csv, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        for table in ("success", "comparative"):
+            code, out, err = run_cli(capsys, "report", results_csv, "--table", table)
+            assert (code, out) == (2, "")
+            assert "line 3: " in err
+
     def test_bad_table_choice_exits_3(self, capsys, results_csv):
         assert run_cli(capsys, "report", results_csv, "--table", "nope")[0] == 3
 
@@ -434,3 +458,11 @@ class TestReportCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header.startswith("tool,IR,EXE,NullFunc,AFL_EXE,AFL_Func")
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy costs more start-up time than the rest of rweval; only train needs it
+    src = os.path.dirname(os.path.dirname(rweval.__file__))
+    subprocess.run(
+        [sys.executable, "-c", "import rweval.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import random
 import shutil
 import signal
 import stat
@@ -15,6 +18,7 @@ import rweval
 from rweval.dtree import Task
 from rweval.errors import SpawnError
 from rweval.harness import (
+    RESULTS_COLUMNS,
     FuncTest,
     ManifestEntry,
     RunRecord,
@@ -26,6 +30,8 @@ from rweval.harness import (
     load_manifest,
     load_records_csv,
     null_function_test,
+    record_to_row,
+    row_to_record,
     run_campaign,
     run_task,
     task_output_path,
@@ -178,6 +184,13 @@ class TestRunRecordInvariants:
             self.base(runtime_seconds=-1.0)
         with pytest.raises(ValueError):
             self.base(memory_kbytes=-1)
+        with pytest.raises(ValueError):
+            self.base(output_size_bytes=-1)
+
+    @pytest.mark.parametrize("runtime", [float("nan"), float("inf")])
+    def test_non_finite_runtime_rejected(self, runtime):
+        with pytest.raises(ValueError, match="not finite"):
+            self.base(runtime_seconds=runtime)
 
 
 class TestRunTask:
@@ -564,6 +577,95 @@ class TestSerialization:
         bad.write_text(text.replace(",pie,", ",PIE,"))
         with pytest.raises(ValueError):
             load_records_csv(str(bad))
+
+    @staticmethod
+    def seeded_records(seed, n_binaries=9):
+        """Records covering every Task and TriState value and both exe
+        values; every third binary has no variant."""
+        rng = random.Random(seed)
+        records = []
+        for i in range(n_binaries):
+            v = None if i % 3 == 2 else variant(
+                program=f"p{i}", compiler=rng.choice(["gcc", "clang", "icx"]),
+                relocation=rng.choice(["pie", "nopie"]))
+            for tool in ("alpha", "beta"):
+                for task in Task:
+                    ir = rng.choice(list(TriState))
+                    exe = ir is not TriState.NO and rng.random() < 0.7
+                    func = rng.choice(list(TriState) if exe else [TriState.NO, TriState.NA])
+                    records.append(RunRecord(
+                        f"b{i}", v, tool, task, ir, exe, func,
+                        round(rng.uniform(0, 9), 6), rng.randrange(10**6),
+                        rng.choice([None, rng.randrange(10**6)])))
+        assert {r.ir_ok for r in records} == {r.func_ok for r in records} == set(TriState)
+        assert {r.exe_ok for r in records} == {True, False}
+        return records
+
+    @pytest.mark.parametrize("layout", ["plain", "reordered", "extra_column", "blank_lines"])
+    def test_loader_matches_dictreader_conversion(self, tmp_path, layout):
+        records = self.seeded_records(seed=len(layout))
+        columns = list(RESULTS_COLUMNS)
+        if layout == "reordered":
+            random.Random(5).shuffle(columns)
+            assert columns != list(RESULTS_COLUMNS)
+        if layout == "extra_column":
+            columns.insert(8, "note")
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(columns)
+        for i, r in enumerate(records):
+            row = dict(zip(RESULTS_COLUMNS, record_to_row(r)), note=f"n,{i}")
+            w.writerow([row[c] for c in columns])
+            if layout == "blank_lines" and i % 4 == 0:
+                buf.write("\n")
+        path = tmp_path / "results.csv"
+        path.write_text(buf.getvalue())
+
+        loaded = load_records_csv(str(path))
+        with open(path, newline="") as f:
+            assert loaded == [row_to_record(row) for row in csv.DictReader(f)]
+        assert loaded == records
+        shared = {}
+        for r in loaded:
+            if r.variant is not None:
+                assert shared.setdefault(r.binary_id, r.variant) is r.variant
+
+    def bad_results(self, tmp_path, edit):
+        """A three-record results CSV whose second record, on line 3, is
+        passed through edit(cells)."""
+        lines = [RESULTS_COLUMNS, *map(record_to_row, self.make_records())]
+        lines[2] = edit(list(lines[2]))
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        return str(path)
+
+    @pytest.mark.parametrize("cut,message", [
+        (12, "expected 15 fields, got 12"),
+        (16, "expected 15 fields, got 16"),
+    ])
+    def test_wrong_field_count_names_its_line(self, tmp_path, cut, message):
+        path = self.bad_results(tmp_path, lambda cells: (cells + ["x"])[:cut])
+        with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+            load_records_csv(path)
+
+    @pytest.mark.parametrize("column,cell,message", [
+        ("task", "nop", "unknown task 'nop'"),
+        ("ir", "YES", "unknown ir value 'YES'"),
+        ("func", "maybe", "unknown func value 'maybe'"),
+        ("exe", "yes", "exe must be 0 or 1, got 'yes'"),
+        ("exe", "", "exe must be 0 or 1, got ''"),
+        ("runtime_s", "nan", "runtime nan is not finite"),
+        ("runtime_s", "inf", "runtime inf is not finite"),
+        ("runtime_s", "-1.0", "resource fields must be non-negative"),
+        ("out_size_bytes", "-5", "resource fields must be non-negative"),
+        ("mem_kb", "lots", "invalid literal"),
+    ])
+    def test_malformed_cell_names_its_line(self, tmp_path, column, cell, message):
+        index = RESULTS_COLUMNS.index(column)
+        path = self.bad_results(
+            tmp_path, lambda cells: cells[:index] + [cell] + cells[index + 1:])
+        with pytest.raises(ValueError, match=f"^line 3: {message}"):
+            load_records_csv(path)
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -13,6 +13,7 @@ from rweval.harness import (
 )
 from rweval.report import (
     COHORT_PRESETS,
+    SUCCESS_COLUMNS,
     comparative_average,
     make_cohort,
     relative_size,
@@ -28,7 +29,7 @@ def variant(program="prog", compiler="gcc", pie=True, symbols=True):
     return VariantConfig(
         program=program,
         compiler=compiler,
-        flags="O2",
+        flags="fla" if compiler == "ollvm" else "O2",
         relocation="pie" if pie else "nopie",
         symbols="present" if symbols else "stripped",
         os_tag="ubuntu20",
@@ -36,10 +37,10 @@ def variant(program="prog", compiler="gcc", pie=True, symbols=True):
 
 
 def record(binary_id, tool, task, ir, exe, func, runtime=1.0, mem=100,
-           out_size=None, pie=True, symbols=True):
+           out_size=None, pie=True, symbols=True, compiler="gcc"):
     return RunRecord(
         binary_id=binary_id,
-        variant=variant(pie=pie, symbols=symbols),
+        variant=variant(compiler=compiler, pie=pie, symbols=symbols),
         tool_name=tool,
         task=task,
         ir_ok=ir,
@@ -51,8 +52,10 @@ def record(binary_id, tool, task, ir, exe, func, runtime=1.0, mem=100,
     )
 
 
-def synthetic_records(seed=0, n_binaries=5, tools=("alpha", "beta")):
-    """Randomized but invariant-respecting record set, 20 records at défaults."""
+def synthetic_records(seed=0, n_binaries=5, tools=("alpha", "beta"),
+                      compilers=("gcc",)):
+    """Randomized but invariant-respecting record set, 20 records at défaults.
+    Binary i is built by compilers[i % len(compilers)]."""
     rng = random.Random(seed)
     records = []
     for i in range(n_binaries):
@@ -76,7 +79,7 @@ def synthetic_records(seed=0, n_binaries=5, tools=("alpha", "beta")):
                            runtime=rng.uniform(0.5, 9.0),
                            mem=rng.randrange(100, 9000),
                            out_size=rng.randrange(1000, 5000) if exe else None,
-                           pie=pie)
+                           pie=pie, compiler=compilers[i % len(compilers)])
                 )
     return records
 
@@ -88,6 +91,18 @@ def csv_text(records, tmp_path):
     return path.read_text(encoding="utf-8")
 
 
+def assert_matches_tally(table, oracle):
+    for tool in table.tool_order:
+        for col in SUCCESS_COLUMNS:
+            cell = table.cells[(tool, col)]
+            want = oracle[tool][col]
+            if want is None:
+                assert cell.count is None and cell.raw_pct is None, (tool, col)
+            else:
+                assert cell.count == want[0], (tool, col)
+                assert cell.raw_pct == pytest.approx(want[1]), (tool, col)
+
+
 class TestSuccessTable:
     def test_matches_independent_tally(self, tmp_path):
         records = synthetic_records(seed=7)
@@ -95,27 +110,19 @@ class TestSuccessTable:
         table = success_table(records, cohort)
         oracle = tally_success(csv_text(records, tmp_path), {})
         assert cohort.denominator == oracle["__denominator__"]
-        for tool in table.tool_order:
-            for col in ("IR", "EXE", "NullFunc", "AFL_EXE", "AFL_Func"):
-                cell = table.cells[(tool, col)]
-                want = oracle[tool][col]
-                if want is None:
-                    assert cell.count is None and cell.raw_pct is None
-                else:
-                    assert cell.count == want[0], (tool, col)
-                    assert cell.raw_pct == pytest.approx(want[1]), (tool, col)
+        assert_matches_tally(table, oracle)
 
     def test_cohort_filter_matches_tally(self, tmp_path):
-        records = synthetic_records(seed=3)
-        cohort = make_cohort("pi_symbols", COHORT_PRESETS["pi_symbols"], records)
-        table = success_table(records, cohort)
-        oracle = tally_success(
-            csv_text(records, tmp_path), {"relocation": "pie", "symbols": "present"}
-        )
-        assert cohort.denominator == oracle["__denominator__"]
-        for tool in table.tool_order:
-            cell = table.cells[(tool, "EXE")]
-            assert cell.count == oracle[tool]["EXE"][0]
+        records = synthetic_records(seed=3, n_binaries=16,
+                                    compilers=("gcc", "clang", "icx", "ollvm"))
+        text = csv_text(records, tmp_path)
+        for name, predicate in COHORT_PRESETS.items():
+            cohort = make_cohort(name, predicate, records)
+            table = success_table(records, cohort)
+            oracle = tally_success(text, predicate)
+            assert cohort.denominator == oracle["__denominator__"] > 0, name
+            assert set(table.tool_order) == set(oracle) - {"__denominator__"}
+            assert_matches_tally(table, oracle)
 
     def test_percentage_rounding_convention(self):
         # 3282 of 3344 is the canonical two-decimal case: 98.14
