@@ -24,6 +24,8 @@ from .dtree import (
     train_cart,
 )
 from .elf import (
+    ByteSource,
+    ElfFile,
     ElfSummary,
     ElfType,
     SectionEntry,

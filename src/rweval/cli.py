@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import dtree, features, harness, report, scope
 from .dtree import Task
-from .elf import parse_elf, size_delta, size_profile
+from .elf import ElfFile, ElfSummary, parse_elf, size_delta, size_profile
 from .errors import (
     DegenerateSplit,
     EmptyMatrix,
@@ -47,12 +47,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(message)
 
 
-def _read_binary(path: str) -> bytes:
+def _read_binary(path: str) -> ElfFile:
     try:
-        with open(path, "rb") as f:
-            return f.read()
+        return ElfFile(path)
     except OSError as e:
         raise CliInputError(f"cannot read {path!r}: {e}") from e
+
+
+def _parse_path(path: str) -> ElfSummary:
+    with _read_binary(path) as binary:
+        try:
+            return parse_elf(binary)
+        except OSError as e:
+            raise CliInputError(f"cannot read {path!r}: {e}") from e
 
 
 def _load_models(model_dir: str | None):
@@ -82,7 +89,7 @@ def cmd_scope(args) -> int:
 
 
 def cmd_features(args) -> int:
-    fv = features.extract_features(parse_elf(_read_binary(args.path)))
+    fv = features.extract_features(_parse_path(args.path))
     if args.format == "text":
         for name, value in sorted(fv.features.items()):
             print(f"{name} {'1' if value else '0'}")
@@ -197,7 +204,7 @@ def cmd_train(args) -> int:
     for entry in manifest:
         if entry.binary_id not in label_by_id:
             continue
-        fv = features.extract_features(parse_elf(_read_binary(entry.path)))
+        fv = features.extract_features(_parse_path(entry.path))
         vectors.append((entry.binary_id, fv, label_by_id[entry.binary_id]))
     if len(vectors) < 2:
         raise CliInputError("fewer than 2 manifest binaries have records to train on")
@@ -317,7 +324,7 @@ def _sections_table(args, records) -> report.SectionSizeTable:
 
 
 def _profile_path(path: str):
-    return size_profile(parse_elf(_read_binary(path)))
+    return size_profile(_parse_path(path))
 
 
 def build_parser() -> _Parser:

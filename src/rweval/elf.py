@@ -2,8 +2,10 @@
 
 Parses just enough of an ELF image to answer the questions the rest of the
 toolkit asks: object type, interpreter presence, the section inventory, and
-where the header tables live in the file. All reads are bounds-checked
-against the input buffer; nothing past the buffer is ever touched.
+where the header tables live in the file. An image comes from memory or
+from a file read by pread (ElfFile); either way only the ELF header, the
+two header tables and .shstrtab are fetched, and every extent is checked
+against the image size before it is read.
 
 Only 64-bit little-endian images are accepted (the x86-64 Linux corpus this
 toolkit targets).
@@ -11,9 +13,12 @@ toolkit targets).
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Protocol
 
 from .errors import MalformedElf, Unsupported
 
@@ -71,27 +76,90 @@ class SizeProfile:
         return sum(self.buckets.values())
 
 
-def parse_elf(data: bytes) -> ElfSummary:
-    """Parse an in-memory ELF64 image into an ElfSummary.
+class ByteSource(Protocol):
+    """What parse_elf reads: a total size, and the n bytes at an offset
+    (fewer only when the source shrank after its size was taken)."""
+
+    size: int
+
+    def fetch(self, offset: int, n: int) -> bytes: ...
+
+
+class ElfFile:
+    """An input binary opened for header-only reads.
+
+    Open it with ``with ElfFile(path) as binary`` and pass ``binary`` to
+    parse_elf, which preads the ELF header, the two header tables and
+    .shstrtab, and nothing else. The size comes from fstat. Anything but a
+    regular file raises OSError("not a regular file") before any read, so a
+    FIFO or a device cannot block or flood the reader.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        # O_NONBLOCK: opening a FIFO would otherwise wait for a writer.
+        # It does not change reads from a regular file.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise OSError("not a regular file")
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
+        self.size = st.st_size
+
+    def fetch(self, offset: int, n: int) -> bytes:
+        return os.pread(self._fd, n, offset)
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+    def __enter__(self) -> ElfFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def parse_elf(data: bytes | ByteSource) -> ElfSummary:
+    """Parse an ELF64 image, in memory or from a ByteSource, into an ElfSummary.
 
     Raises MalformedElf for truncated or inconsistent images and Unsupported
     for 32-bit or big-endian inputs. A missing or unusable section-name
-    string table is tolerated: affected sections get empty names.
+    string table is tolerated: affected sections get empty names. Every
+    extent is checked against the size before its bytes are fetched, so a
+    source is only asked for bytes inside it; one that returns fewer (a
+    file that shrank after it was opened) raises MalformedElf.
     """
-    size = len(data)
+    if isinstance(data, (bytes, bytearray)):
+        size, fetch = len(data), lambda off, n: data[off : off + n]
+    else:
+        size, fetch = data.size, data.fetch
+
+    def read(off: int, n: int) -> bytes:
+        chunk = fetch(off, n)
+        if len(chunk) != n:
+            raise MalformedElf(
+                f"read {len(chunk)} of {n} bytes: the file shrank while being read",
+                offset=off,
+            )
+        return chunk
+
     if size < EHDR_SIZE:
         raise MalformedElf(f"file too short for an ELF header ({size} bytes)", offset=0)
-    if data[:4] != ELF_MAGIC:
+    ehdr = read(0, EHDR_SIZE)
+    if ehdr[:4] != ELF_MAGIC:
         raise MalformedElf("bad ELF magic", offset=0)
-    if data[4] != 2:
+    if ehdr[4] != 2:
         raise Unsupported("only 64-bit (ELFCLASS64) images are supported")
-    if data[5] != 1:
+    if ehdr[5] != 1:
         raise Unsupported("only little-endian (ELFDATA2LSB) images are supported")
 
-    (e_type,) = struct.unpack_from("<H", data, 16)
-    e_phoff, e_shoff = struct.unpack_from("<QQ", data, 32)
+    (e_type,) = struct.unpack_from("<H", ehdr, 16)
+    e_phoff, e_shoff = struct.unpack_from("<QQ", ehdr, 32)
     (e_phentsize, e_phnum, e_shentsize, e_shnum, e_shstrndx) = struct.unpack_from(
-        "<HHHHH", data, 54
+        "<HHHHH", ehdr, 54
     )
 
     ph_extent = _table_extent(
@@ -101,14 +169,15 @@ def parse_elf(data: bytes) -> ElfSummary:
         "section header table", e_shoff, e_shentsize, e_shnum, SHDR_SIZE, size
     )
 
+    shdrs = read(*sh_extent)
     raw_sections = []
     for i in range(e_shnum):
-        base = e_shoff + i * e_shentsize
-        sh_name, sh_type = struct.unpack_from("<II", data, base)
-        sh_offset, sh_size = struct.unpack_from("<QQ", data, base + 24)
+        base = i * e_shentsize
+        sh_name, sh_type = struct.unpack_from("<II", shdrs, base)
+        sh_offset, sh_size = struct.unpack_from("<QQ", shdrs, base + 24)
         raw_sections.append((sh_name, sh_type, sh_offset, sh_size))
 
-    strtab = _section_name_table(data, raw_sections, e_shstrndx)
+    strtab = _section_name_table(read, size, raw_sections, e_shstrndx)
 
     sections = []
     for sh_name, sh_type, sh_offset, sh_size in raw_sections:
@@ -129,8 +198,9 @@ def parse_elf(data: bytes) -> ElfSummary:
         )
 
     has_interp = any(s.name == ".interp" for s in sections)
+    phdrs = read(*ph_extent)
     for i in range(e_phnum):
-        (p_type,) = struct.unpack_from("<I", data, e_phoff + i * e_phentsize)
+        (p_type,) = struct.unpack_from("<I", phdrs, i * e_phentsize)
         if p_type == PT_INTERP:
             has_interp = True
             break
@@ -158,14 +228,14 @@ def _table_extent(
     return (off, length)
 
 
-def _section_name_table(data, raw_sections, shstrndx: int) -> bytes:
+def _section_name_table(read, size: int, raw_sections, shstrndx: int) -> bytes:
     # SHN_UNDEF (0) or an out-of-range index means no name table; tolerated.
     if shstrndx == 0 or shstrndx >= len(raw_sections):
         return b""
     _, sh_type, sh_offset, sh_size = raw_sections[shstrndx]
-    if sh_type == SHT_NOBITS or sh_offset + sh_size > len(data):
+    if sh_type == SHT_NOBITS or sh_offset + sh_size > size:
         return b""
-    return data[sh_offset : sh_offset + sh_size]
+    return read(sh_offset, sh_size)
 
 
 def _read_name(strtab: bytes, off: int) -> str:

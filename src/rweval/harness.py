@@ -642,7 +642,8 @@ def write_records_csv(records: Iterable[RunRecord], path: str) -> None:
 def load_records_csv(path: str) -> list[RunRecord]:
     """The records of a results CSV. Columns may come in any order, extra
     columns are ignored and blank lines skipped. ValueError names the
-    1-based line of the first malformed row."""
+    1-based line of the first malformed row, including a row that repeats a
+    (binary_id, tool, task) triple or gives a binary a second variant."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -652,6 +653,10 @@ def load_records_csv(path: str) -> list[RunRecord]:
             raise ValueError(f"results CSV missing columns {sorted(missing)}")
         pick = operator.itemgetter(*(index[c] for c in RESULTS_COLUMNS))
         variants: dict[tuple[str, ...], VariantConfig | None] = {}
+        # one bit per (tool, task) pair; per binary, its variant and the
+        # bits of the pairs its rows have had so far
+        pair_bit: dict[tuple[str, str], int] = {}
+        seen: dict[str, list] = {}
         records = []
         try:
             for row in reader:
@@ -660,7 +665,22 @@ def load_records_csv(path: str) -> list[RunRecord]:
                 if len(row) != len(header):
                     raise ValueError(
                         f"expected {len(header)} fields, got {len(row)}")
-                records.append(_record_from_cells(pick(row), variants))
+                cells = pick(row)
+                record = _record_from_cells(cells, variants)
+                bit = pair_bit.get(cells[7:9])  # (tool, task)
+                if bit is None:
+                    bit = pair_bit[cells[7:9]] = 1 << len(pair_bit)
+                entry = seen.get(cells[0])
+                if entry is None:
+                    seen[cells[0]] = [record.variant, bit]
+                elif entry[0] is not record.variant:  # interned: identity is equality
+                    raise ValueError(f"binary {cells[0]!r} has a second variant")
+                elif entry[1] & bit:
+                    raise ValueError(
+                        f"repeated row for {cells[0]!r}, tool {cells[7]!r}, task {cells[8]}")
+                else:
+                    entry[1] |= bit
+                records.append(record)
         except UnicodeDecodeError:
             raise  # decoding runs ahead of the parser, so line_num would mislead
         except (ValueError, csv.Error) as e:

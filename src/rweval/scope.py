@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import dtree, features
 from .dtree import DecisionTreeModel, Internal, Leaf, Prediction, Task
-from .elf import parse_elf
+from .elf import ElfFile, parse_elf
 from .features import FeatureVector
 
 TOOLS_WITHOUT_MODELS = ("egalito", "multiverse", "reopt", "revng", "uroboros")
@@ -504,11 +504,11 @@ def scope_binary(
     path: str, models: Sequence[DecisionTreeModel] | None = None
 ) -> ScopeReport:
     """Parse, extract features, and evaluate every model against one file."""
-    with open(path, "rb") as f:
-        data = f.read()
+    with ElfFile(path) as binary:
+        summary = parse_elf(binary)
     if models is None:
         models = builtin_models()
-    fv = features.extract_features(parse_elf(data))
+    fv = features.extract_features(summary)
     return ScopeReport(
         binary_id=path,
         features=fv,

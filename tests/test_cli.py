@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -112,6 +113,50 @@ class TestSizeCommand:
 
     def test_second_path_non_elf_exits_2(self, capsys, elf_file, text_file):
         assert run_cli(capsys, "size", elf_file, text_file)[0] == 2
+
+
+def _rchar() -> int:
+    with open("/proc/self/io", "rb") as f:
+        for line in f:
+            if line.startswith(b"rchar:"):
+                return int(line.split()[1])
+    raise RuntimeError("no rchar in /proc/self/io")
+
+
+class TestInputFiles:
+    """Every command that opens an input binary reads only its headers, and
+    refuses anything but a regular file."""
+
+    @pytest.mark.parametrize("kind", ["fifo", "dev_zero", "directory"])
+    @pytest.mark.parametrize("command", ["scope", "features", "size"])
+    def test_non_regular_file_exits_2(self, tmp_path, command, kind):
+        if kind == "fifo":
+            path = str(tmp_path / "fifo")
+            os.mkfifo(path)
+        elif kind == "directory":
+            path = str(tmp_path)
+        else:
+            path = "/dev/zero"
+
+        def cap_memory():  # a reader that slurps /dev/zero fails here, not the host
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        src = os.path.dirname(os.path.dirname(rweval.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "rweval.cli", command, path],
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_memory,
+            capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"rweval: cannot read {path!r}: not a regular file\n"
+
+    def test_scope_and_size_of_a_large_file_read_only_its_headers(self, capsys, tmp_path):
+        path = tmp_path / "large.elf"
+        path.write_bytes(build_elf([Sec(".text", b"\x90" * 64)]))
+        os.truncate(path, 64 << 20)  # a sparse tail of unmapped bytes
+        before = _rchar()
+        assert run_cli(capsys, "scope", str(path))[0] == 0
+        assert run_cli(capsys, "size", str(path))[0] == 0
+        assert _rchar() - before < 1 << 20
 
 
 @pytest.fixture
@@ -449,6 +494,17 @@ class TestReportCommand:
             code, out, err = run_cli(capsys, "report", results_csv, "--table", table)
             assert (code, out) == (2, "")
             assert "line 3: " in err
+
+    def test_repeated_row_exits_2_and_names_its_line(self, capsys, results_csv):
+        with open(results_csv) as f:
+            lines = f.read().splitlines()
+        lines.insert(3, lines[2].replace(",1,yes,", ",0,no,"))
+        with open(results_csv, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        for table in ("success", "comparative"):
+            code, out, err = run_cli(capsys, "report", results_csv, "--table", table)
+            assert (code, out) == (2, "")
+            assert "line 4: repeated row for 'b1', tool 'alpha', task NOP" in err
 
     def test_bad_table_choice_exits_3(self, capsys, results_csv):
         assert run_cli(capsys, "report", results_csv, "--table", "nope")[0] == 3

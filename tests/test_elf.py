@@ -1,3 +1,4 @@
+import os
 import struct
 
 import pytest
@@ -9,6 +10,7 @@ from rweval.elf import (
     BUCKET_PHDRS,
     BUCKET_SHDRS,
     BUCKET_UNMAPPED,
+    ElfFile,
     ElfType,
     MalformedElf,
     SizeProfile,
@@ -18,7 +20,7 @@ from rweval.elf import (
     size_profile,
 )
 
-from elfbuild import ET_EXEC, SHT_NOBITS, SHT_SYMTAB, Sec, build_elf
+from elfbuild import ET_EXEC, ET_REL, SHT_NOBITS, SHT_SYMTAB, Sec, build_elf
 from oracles import readelf_facts
 
 
@@ -99,6 +101,136 @@ class TestParse:
         struct.pack_into("<H", img, 62, 0xFFF0)  # absurd e_shstrndx
         s = parse_elf(bytes(img))  # tolerated: names become empty
         assert all(sec.name == "" for sec in s.sections)
+
+
+def _patched(img: bytes, fmt: str, at: int, value: int) -> bytes:
+    out = bytearray(img)
+    struct.pack_into(fmt, out, at, value)
+    return bytes(out)
+
+
+def _size_field(img: bytes, entry: int) -> int:
+    """File offset of the sh_size of section-table entry `entry`."""
+    return struct.unpack_from("<Q", img, 40)[0] + 64 * entry + 32
+
+
+WELL_FORMED = {
+    "default": build_elf(),
+    "interp": build_elf(interp=True),
+    "exec": build_elf(elf_type=ET_EXEC),
+    "relobj_no_phdrs": build_elf(elf_type=ET_REL, load_phdr=False),
+    "symtab_nobits_gaps": build_elf([
+        Sec(".text", b"\x90" * 40, gap_before=3),
+        Sec(".symtab", b"\x00" * 48, SHT_SYMTAB),
+        Sec(".bss", b"\x00" * 4096, SHT_NOBITS),
+    ], trailing=bytes(77)),
+    "no_shstrtab": build_elf(with_shstrtab=False),
+    "absurd_shstrndx": _patched(build_elf(), "<H", 62, 0xFFF0),
+}
+
+# The malformed kinds the benchmark corpus holds, one per check, and a
+# .shstrtab past the end of the file, which must not be fetched; each with
+# the start of its error message.
+MALFORMED = {
+    "short": (b"\x7fELF" + bytes(40), "file too short for an ELF header"),
+    "magic": (b"MZ\x90\x00".ljust(200, b"\x00"), "bad ELF magic"),
+    "class32": (build_elf(ei_class=1), "only 64-bit"),
+    "bigendian": (build_elf(ei_data=2), "only little-endian"),
+    "shdr_past_eof": (build_elf()[:-20], "section header table extends past end"),
+    "data_past_eof": (
+        _patched(build_elf(), "<Q", _size_field(build_elf(), 1), 1 << 30),
+        "section '.text' data extends past end"),
+    "shstrtab_past_eof": (
+        _patched(build_elf(), "<Q", _size_field(build_elf(), 2), 1 << 30),
+        "section '' data extends past end"),
+}
+
+
+def _parse_file(path):
+    with ElfFile(path) as binary:
+        return parse_elf(binary)
+
+
+class TestFileReader:
+    @pytest.mark.parametrize("name", sorted(WELL_FORMED))
+    def test_file_equals_bytes(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(WELL_FORMED[name])
+        assert _parse_file(path) == parse_elf(path.read_bytes())
+
+    def test_hello_variants_file_equals_bytes(self, hello_variants):
+        for variant in hello_variants:
+            assert _parse_file(variant.path) == parse_elf(variant.path.read_bytes()), \
+                variant.name
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_file_fails_as_bytes_do(self, tmp_path, name):
+        img, message = MALFORMED[name]
+        path = tmp_path / name
+        path.write_bytes(img)
+        with pytest.raises((MalformedElf, Unsupported), match=f"^{message}") as from_bytes:
+            parse_elf(img)
+        with pytest.raises(type(from_bytes.value)) as from_file:
+            _parse_file(path)
+        assert str(from_file.value) == str(from_bytes.value)
+
+    def test_reads_only_headers_and_shstrtab(self):
+        img = build_elf([Sec(".text", b"\x90" * 300), Sec(".data", b"\x01" * 500)])
+        summary = parse_elf(img)
+        fetched = []
+
+        class Recording:
+            size = len(img)
+
+            def fetch(self, offset, n):
+                fetched.append((offset, n))
+                return img[offset:offset + n]
+
+        assert parse_elf(Recording()) == summary
+        shstrtab = next(s for s in summary.sections if s.name == ".shstrtab")
+        assert sorted(fetched) == sorted([
+            (0, 64), summary.program_header_extent, summary.section_header_extent,
+            (shstrtab.file_offset, shstrtab.file_size_on_disk)])
+
+    @pytest.mark.parametrize("call", [0, 1, 2, 3])
+    def test_short_fetch_is_malformed_at_its_offset(self, call):
+        img = build_elf(interp=True)
+        offsets = []
+
+        class Shrinking:
+            size = len(img)
+
+            def fetch(self, offset, n):
+                offsets.append(offset)
+                cut = n - 1 if len(offsets) - 1 == call else n
+                return img[offset:offset + cut]
+
+        with pytest.raises(MalformedElf, match="shrank") as exc:
+            parse_elf(Shrinking())
+        assert exc.value.offset == offsets[call]
+
+    def test_file_truncated_after_open_is_malformed(self, tmp_path):
+        path = tmp_path / "shrinks"
+        img = build_elf()
+        path.write_bytes(img)
+        shoff = struct.unpack_from("<Q", img, 40)[0]
+        with ElfFile(path) as binary:
+            os.truncate(path, shoff + 10)
+            with pytest.raises(MalformedElf, match="shrank") as exc:
+                parse_elf(binary)
+        assert exc.value.offset == shoff
+
+    # FIFOs are tested through the CLI in a child process with a timeout:
+    # a reader that waits for a writer would hang this process
+    @pytest.mark.parametrize("kind", ["directory", "device"])
+    def test_non_regular_file_rejected_before_reading(self, tmp_path, kind):
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path = "/dev/zero"
+        with pytest.raises(OSError, match="^not a regular file$"):
+            ElfFile(path)
 
 
 class TestReadelfParity:

@@ -667,6 +667,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^line 3: {message}"):
             load_records_csv(path)
 
+    # b0/alpha/NOP passes, then fails; then b0 turns up as another variant
+    CONFLICTING_ROWS = [
+        "b0,p,gcc,O0,pie,present,u20,alpha,NOP,yes,1,yes,1.0,100,1000",
+        "b0,p,gcc,O0,pie,present,u20,alpha,NOP,yes,0,no,1.0,100,1000",
+        "b0,p,clang,O0,nopie,present,u20,beta,NOP,yes,1,yes,1.0,100,1000",
+    ]
+
+    @pytest.mark.parametrize("rows,message", [
+        ((0, 1, 2), "repeated row for 'b0', tool 'alpha', task NOP"),
+        ((0, 2), "binary 'b0' has a second variant"),
+    ], ids=["repeated_triple", "second_variant"])
+    def test_conflicting_rows_name_their_line(self, tmp_path, rows, message):
+        path = tmp_path / "conflict.csv"
+        path.write_text("\n".join(
+            [",".join(RESULTS_COLUMNS), *(self.CONFLICTING_ROWS[i] for i in rows)]))
+        with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+            load_records_csv(str(path))
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("binary_id,tool\nx,y\n")

@@ -1,0 +1,56 @@
+"""The benchmark's traced run wraps rweval functions by module attribute.
+
+A refactor that renames or bypasses one of them breaks `perfbench/run.py
+--trace 1`; these tests make it break the test suite first.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import io
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from elfbuild import Sec, build_elf
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench_ops():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("bench_ops")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_layer_target_resolves(bench_ops):
+    targets = [(module, attr) for workload in bench_ops.WORKLOADS.values()
+               for module, attr, *_ in workload.layers]
+    assert targets
+    missing = [f"{module}.{attr}" for module, attr in targets
+               if getattr(importlib.import_module(module), attr, None) is None]
+    assert missing == []
+
+
+def test_size_path_crosses_each_scope_batch_layer_once_per_file(bench_ops, tmp_path):
+    from bench_trace import Tracer
+
+    from rweval import cli
+
+    path = tmp_path / "sample.elf"
+    path.write_bytes(build_elf([Sec(".text", b"\x90" * 16)]))
+    tracer = Tracer()
+    assert tracer.install(bench_ops.ScopeBatch.layers) == []
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["size", str(path), str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    counts = Counter(span.name for span in tracer.spans)
+    assert counts["io.read"] == counts["elf.parse_elf"] == counts["elf.size_profile"] == 2
