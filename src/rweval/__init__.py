@@ -55,6 +55,7 @@ from .features import (
 )
 from .harness import (
     ManifestEntry,
+    Results,
     RunRecord,
     ToolAdapter,
     TriState,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import dtree, features, harness, report, scope
 from .dtree import Task
-from .elf import ElfFile, ElfSummary, parse_elf, size_delta, size_profile
+from .elf import ElfFile, ElfSummary, SizeProfile, parse_elf, size_delta, size_profile
 from .errors import (
     DegenerateSplit,
     EmptyMatrix,
@@ -180,7 +180,7 @@ def _load_results(path: str):
 
 
 def cmd_train(args) -> int:
-    records = _load_results(args.results)
+    records = _load_results(args.results).records()
     manifest = _load_manifest(args.manifest)
     task = Task(args.task)
 
@@ -258,27 +258,36 @@ def _parse_cohort(spec: str, records) -> report.Cohort:
 
 
 def cmd_report(args) -> int:
-    records = _load_results(args.results)
-    tool_order = args.tools.split(",") if args.tools else None
+    results = _load_results(args.results)
+    tool_order = _parse_tools(args.tools)
     try:
         if args.table == "success":
-            cohort = _parse_cohort(args.cohort, records)
-            table = report.success_table(records, cohort, tool_order)
+            cohort = _parse_cohort(args.cohort, results)
+            table = report.success_table(results, cohort, tool_order)
         elif args.table == "comparative":
             table = report.comparative_average(
-                records,
+                results,
                 metric=args.metric,
                 tool_order=tool_order,
                 mean_of_ratios=args.mean_of_ratios,
             )
         elif args.table == "size":
-            table = _size_table(args, records)
+            table = _size_table(args, results.records())
         else:  # sections
-            table = _sections_table(args, records)
+            table = _sections_table(args, results.records())
     except UnknownTool as e:
         raise CliInputError(str(e)) from e
     print(report.render(table, args.format))
     return EXIT_OK
+
+
+def _parse_tools(spec: str | None) -> list[str] | None:
+    if spec is None:
+        return None
+    tools = [t.strip() for t in spec.split(",") if t.strip()]
+    if not tools:
+        raise CliConfigError(f"bad --tools value {spec!r}: no tool names")
+    return tools
 
 
 def _original_paths(args) -> dict[str, str]:
@@ -289,14 +298,18 @@ def _original_paths(args) -> dict[str, str]:
 
 def _size_table(args, records) -> report.MapTable:
     paths = _original_paths(args)
+    sizes: dict[str, int | None] = {}  # binary id -> its original's size
     pairs = []
     for r in records:
         if not report.default_success_filter(r) or r.output_size_bytes is None:
             continue
-        path = paths.get(r.binary_id)
-        if path is None or not os.path.isfile(path):
-            continue
-        pairs.append((r.tool_name, os.path.getsize(path), r.output_size_bytes))
+        if r.binary_id not in sizes:
+            path = paths.get(r.binary_id)
+            sizes[r.binary_id] = (
+                os.path.getsize(path) if path is not None and os.path.isfile(path) else None)
+        size = sizes[r.binary_id]
+        if size is not None:
+            pairs.append((r.tool_name, size, r.output_size_bytes))
     return report.MapTable("tool", "pct", report.relative_size(pairs))
 
 
@@ -304,26 +317,35 @@ def _sections_table(args, records) -> report.SectionSizeTable:
     if not args.outputs:
         raise CliConfigError("--outputs DIR (from run --keep-outputs) is required")
     paths = _original_paths(args)
+    originals: dict[str, SizeProfile | None] = {}  # binary id -> its original's profile
     pairs = []
     for r in records:
         if not report.default_success_filter(r):
             continue
-        original = paths.get(r.binary_id)
-        rewritten = os.path.join(
-            args.outputs, harness.job_name(r.binary_id, r.tool_name, r.task)
-        )
-        if original is None or not os.path.isfile(original) or not os.path.isfile(rewritten):
+        if r.binary_id not in originals:
+            originals[r.binary_id] = _profile_file(paths.get(r.binary_id))
+        before = originals[r.binary_id]
+        if before is None:
             continue
-        try:
-            before = _profile_path(original)
-            after = _profile_path(rewritten)
-        except (MalformedElf, Unsupported):
-            continue  # broken section tables cannot be profiled
-        pairs.append((r.tool_name, before, after))
+        after = _profile_file(os.path.join(
+            args.outputs, harness.job_name(r.binary_id, r.tool_name, r.task)))
+        if after is not None:
+            pairs.append((r.tool_name, before, after))
     return report.section_size_table(pairs)
 
 
-def _profile_path(path: str):
+def _profile_file(path: str | None) -> SizeProfile | None:
+    """path's size profile; None when path is not a file, or its section
+    table is too broken to profile."""
+    if path is None or not os.path.isfile(path):
+        return None
+    try:
+        return _profile_path(path)
+    except (MalformedElf, Unsupported):
+        return None
+
+
+def _profile_path(path: str) -> SizeProfile:
     return size_profile(_parse_path(path))
 
 

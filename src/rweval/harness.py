@@ -585,23 +585,26 @@ _EXE_CELLS = {"1": True, "0": False}
 _result_cells = operator.itemgetter(*RESULTS_COLUMNS)
 
 
+class _VariantCache(dict):
+    """Six variant cells -> their VariantConfig, or None when all six are
+    empty. One load shares one cache, so a binary's rows share one variant
+    and identity is equality."""
+
+    def __missing__(self, key: tuple[str, ...]) -> VariantConfig | None:
+        variant = self[key] = VariantConfig.from_cells(key) if any(key) else None
+        return variant
+
+
 def row_to_record(row: Mapping[str, str]) -> RunRecord:
     """One results row keyed by column name, such as a csv.DictReader row."""
-    return _record_from_cells(_result_cells(row), {})
+    return _record_from_cells(_result_cells(row), _VariantCache())
 
 
-def _record_from_cells(
-    cells: tuple[str, ...], variants: dict[tuple[str, ...], VariantConfig | None]
-) -> RunRecord:
+def _record_from_cells(cells: tuple[str, ...], variant_of: _VariantCache) -> RunRecord:
     """One results row's cells, in RESULTS_COLUMNS order, as a RunRecord.
-    variants maps six variant cells to their VariantConfig, or to None when
-    all six are empty; one load shares it, so a binary's rows share one."""
+    Its checks, in order, decide which message a bad row gets."""
     binary_id, *_, tool, task, ir, exe, func, runtime, mem, out_size = cells
-    key = cells[1:7]
-    try:
-        variant = variants[key]
-    except KeyError:
-        variant = variants[key] = VariantConfig.from_cells(key) if any(key) else None
+    variant = variant_of[cells[1:7]]
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}")
     if ir not in _TRISTATES:
@@ -624,6 +627,100 @@ def _record_from_cells(
     )
 
 
+def _admit(binary_id: str, variant: VariantConfig | None, tool: str, task: str,
+           variants: dict[str, VariantConfig | None], seen: set) -> None:
+    """Record one row's binary variant and (binary_id, tool, task value)
+    triple. ValueError when the binary already has another variant or the
+    triple was seen before."""
+    if variants.setdefault(binary_id, variant) is not variant:
+        raise ValueError(f"binary {binary_id!r} has a second variant")
+    triple = (binary_id, tool, task)
+    if triple in seen:
+        raise ValueError(f"repeated row for {binary_id!r}, tool {tool!r}, task {task}")
+    seen.add(triple)
+
+
+def _valid_state(cells: tuple[str, str, str, str]) -> bool:
+    task, ir, exe, func = cells
+    try:
+        RunRecord("", None, "", _TASKS[task], _TRISTATES[ir], _EXE_CELLS[exe],
+                  _TRISTATES[func], 0.0, 0)
+    except ValueError:
+        return False
+    return True
+
+
+# The (task, ir, exe, func) cells of a row that RunRecord accepts. Checked as
+# strings, whose hashes are cached; an Enum member hashes in Python.
+_STATE_CELLS = frozenset(filter(_valid_state, itertools.product(
+    _TASKS, _TRISTATES, _EXE_CELLS, _TRISTATES)))
+
+
+class Results:
+    """Run results as columns: entry i of every list describes one run.
+
+    Binary ids and tool names share one string object per distinct value;
+    tasks, ir and func hold Task and TriState members, exe bools, runtime_s
+    floats, and mem_kb and out_size ints (out_size None when unknown).
+    variants maps each binary id to its VariantConfig, or None.
+    load_records_csv and from_records check what RunRecord checks, and that
+    no (binary_id, tool, task) triple repeats and no binary has two
+    variants: so the rows of one (tool, task) pair are of distinct binaries.
+    """
+
+    __slots__ = ("binary_ids", "tools", "tasks", "ir", "exe", "func",
+                 "runtime_s", "mem_kb", "out_size", "variants")
+
+    def __init__(self):
+        self.binary_ids: list[str] = []
+        self.tools: list[str] = []
+        self.tasks: list[Task] = []
+        self.ir: list[TriState] = []
+        self.exe: list[bool] = []
+        self.func: list[TriState] = []
+        self.runtime_s: list[float] = []
+        self.mem_kb: list[int] = []
+        self.out_size: list[int | None] = []
+        self.variants: dict[str, VariantConfig | None] = {}
+
+    def __len__(self) -> int:
+        return len(self.binary_ids)
+
+    def _extend(self, ids, tools, tasks, ir, exe, func, runtime_s, mem_kb, out_size):
+        self.binary_ids += ids
+        self.tools += tools
+        self.tasks += tasks
+        self.ir += ir
+        self.exe += exe
+        self.func += func
+        self.runtime_s += runtime_s
+        self.mem_kb += mem_kb
+        self.out_size += out_size
+
+    @classmethod
+    def from_records(cls, records: Iterable[RunRecord]) -> Results:
+        """The columns of records, in order. ValueError for a record that
+        repeats a triple or gives a binary a second variant."""
+        results, seen, canonical = cls(), set(), {}
+        rows = []
+        for r in records:
+            binary_id, tool = sys.intern(r.binary_id), sys.intern(r.tool_name)
+            _admit(binary_id, canonical.setdefault(r.variant, r.variant), tool,
+                   r.task.value, results.variants, seen)
+            rows.append((binary_id, tool, r.task, r.ir_ok, r.exe_ok, r.func_ok,
+                         r.runtime_seconds, r.memory_kbytes, r.output_size_bytes))
+        if rows:
+            results._extend(*zip(*rows))
+        return results
+
+    def records(self) -> list[RunRecord]:
+        """One RunRecord per row, in order, sharing each binary's variant."""
+        return list(map(
+            RunRecord, self.binary_ids, map(self.variants.__getitem__, self.binary_ids),
+            self.tools, self.tasks, self.ir, self.exe, self.func, self.runtime_s,
+            self.mem_kb, self.out_size))
+
+
 def results_writer(stream) -> Callable[[RunRecord], None]:
     """Write the results CSV header to a text stream and return the
     function that appends one record's row."""
@@ -639,11 +736,19 @@ def write_records_csv(records: Iterable[RunRecord], path: str) -> None:
             write_row(record)
 
 
-def load_records_csv(path: str) -> list[RunRecord]:
-    """The records of a results CSV. Columns may come in any order, extra
-    columns are ignored and blank lines skipped. ValueError names the
+# Rows per chunk of load_records_csv: it never holds more raw cells than these.
+CHUNK_ROWS = 512
+
+
+def load_records_csv(path: str) -> Results:
+    """The runs of a results CSV, as columns. Columns may come in any order,
+    extra columns are ignored and blank lines skipped. ValueError names the
     1-based line of the first malformed row, including a row that repeats a
-    (binary_id, tool, task) triple or gives a binary a second variant."""
+    (binary_id, tool, task) triple or gives a binary a second variant.
+
+    Rows are read CHUNK_ROWS at a time; each chunk is turned into typed
+    columns and checked column by column. Only a chunk that fails a check is
+    walked row by row, to find its first bad row and that row's message."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -652,37 +757,110 @@ def load_records_csv(path: str) -> list[RunRecord]:
         if missing:
             raise ValueError(f"results CSV missing columns {sorted(missing)}")
         pick = operator.itemgetter(*(index[c] for c in RESULTS_COLUMNS))
-        variants: dict[tuple[str, ...], VariantConfig | None] = {}
-        # one bit per (tool, task) pair; per binary, its variant and the
-        # bits of the pairs its rows have had so far
-        pair_bit: dict[tuple[str, str], int] = {}
-        seen: dict[str, list] = {}
-        records = []
+        width = len(header)
+        variant_of, pair_bit = _VariantCache(), _PairBits()
+        masks: dict[str, int] = {}  # binary id -> the bits of its rows' pairs
+        results = Results()
+        while True:
+            first_line = reader.line_num + 1
+            chunk: list[list[str]] = []
+            try:
+                chunk.extend(itertools.islice(reader, CHUNK_ROWS))
+                read_error = None
+            except csv.Error as e:  # the rows before it are checked first
+                read_error = e
+            rows = chunk if all(chunk) else list(filter(None, chunk))
+            if rows:
+                columns = _checked_columns(rows, width, pick, variant_of, pair_bit,
+                                           masks, results.variants)
+                if columns is None:
+                    i, error = _first_error(rows, width, pick, variant_of, results)
+                    raise ValueError(
+                        f"line {_line_of(chunk, i, first_line)}: {error}") from error
+                results._extend(*columns)
+            if read_error is not None:
+                raise ValueError(f"line {reader.line_num}: {read_error}") from read_error
+            if len(chunk) < CHUNK_ROWS:
+                return results
+
+
+class _PairBits(dict):
+    """(tool, task) cells -> a bit of their own."""
+
+    def __missing__(self, key: tuple[str, str]) -> int:
+        bit = self[key] = 1 << len(self)
+        return bit
+
+
+def _checked_columns(rows: list[list[str]], width: int, pick, variant_of: _VariantCache,
+                     pair_bit: _PairBits, masks: dict[str, int],
+                     variants: dict[str, VariantConfig | None]):
+    """rows as the typed columns Results._extend takes, after every check of
+    _record_from_cells and _admit. None when a row fails one; then variants
+    is left as it was, but masks may hold some of the rows."""
+    if set(map(len, rows)) != {width}:
+        return None
+    ids, *variant_cells, tools, tasks, ir, exe, func, runtime, mem, out = pick(
+        list(zip(*rows)))
+    if not _STATE_CELLS.issuperset(zip(tasks, ir, exe, func)):
+        return None
+    try:
+        row_variants = list(map(variant_of.__getitem__, zip(*variant_cells)))
+        runtime = list(map(float, runtime))
+        mem = list(map(int, mem))
+        out = [int(cell) if cell else None for cell in out]
+    except ValueError:
+        return None
+    if (not all(map(math.isfinite, runtime)) or min(runtime) < 0 or min(mem) < 0
+            or min(filter(None, out), default=0) < 0):
+        return None
+    ids = list(map(sys.intern, ids))
+    tools = list(map(sys.intern, tools))
+    chunk_variants = dict(zip(ids, row_variants))
+    if (not all(map(operator.is_, map(chunk_variants.__getitem__, ids), row_variants))
+            or not all(map(operator.is_, map(variants.get, chunk_variants,
+                                             chunk_variants.values()),
+                           chunk_variants.values()))):
+        return None
+    # Not a set of every (binary_id, tool, task): that holds a tuple per row,
+    # 9 MB more at paper scale. One int per binary holds a bit per pair.
+    for binary_id, bit in zip(ids, map(pair_bit.__getitem__, zip(tools, tasks))):
+        mask = masks.get(binary_id, 0)
+        if mask & bit:
+            return None
+        masks[binary_id] = mask | bit
+    variants.update(chunk_variants)
+    return (ids, tools, list(map(_TASKS.__getitem__, tasks)),
+            list(map(_TRISTATES.__getitem__, ir)), list(map(_EXE_CELLS.__getitem__, exe)),
+            list(map(_TRISTATES.__getitem__, func)), runtime, mem, out)
+
+
+def _first_error(rows: list[list[str]], width: int, pick, variant_of: _VariantCache,
+                 results: Results) -> tuple[int, ValueError]:
+    """The index of the first of rows that fails a check, and its error,
+    taking the rows one at a time after the rows already in results."""
+    known = dict(results.variants)
+    seen = set(zip(results.binary_ids, results.tools, (t.value for t in results.tasks)))
+    for i, row in enumerate(rows):
         try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"expected {len(header)} fields, got {len(row)}")
-                cells = pick(row)
-                record = _record_from_cells(cells, variants)
-                bit = pair_bit.get(cells[7:9])  # (tool, task)
-                if bit is None:
-                    bit = pair_bit[cells[7:9]] = 1 << len(pair_bit)
-                entry = seen.get(cells[0])
-                if entry is None:
-                    seen[cells[0]] = [record.variant, bit]
-                elif entry[0] is not record.variant:  # interned: identity is equality
-                    raise ValueError(f"binary {cells[0]!r} has a second variant")
-                elif entry[1] & bit:
-                    raise ValueError(
-                        f"repeated row for {cells[0]!r}, tool {cells[7]!r}, task {cells[8]}")
-                else:
-                    entry[1] |= bit
-                records.append(record)
-        except UnicodeDecodeError:
-            raise  # decoding runs ahead of the parser, so line_num would mislead
-        except (ValueError, csv.Error) as e:
-            raise ValueError(f"line {reader.line_num}: {e}") from e
-        return records
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            r = _record_from_cells(pick(row), variant_of)
+            _admit(r.binary_id, r.variant, r.tool_name, r.task.value, known, seen)
+        except ValueError as e:
+            return i, e
+    raise AssertionError("a chunk failed a column check that none of its rows fails")
+
+
+def _line_of(chunk: list[list[str]], i: int, first_line: int) -> int:
+    """The line on which the i-th non-blank row of chunk ends, when chunk's
+    first row starts on first_line: each row takes one line, plus one per
+    line break inside its quoted cells, as csv.reader's line_num counts."""
+    line = first_line - 1
+    for row in chunk:
+        line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+        if row:
+            if i == 0:
+                return line
+            i -= 1
+    raise AssertionError("row index past the chunk")

@@ -13,13 +13,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Callable, Iterable, Sequence
 
 from .dtree import Task
 from .elf import SizeProfile, size_delta
 from .errors import UnknownTool
-from .harness import VARIANT_COLUMNS, RunRecord, TriState
+from .harness import VARIANT_COLUMNS, Results, RunRecord, TriState, VariantConfig
 from .util import fmt_pct, trunc_pct
 
 COHORT_PRESETS: dict[str, dict[str, str]] = {
@@ -40,36 +43,38 @@ class Cohort:
     predicate: dict[str, str]  # equality conjunctions over variant fields
     denominator: int
 
-    def matches(self, record: RunRecord) -> bool:
-        return _variant_matches(record, self.predicate)
+    def matches(self, variant: VariantConfig | None) -> bool:
+        return _variant_matches(variant, self.predicate)
 
 
 _VARIANT_INDEX = {name: i for i, name in enumerate(VARIANT_COLUMNS)}
 
 
-def _variant_matches(record: RunRecord, predicate: dict[str, str]) -> bool:
+def _variant_matches(variant: VariantConfig | None, predicate: dict[str, str]) -> bool:
     if not predicate:
         return True
-    v = record.variant
-    if v is None:
+    if variant is None:
         return False
-    cells = v.columns()
-    for key, want in predicate.items():
-        if cells[_VARIANT_INDEX[key]] != want:
-            return False
-    return True
+    cells = variant.columns()
+    return all(cells[_VARIANT_INDEX[key]] == want for key, want in predicate.items())
+
+
+def _columns(records: Results | Sequence[RunRecord]) -> Results:
+    """The tables read columns; a list of records is converted once here."""
+    return records if isinstance(records, Results) else Results.from_records(records)
 
 
 def make_cohort(
-    name: str, predicate: dict[str, str], records: Sequence[RunRecord]
+    name: str, predicate: dict[str, str], records: Results | Sequence[RunRecord]
 ) -> Cohort:
     """Build a cohort whose denominator is the number of distinct binaries
     in the record set matching the predicate."""
     unknown = set(predicate) - set(VARIANT_COLUMNS)
     if unknown:
         raise ValueError(f"unknown cohort fields {sorted(unknown)}")
-    ids = {r.binary_id for r in records if _variant_matches(r, predicate)}
-    return Cohort(name=name, predicate=dict(predicate), denominator=len(ids))
+    variants = _columns(records).variants.values()
+    denominator = sum(_variant_matches(v, predicate) for v in variants)
+    return Cohort(name=name, predicate=dict(predicate), denominator=denominator)
 
 
 @dataclass(frozen=True)
@@ -118,56 +123,56 @@ class SuccessTable:
 
 
 def success_table(
-    records: Sequence[RunRecord],
+    records: Results | Sequence[RunRecord],
     cohort: Cohort,
     tool_order: Sequence[str] | None = None,
 ) -> SuccessTable:
     """Checkpoint/functional success counts and percentages per tool."""
+    results = _columns(records)
     if tool_order is None:
-        tool_order = sorted({r.tool_name for r in records})
+        tool_order = sorted(set(results.tools))
     else:
-        _check_tools(tool_order, records)
+        _check_tools(tool_order, results)
 
-    # One pass: per (tool, task), the binaries that passed IR, EXE and the
-    # functional test, and the keys with at least one IR verdict.
-    passed: dict[tuple[str, Task], tuple[set[str], set[str], set[str]]] = {}
-    ir_judged: set[tuple[str, Task]] = set()
-    for r in records:
-        if not cohort.matches(r):
-            continue
-        key = (r.tool_name, r.task)
-        sets = passed.get(key)
-        if sets is None:
-            sets = passed[key] = (set(), set(), set())
-        ir, exe, func = sets
-        if r.ir_ok is not TriState.NA:
-            ir_judged.add(key)
-            if r.ir_ok is TriState.YES:
-                ir.add(r.binary_id)
-        if r.exe_ok:
-            exe.add(r.binary_id)
-        if r.func_ok is TriState.YES:
-            func.add(r.binary_id)
+    # How many of the cohort's rows share each (tool, NOP?, ir na?, ir yes?,
+    # exe, func yes?) state. Results holds one row per (binary, tool, task),
+    # so each count is a count of distinct binaries.
+    states = zip(results.tools, _is(results.tasks, Task.NOP), _is(results.ir, TriState.NA),
+                 _is(results.ir, TriState.YES), results.exe,
+                 _is(results.func, TriState.YES))
+    if cohort.predicate:
+        members = {b for b, v in results.variants.items() if cohort.matches(v)}
+        states = compress(states, map(members.__contains__, results.binary_ids))
+    counts: Counter[tuple[str, str]] = Counter()
+    ir_judged: set[str] = set()  # tools with an IR verdict on some NOP row
+    for (tool, nop, ir_na, ir_yes, exe, func_yes), n in Counter(states).items():
+        if nop:
+            if not ir_na:
+                ir_judged.add(tool)
+            hits = (("IR", ir_yes), ("EXE", exe), ("NullFunc", func_yes))
+        else:
+            hits = (("AFL_EXE", exe), ("AFL_Func", func_yes))
+        for column, hit in hits:
+            if hit:
+                counts[tool, column] += n
 
-    empty = (set(), set(), set())
     denom = cohort.denominator
     cells: dict[tuple[str, str], Cell] = {}
     for tool in tool_order:
-        nop_ir, nop_exe, nop_func = passed.get((tool, Task.NOP), empty)
-        _, afl_exe, afl_func = passed.get((tool, Task.AFL), empty)
-        cells[(tool, "IR")] = (
-            _cell(len(nop_ir), denom) if (tool, Task.NOP) in ir_judged else Cell(None, None)
-        )
-        cells[(tool, "EXE")] = _cell(len(nop_exe), denom)
-        cells[(tool, "NullFunc")] = _cell(len(nop_func), denom)
-        cells[(tool, "AFL_EXE")] = _cell(len(afl_exe), denom)
-        cells[(tool, "AFL_Func")] = _cell(len(afl_func), denom)
+        for column in SUCCESS_COLUMNS:
+            cells[(tool, column)] = (
+                Cell(None, None) if column == "IR" and tool not in ir_judged
+                else _cell(counts[tool, column], denom))
     return SuccessTable(cohort=cohort, tool_order=tuple(tool_order), cells=cells)
 
 
-def _check_tools(tool_order: Sequence[str], records: Sequence[RunRecord]) -> None:
+def _is(column: list, member) -> Iterable[bool]:
+    return map(operator.is_, column, repeat(member))
+
+
+def _check_tools(tool_order: Sequence[str], results: Results) -> None:
     """Raise UnknownTool when a requested tool has no records at all."""
-    missing = set(tool_order) - {r.tool_name for r in records}
+    missing = set(tool_order).difference(results.tools)
     if missing:
         raise UnknownTool(f"no records for tools {sorted(missing)}")
 
@@ -179,14 +184,12 @@ def _cell(count: int, denom: int) -> Cell:
 METRICS = ("runtime_s", "mem_kb", "out_size_bytes")
 
 
-def _metric_value(record: RunRecord, metric: str) -> float | None:
+def _metric_column(results: Results, metric: str) -> Iterable[float | None]:
     if metric == "runtime_s":
-        return record.runtime_seconds
+        return results.runtime_s
     if metric == "mem_kb":
-        return float(record.memory_kbytes)
-    if metric == "out_size_bytes":
-        return None if record.output_size_bytes is None else float(record.output_size_bytes)
-    raise ValueError(f"unknown metric {metric!r}")
+        return map(float, results.mem_kb)
+    return (None if v is None else float(v) for v in results.out_size)
 
 
 def default_success_filter(record: RunRecord) -> bool:
@@ -218,7 +221,7 @@ class ComparativeTable:
 
 
 def comparative_average(
-    records: Sequence[RunRecord],
+    records: Results | Sequence[RunRecord],
     metric: str = "runtime_s",
     tool_order: Sequence[str] | None = None,
     mean_of_ratios: bool = False,
@@ -229,27 +232,29 @@ def comparative_average(
     tool_order names a tool with no records."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
+    results = _columns(records)
     if tool_order:
-        _check_tools(tool_order, records)
+        _check_tools(tool_order, results)
 
-    per_tool: dict[str, dict[str, float]] = {}
-    for r in records:
-        if not default_success_filter(r):
-            continue
-        value = _metric_value(r, metric)
-        if value is None:
-            continue
-        per_tool.setdefault(r.tool_name, {})[r.binary_id] = value
+    per_tool: defaultdict[str, dict[str, float]] = defaultdict(dict)
+    handled = map(operator.and_, _is(results.tasks, Task.NOP), results.exe)
+    rows = zip(results.tools, results.binary_ids, _metric_column(results, metric))
+    for tool, binary_id, value in compress(rows, handled):
+        if value is not None:
+            per_tool[tool][binary_id] = value
 
     tools = tuple(tool_order) if tool_order else tuple(sorted(per_tool))
+    # Shared binaries are taken in sorted order, so every sum adds in one
+    # order; sorting each tool's ids once gives it for every pair.
+    ordered = {tool: sorted(values) for tool, values in per_tool.items()}
     cells: dict[tuple[str, str], float | None] = {}
     for a in tools:
+        va = per_tool.get(a, {})
         for b in tools:
-            va, vb = per_tool.get(a, {}), per_tool.get(b, {})
-            shared = sorted(set(va) & set(vb))
-            cells[(a, b)] = _compare(
-                [va[s] for s in shared], [vb[s] for s in shared], mean_of_ratios
-            )
+            vb = per_tool.get(b, {})
+            shared = list(filter(vb.__contains__, ordered.get(a, ())))
+            cells[(a, b)] = _compare(list(map(va.__getitem__, shared)),
+                                     list(map(vb.__getitem__, shared)), mean_of_ratios)
     return ComparativeTable(tools=tools, raw_cells=cells)
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import rweval
+from rweval import cli
 from rweval.cli import main
 
 from elfbuild import Sec, build_elf
@@ -414,6 +415,85 @@ class TestSizeReportPipeline:
         assert ".text" in obj["sections"]
         assert obj["sections"][".text"]["copytool"] == 100.0
 
+    @pytest.fixture
+    def three_binaries(self, tmp_path):
+        """Originals b0 and b1, each with a section of its own, and b2, which
+        is not an ELF file; outputs of tools t0-t2 are copies of them, but
+        b1's t2 output is not an ELF file and b2's outputs are ELF files
+        with a section of their own."""
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        entries, rows = [], [harness_header()]
+        for b in ("b0", "b1", "b2"):
+            original = tmp_path / f"{b}.elf"
+            image = build_elf([Sec(".text", b"\x90" * 8), Sec(f".{b}only", b"\x01" * 4)])
+            original.write_bytes(b"not an ELF" if b == "b2" else image)
+            entries.append({"id": b, "path": str(original), "program": "p",
+                            "compiler": "gcc", "flags": "O0", "relocation": "pie",
+                            "symbols": "present", "os": "u22"})
+            for tool in ("t0", "t1", "t2"):
+                broken = (b, tool) == ("b1", "t2")
+                (outputs / f"{b}__{tool}__NOP").write_bytes(
+                    b"not an ELF" if broken else image)
+                rows.append([b, "p", "gcc", "O0", "pie", "present", "u22", tool, "NOP",
+                             "na", "1", "yes", "1.0", "100", str(len(image))])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(entries))
+        results = tmp_path / "results.csv"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        results.write_text(buf.getvalue())
+        return results, manifest, outputs
+
+    def test_sections_table_parses_each_original_once(self, capsys, monkeypatch,
+                                                      three_binaries):
+        results, manifest, outputs = three_binaries
+        opened, parsed = [], []
+        real_parse_elf = cli.parse_elf
+
+        class RecordingElfFile(cli.ElfFile):
+            def __init__(self, path):
+                opened.append(os.path.basename(path))
+                super().__init__(path)
+
+        def counting_parse_elf(binary):
+            parsed.append(opened[-1])
+            return real_parse_elf(binary)
+
+        monkeypatch.setattr(cli, "ElfFile", RecordingElfFile)
+        monkeypatch.setattr(cli, "parse_elf", counting_parse_elf)
+        code, out, _ = run_cli(capsys, "report", str(results), "--table", "sections",
+                               "--manifest", str(manifest), "--outputs", str(outputs),
+                               "--format", "json")
+        assert code == 0
+        # three originals once each; the rewritten files of b0 and b1 once
+        # each; none of b2's, whose original is broken
+        assert sorted(parsed) == sorted(
+            ["b0.elf", "b1.elf", "b2.elf",
+             *(f"{b}__{t}__NOP" for b in ("b0", "b1") for t in ("t0", "t1", "t2"))])
+        obj = json.loads(out)
+        assert obj["tools"] == ["t0", "t1", "t2"]
+        assert ".b2only" not in obj["sections"]
+        # the broken output skips only its own row
+        assert obj["sections"][".b1only"] == {"t0": 100.0, "t1": 100.0, "t2": None}
+        assert obj["sections"][".b0only"] == {"t0": 100.0, "t1": 100.0, "t2": 100.0}
+
+    def test_size_table_stats_each_original_once(self, capsys, monkeypatch,
+                                                 three_binaries):
+        results, manifest, _ = three_binaries
+        calls = []
+        for name in ("isfile", "getsize"):
+            real = getattr(os.path, name)
+            monkeypatch.setattr(os.path, name, lambda path, name=name, real=real: (
+                calls.append((name, os.path.basename(path))), real(path))[1])
+        code, out, _ = run_cli(capsys, "report", str(results), "--table", "size",
+                               "--manifest", str(manifest), "--format", "json")
+        assert code == 0
+        originals = [call for call in calls if call[1].endswith(".elf")]
+        assert sorted(originals) == sorted(
+            (name, f"{b}.elf") for name in ("isfile", "getsize") for b in ("b0", "b1", "b2"))
+        assert json.loads(out)["t0"] > 0
+
     def test_sections_without_outputs_dir_exits_3(self, capsys, tmp_path):
         results = tmp_path / "results.csv"
         buf = io.StringIO()
@@ -469,6 +549,20 @@ class TestReportCommand:
     def test_unknown_tool_exits_2(self, capsys, results_csv):
         code, _, _ = run_cli(capsys, "report", results_csv, "--tools", "ghost")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["alpha,", " alpha , ,", ",alpha"])
+    def test_blank_tool_terms_are_skipped(self, capsys, results_csv, spec):
+        for table in ("success", "comparative"):
+            code, out, err = run_cli(capsys, "report", results_csv, "--table", table,
+                                     "--tools", spec, "--format", "json")
+            assert (code, err) == (0, "")
+            assert "alpha" in out
+
+    @pytest.mark.parametrize("spec", ["", ",", " , "])
+    def test_tools_without_a_name_exits_3(self, capsys, results_csv, spec):
+        code, out, err = run_cli(capsys, "report", results_csv, "--tools", spec)
+        assert (code, out) == (3, "")
+        assert "--tools" in err
 
     def test_unknown_tool_in_comparative_exits_2(self, capsys, results_csv):
         code, out, err = run_cli(capsys, "report", results_csv, "--table",

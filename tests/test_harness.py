@@ -1,8 +1,10 @@
 import csv
 import io
+import itertools
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import stat
@@ -15,12 +17,14 @@ from dataclasses import replace
 import pytest
 
 import rweval
+from rweval import harness
 from rweval.dtree import Task
 from rweval.errors import SpawnError
 from rweval.harness import (
     RESULTS_COLUMNS,
     FuncTest,
     ManifestEntry,
+    Results,
     RunRecord,
     ToolAdapter,
     TriState,
@@ -550,7 +554,7 @@ class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         write_records_csv(self.make_records(), str(first))
-        write_records_csv(load_records_csv(str(first)), str(second))
+        write_records_csv(load_records_csv(str(first)).records(), str(second))
         assert second.read_bytes() == first.read_bytes()
 
     def test_csv_header(self, tmp_path):
@@ -621,7 +625,7 @@ class TestSerialization:
         path = tmp_path / "results.csv"
         path.write_text(buf.getvalue())
 
-        loaded = load_records_csv(str(path))
+        loaded = load_records_csv(str(path)).records()
         with open(path, newline="") as f:
             assert loaded == [row_to_record(row) for row in csv.DictReader(f)]
         assert loaded == records
@@ -690,6 +694,140 @@ class TestSerialization:
         path.write_text("binary_id,tool\nx,y\n")
         with pytest.raises(ValueError):
             load_records_csv(str(path))
+
+
+class TestColumnarLoader:
+    """load_records_csv reads CHUNK_ROWS rows at a time. These tests shrink
+    the chunk, so that a dozen rows cross several chunk boundaries."""
+
+    @staticmethod
+    def rows(n=12, note="note"):
+        """n valid rows, binary b{i // 2} under tools alpha and beta, and a
+        free-text note column after the standard ones."""
+        return [[f"b{i // 2}", "p", "gcc", "O0", "pie", "present", "u20",
+                 ("alpha", "beta")[i % 2], "NOP", "yes", "1", "yes", f"{i}.5", "100",
+                 "1000", f"{note} {i}"] for i in range(n)]
+
+    @staticmethod
+    def write(tmp_path, rows):
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow([*RESULTS_COLUMNS, "note"])
+        w.writerows(rows)
+        path = tmp_path / "results.csv"
+        path.write_bytes(buf.getvalue().encode())
+        return str(path)
+
+    @staticmethod
+    def line_of(path, k):
+        """The line on which non-blank data row k ends, as csv.reader counts."""
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            rows = (reader.line_num for row in reader if row)
+            next(rows)  # the header
+            return next(itertools.islice(rows, k, None))
+
+    BAD = {
+        "exe": (lambda rows, k: rows[k].__setitem__(10, "yes"),
+                "exe must be 0 or 1, got 'yes'"),
+        "fields": (lambda rows, k: rows[k].pop(-2), "expected 16 fields, got 15"),
+        "repeat": (lambda rows, k: rows.__setitem__(k, [*rows[0][:10], "0", "no",
+                                                        *rows[0][12:]]),
+                   "repeated row for 'b0', tool 'alpha', task NOP"),
+        "variant": (lambda rows, k: rows.__setitem__(k, [*rows[0][:2], "clang",
+                                                         *rows[0][3:7], "gamma",
+                                                         *rows[0][8:]]),
+                    "binary 'b0' has a second variant"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    @pytest.mark.parametrize("where", ["last_of_chunk", "first_of_next",
+                                       "after_quoted_newline"])
+    def test_error_line_at_chunk_boundaries(self, tmp_path, monkeypatch, kind, where):
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
+        if where == "after_quoted_newline":
+            rows, k = self.rows(note="two\nlines, \r\nthree"), 6
+            rows.insert(5, [])  # a blank line: skipped, but counted
+        else:
+            rows, k = self.rows(), {"last_of_chunk": 3, "first_of_next": 4}[where]
+        edit, message = self.BAD[kind]
+        edit(rows, k + (where == "after_quoted_newline"))
+        path = self.write(tmp_path, rows)
+        line = {"last_of_chunk": 5, "first_of_next": 6, "after_quoted_newline": 23}[where]
+        assert self.line_of(path, k) == line
+        with pytest.raises(ValueError, match=f"^line {line}: {re.escape(message)}$"):
+            load_records_csv(path)
+
+    @pytest.mark.parametrize("first,second", [
+        ("repeat", "exe"), ("exe", "fields"), ("fields", "variant"), ("variant", "exe"),
+    ])
+    def test_first_bad_row_of_a_chunk_wins(self, tmp_path, monkeypatch, first, second):
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
+        rows = self.rows()
+        self.BAD[second][0](rows, 6)
+        self.BAD[first][0](rows, 5)
+        with pytest.raises(ValueError, match=f"^line 7: {re.escape(self.BAD[first][1])}$"):
+            load_records_csv(self.write(tmp_path, rows))
+
+    @pytest.mark.parametrize("bad_row,message", [
+        (None, "line 9: field larger than field limit"),
+        (6, "line 8: exe must be 0 or 1"),  # before the long field, same chunk
+        (2, "line 4: exe must be 0 or 1"),  # an earlier chunk
+    ])
+    def test_a_reader_error_comes_after_the_rows_before_it(self, tmp_path, monkeypatch,
+                                                           bad_row, message):
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
+        rows = self.rows()
+        rows[7][-1] = "x" * (csv.field_size_limit() + 1)
+        if bad_row is not None:
+            self.BAD["exe"][0](rows, bad_row)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_records_csv(self.write(tmp_path, rows))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 4, 512])
+    def test_every_chunk_size_loads_the_same_records(self, tmp_path, monkeypatch,
+                                                     chunk_rows):
+        monkeypatch.setattr(harness, "CHUNK_ROWS", chunk_rows)
+        rows = self.rows(note="a\nb")
+        rows[3:3] = [[], []]
+        rows[7][-2] = ""  # no output size
+        path = self.write(tmp_path, rows)
+        with open(path, newline="") as f:
+            want = [row_to_record(row) for row in csv.DictReader(f) if row["binary_id"]]
+        assert load_records_csv(path).records() == want
+        assert len(want) == 12
+
+    def test_columns_are_typed_and_share_their_strings(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 3)
+        rows = self.rows()
+        rows[1][-2] = ""
+        results = load_records_csv(self.write(tmp_path, rows))
+        assert len(results) == 12
+        assert results.binary_ids[0] is results.binary_ids[1]
+        assert results.tools[0] is results.tools[10]
+        assert results.tasks == [Task.NOP] * 12
+        assert results.ir == results.func == [TriState.YES] * 12
+        assert results.exe == [True] * 12
+        assert results.runtime_s == [i + 0.5 for i in range(12)]
+        assert results.mem_kb == [100] * 12
+        assert results.out_size == [1000, None, *[1000] * 10]
+        assert list(results.variants) == [f"b{i}" for i in range(6)]
+        assert len({id(v) for v in results.variants.values()}) == 1
+        assert results.variants["b0"] == VariantConfig("p", "gcc", "O0", "pie", "present",
+                                                       "u20")
+
+    def test_from_records_round_trips_and_checks_rows(self):
+        records = TestSerialization.seeded_records(seed=3)
+        assert Results.from_records(records).records() == records
+        assert Results.from_records([]).records() == []
+        repeat = replace(records[0], exe_ok=False, func_ok=TriState.NO)
+        with pytest.raises(ValueError, match=(
+                f"^repeated row for 'b0', tool 'alpha', task {records[0].task.value}$")):
+            Results.from_records([*records, repeat])
+        other = replace(records[0], variant=variant(compiler="icx", program="other"),
+                        tool_name="gamma")
+        with pytest.raises(ValueError, match="^binary 'b0' has a second variant$"):
+            Results.from_records([*records, other])
 
 
 class TestConfigLoaders:

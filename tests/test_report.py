@@ -1,7 +1,10 @@
+import csv
+import io
 import random
 
 import pytest
 
+from rweval import harness
 from rweval.dtree import Task
 from rweval.elf import SizeProfile
 from rweval.errors import UnknownTool
@@ -9,10 +12,12 @@ from rweval.harness import (
     RunRecord,
     TriState,
     VariantConfig,
+    load_records_csv,
     write_records_csv,
 )
 from rweval.report import (
     COHORT_PRESETS,
+    METRICS,
     SUCCESS_COLUMNS,
     comparative_average,
     make_cohort,
@@ -254,6 +259,66 @@ class TestComparativeAverage:
         ]
         table = comparative_average(records, "mem_kb")
         assert table.cell("alpha", "beta") == 50.0
+
+
+def plain_comparative(csv_text, metric, mean_of_ratios):
+    """Comparative cells recomputed straight off the results CSV: per pair,
+    the sorted shared binaries of NOP runs that passed EXE."""
+    per_tool = {}
+    for row in csv.DictReader(io.StringIO(csv_text)):
+        if row["task"] == "NOP" and row["exe"] == "1" and row[metric] != "":
+            per_tool.setdefault(row["tool"], {})[row["binary_id"]] = float(row[metric])
+    cells = {}
+    for a in sorted(per_tool):
+        for b in sorted(per_tool):
+            shared = sorted(set(per_tool[a]) & set(per_tool[b]))
+            xs = [per_tool[a][s] for s in shared]
+            ys = [per_tool[b][s] for s in shared]
+            if mean_of_ratios:
+                ratios = [x / y for x, y in zip(xs, ys) if y != 0]
+                cells[(a, b)] = sum(ratios) / len(ratios) * 100.0 if ratios else None
+            else:
+                cells[(a, b)] = (sum(xs) / len(xs) / (sum(ys) / len(ys)) * 100.0
+                                 if xs and sum(ys) else None)
+    return cells
+
+
+class TestTablesFromLoadedResults:
+    """Every table built from load_records_csv's columns, read in chunks
+    smaller than the file, equals a recomputation straight off the CSV."""
+
+    @pytest.fixture
+    def loaded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 7)
+        records = synthetic_records(seed=5, n_binaries=24, tools=("alpha", "beta", "gamma"),
+                                    compilers=("gcc", "clang", "icx", "ollvm"))
+        text = csv_text(records, tmp_path)
+        return records, text, load_records_csv(str(tmp_path / "results.csv"))
+
+    @pytest.mark.parametrize("name", sorted(COHORT_PRESETS))
+    def test_success_table_matches_tally(self, loaded, name):
+        records, text, results = loaded
+        predicate = COHORT_PRESETS[name]
+        cohort = make_cohort(name, predicate, results)
+        table = success_table(results, cohort)
+        oracle = tally_success(text, predicate)
+        assert cohort.denominator == oracle["__denominator__"] > 0
+        assert table.tool_order == ("alpha", "beta", "gamma")
+        assert_matches_tally(table, oracle)
+        from_list = success_table(records, make_cohort(name, predicate, records))
+        assert from_list == table
+
+    @pytest.mark.parametrize("mean_of_ratios", [False, True])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_comparative_matches_plain_recomputation(self, loaded, metric, mean_of_ratios):
+        _, text, results = loaded
+        table = comparative_average(results, metric, mean_of_ratios=mean_of_ratios)
+        want = plain_comparative(text, metric, mean_of_ratios)
+        assert table.tools == ("alpha", "beta", "gamma")
+        assert table.raw_cells == want  # same sums in the same order: exact
+        # a list of records goes through Results.from_records to the same table
+        assert comparative_average(results.records(), metric,
+                                   mean_of_ratios=mean_of_ratios) == table
 
 
 class TestRelativeSize:

@@ -54,3 +54,30 @@ def test_size_path_crosses_each_scope_batch_layer_once_per_file(bench_ops, tmp_p
         tracer.uninstall()
     counts = Counter(span.name for span in tracer.spans)
     assert counts["io.read"] == counts["elf.parse_elf"] == counts["elf.size_profile"] == 2
+
+
+@pytest.mark.parametrize("table,crossed", [
+    ("success", ["harness.load_records_csv", "report.make_cohort",
+                 "report.success_table", "report.render"]),
+    ("comparative", ["harness.load_records_csv", "report.comparative_average",
+                     "report.render"]),
+])
+def test_report_crosses_each_report_paper_layer_once(bench_ops, tmp_path, table,
+                                                     crossed):
+    from bench_trace import Tracer
+
+    from rweval import cli
+    from rweval.harness import RESULTS_COLUMNS
+
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(RESULTS_COLUMNS) + "\n"
+                    "b0,p,gcc,O0,pie,present,u20,alpha,NOP,na,1,yes,1.0,100,1000\n")
+    tracer = Tracer()
+    assert tracer.install(bench_ops.ReportPaper.layers) == []
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["report", str(path), "--table", table]) == 0
+    finally:
+        tracer.uninstall()
+    counts = Counter(span.name for span in tracer.spans)
+    assert counts == Counter(["cli.main", *crossed])
