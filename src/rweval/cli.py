@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import compress
 from pathlib import Path
 
 from . import dtree, features, harness, report, scope
@@ -167,9 +168,17 @@ def cmd_run(args) -> int:
 
 def _parse_tasks(spec: str) -> list[Task]:
     try:
-        return [Task(t.strip()) for t in spec.split(",") if t.strip()]
+        tasks = [Task(t) for t in _names(spec)]
     except ValueError as e:
         raise CliConfigError(f"bad --tasks value {spec!r}: {e}") from e
+    if not tasks:
+        raise CliConfigError(f"bad --tasks value {spec!r}: no task names")
+    return tasks
+
+
+def _names(spec: str) -> list[str]:
+    """The comma-separated names of spec, blank terms skipped."""
+    return [name.strip() for name in spec.split(",") if name.strip()]
 
 
 def _load_results(path: str):
@@ -180,53 +189,41 @@ def _load_results(path: str):
 
 
 def cmd_train(args) -> int:
-    records = _load_results(args.results).records()
+    try:
+        dtree.check_train_settings(
+            k=args.k, train_fraction=args.train_fraction, max_depth=args.max_depth,
+            min_leaf=args.min_leaf, max_support_fraction=args.max_support_fraction)
+    except ValueError as e:
+        raise CliConfigError(f"bad train settings: {e}") from e
+    results = _load_results(args.results)
     manifest = _load_manifest(args.manifest)
     task = Task(args.task)
 
-    relevant = [
-        r for r in records if r.tool_name == args.tool and r.task is task
-    ]
-    if not relevant:
+    # Results holds one row per (binary, tool, task): one label per binary.
+    label_by_id = {
+        binary_id: features.Label.PASS if func is harness.TriState.YES
+        else features.Label.FAIL
+        for binary_id, tool, row_task, func in zip(
+            results.binary_ids, results.tools, results.tasks, results.func)
+        if row_task is task and tool == args.tool
+    }
+    if not label_by_id:
         raise CliInputError(
             f"no records for tool {args.tool!r} task {task.value} in {args.results!r}"
         )
-    label_by_id = {
-        r.binary_id: (
-            features.Label.PASS
-            if r.func_ok is harness.TriState.YES
-            else features.Label.FAIL
-        )
-        for r in relevant
-    }
 
-    vectors = []
-    for entry in manifest:
-        if entry.binary_id not in label_by_id:
-            continue
-        fv = features.extract_features(_parse_path(entry.path))
-        vectors.append((entry.binary_id, fv, label_by_id[entry.binary_id]))
+    vectors = [(e.binary_id, features.extract_features(_parse_path(e.path)),
+                label_by_id[e.binary_id]) for e in manifest if e.binary_id in label_by_id]
     if len(vectors) < 2:
         raise CliInputError("fewer than 2 manifest binaries have records to train on")
 
     try:
-        matrix = features.build_matrix(
-            vectors,
-            min_support=args.min_support,
-            max_support_fraction=args.max_support_fraction,
-        )
-        selected = dtree.select_features(matrix, k=args.k)
-        projected = features.select_columns(matrix, selected)
-        train, test = dtree.split_train_test(
-            projected, args.train_fraction, seed=args.seed
-        )
-        model = dtree.train_cart(
-            train,
-            max_depth=args.max_depth,
-            min_leaf=args.min_leaf,
-            tool_name=args.tool,
-            task=task,
-        )
+        matrix = features.build_matrix(vectors, min_support=args.min_support,
+                                       max_support_fraction=args.max_support_fraction)
+        projected = features.select_columns(matrix, dtree.select_features(matrix, k=args.k))
+        train, test = dtree.split_train_test(projected, args.train_fraction, seed=args.seed)
+        model = dtree.train_cart(train, max_depth=args.max_depth, min_leaf=args.min_leaf,
+                                 tool_name=args.tool, task=task)
         score = dtree.accuracy(model, test)
     except (EmptyMatrix, DegenerateSplit) as e:
         raise CliInputError(str(e)) from e
@@ -272,9 +269,9 @@ def cmd_report(args) -> int:
                 mean_of_ratios=args.mean_of_ratios,
             )
         elif args.table == "size":
-            table = _size_table(args, results.records())
+            table = _size_table(args, results)
         else:  # sections
-            table = _sections_table(args, results.records())
+            table = _sections_table(args, results)
     except UnknownTool as e:
         raise CliInputError(str(e)) from e
     print(report.render(table, args.format))
@@ -284,9 +281,12 @@ def cmd_report(args) -> int:
 def _parse_tools(spec: str | None) -> list[str] | None:
     if spec is None:
         return None
-    tools = [t.strip() for t in spec.split(",") if t.strip()]
+    tools = _names(spec)
     if not tools:
         raise CliConfigError(f"bad --tools value {spec!r}: no tool names")
+    repeated = sorted({t for t in tools if tools.count(t) > 1})
+    if repeated:
+        raise CliConfigError(f"bad --tools value {spec!r}: repeated {', '.join(repeated)}")
     return tools
 
 
@@ -296,48 +296,49 @@ def _original_paths(args) -> dict[str, str]:
     return {e.binary_id: e.path for e in _load_manifest(args.manifest)}
 
 
-def _size_table(args, records) -> report.MapTable:
-    paths = _original_paths(args)
-    sizes: dict[str, int | None] = {}  # binary id -> its original's size
-    pairs = []
-    for r in records:
-        if not report.default_success_filter(r) or r.output_size_bytes is None:
-            continue
-        if r.binary_id not in sizes:
-            path = paths.get(r.binary_id)
-            sizes[r.binary_id] = (
-                os.path.getsize(path) if path is not None and os.path.isfile(path) else None)
-        size = sizes[r.binary_id]
-        if size is not None:
-            pairs.append((r.tool_name, size, r.output_size_bytes))
+def _handled_originals(results: harness.Results, paths: dict[str, str], measure):
+    """(tool, binary id, out_size, measure(original's path)) for each handled
+    row of results. measure runs once per binary id; a binary whose original
+    is not in paths, or for which measure gives None, drops out."""
+    originals: dict = {}  # binary id -> measure of its original
+    rows = zip(results.tools, results.binary_ids, results.out_size)
+    for tool, binary_id, out_size in compress(rows, report.handled(results)):
+        if binary_id not in originals:
+            path = paths.get(binary_id)
+            originals[binary_id] = None if path is None else measure(path)
+        original = originals[binary_id]
+        if original is not None:
+            yield tool, binary_id, out_size, original
+
+
+def _size_table(args, results) -> report.MapTable:
+    runs = _handled_originals(results, _original_paths(args), _file_size)
+    pairs = ((tool, size, out_size) for tool, _, out_size, size in runs
+             if out_size is not None)
     return report.MapTable("tool", "pct", report.relative_size(pairs))
 
 
-def _sections_table(args, records) -> report.SectionSizeTable:
+def _sections_table(args, results) -> report.SectionSizeTable:
     if not args.outputs:
         raise CliConfigError("--outputs DIR (from run --keep-outputs) is required")
-    paths = _original_paths(args)
-    originals: dict[str, SizeProfile | None] = {}  # binary id -> its original's profile
     pairs = []
-    for r in records:
-        if not report.default_success_filter(r):
-            continue
-        if r.binary_id not in originals:
-            originals[r.binary_id] = _profile_file(paths.get(r.binary_id))
-        before = originals[r.binary_id]
-        if before is None:
-            continue
+    for tool, binary_id, _, before in _handled_originals(
+            results, _original_paths(args), _profile_file):
         after = _profile_file(os.path.join(
-            args.outputs, harness.job_name(r.binary_id, r.tool_name, r.task)))
+            args.outputs, harness.job_name(binary_id, tool, Task.NOP)))
         if after is not None:
-            pairs.append((r.tool_name, before, after))
+            pairs.append((tool, before, after))
     return report.section_size_table(pairs)
 
 
-def _profile_file(path: str | None) -> SizeProfile | None:
+def _file_size(path: str) -> int | None:
+    return os.path.getsize(path) if os.path.isfile(path) else None
+
+
+def _profile_file(path: str) -> SizeProfile | None:
     """path's size profile; None when path is not a file, or its section
     table is too broken to profile."""
-    if path is None or not os.path.isfile(path):
+    if not os.path.isfile(path):
         return None
     try:
         return _profile_path(path)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateSplit, EmptyMatrix, SchemaError
-from .features import FeatureMatrix, FeatureVector, Label, MatrixRow
+from .features import FeatureMatrix, FeatureVector, Label, MatrixRow, check_support_fraction
 from .util import round_half_up
 
 
@@ -110,6 +110,20 @@ def predict(model: DecisionTreeModel, fv: FeatureVector) -> Prediction:
     )
 
 
+def check_train_settings(*, k: int = 8, train_fraction: float = 0.7, max_depth: int = 6,
+                         min_leaf: int = 1, max_support_fraction: float = 1.0) -> None:
+    """Raise ValueError for a training setting that no corpus could honour.
+    Each training step checks its own settings here, so a caller can check
+    them all before it loads anything."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be strictly between 0 and 1")
+    if max_depth < 1 or min_leaf < 1:
+        raise ValueError("max_depth and min_leaf must be at least 1")
+    check_support_fraction(max_support_fraction)
+
+
 def train_cart(
     matrix: FeatureMatrix,
     max_depth: int = 6,
@@ -130,8 +144,7 @@ def train_cart(
         raise EmptyMatrix("cannot train on a matrix with no feature columns")
     if len(matrix.rows) < 2:
         raise ValueError("need at least 2 rows to train")
-    if max_depth < 1 or min_leaf < 1:
-        raise ValueError("max_depth and min_leaf must be at least 1")
+    check_train_settings(max_depth=max_depth, min_leaf=min_leaf)
 
     # iterate candidates in name order so the first best wins ties by name
     ordered = sorted(range(len(matrix.feature_names)), key=lambda i: matrix.feature_names[i])
@@ -209,8 +222,7 @@ def select_features(matrix: FeatureMatrix, k: int = 8) -> list[str]:
     Returns the k features with largest absolute weight, descending, ties
     by name.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_train_settings(k=k)
     if not matrix.rows:
         raise EmptyMatrix("cannot select features from an empty matrix")
     import numpy as np  # here, not at the top: it is most of rweval's import time
@@ -240,8 +252,7 @@ def split_train_test(
     matrix: FeatureMatrix, train_fraction: float, seed: int = 0
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Seeded shuffle, then the first ceil(n * train_fraction) rows train."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be strictly between 0 and 1")
+    check_train_settings(train_fraction=train_fraction)
     n = len(matrix.rows)
     # Fraction-of-string keeps ceil(10 * 0.7) == 7 rather than a float wobble.
     n_train = math.ceil(n * Fraction(str(train_fraction)))

@@ -87,6 +87,11 @@ class FeatureMatrix:
         return [row.values[i] for row in self.rows]
 
 
+def check_support_fraction(max_support_fraction: float) -> None:
+    if not 0.0 <= max_support_fraction <= 1.0:
+        raise ValueError("max_support_fraction must be within [0, 1]")
+
+
 def build_matrix(
     vectors: list[tuple[str, FeatureVector, Label]],
     min_support: int = 2,
@@ -101,8 +106,7 @@ def build_matrix(
     """
     if len(vectors) < 2:
         raise ValueError("need at least 2 rows to build a matrix")
-    if not 0.0 <= max_support_fraction <= 1.0:
-        raise ValueError("max_support_fraction must be within [0, 1]")
+    check_support_fraction(max_support_fraction)
 
     n = len(vectors)
     support: dict[str, int] = {}

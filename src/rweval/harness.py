@@ -310,8 +310,6 @@ def run_task(
         # ordered checkpoints: no EXE credit without the IR stage
         exe_ok = False
         notes.append("MissingIrArtifact")
-    if metered.maxrss_kbytes == 0:
-        notes.append("NoMemAccounting")
 
     return RunRecord(
         binary_id=binary_id,
@@ -712,13 +710,6 @@ class Results:
         if rows:
             results._extend(*zip(*rows))
         return results
-
-    def records(self) -> list[RunRecord]:
-        """One RunRecord per row, in order, sharing each binary's variant."""
-        return list(map(
-            RunRecord, self.binary_ids, map(self.variants.__getitem__, self.binary_ids),
-            self.tools, self.tasks, self.ir, self.exe, self.func, self.runtime_s,
-            self.mem_kb, self.out_size))
 
 
 def results_writer(stream) -> Callable[[RunRecord], None]:

@@ -1,4 +1,4 @@
-"""Aggregation of run records into the standard report tables.
+"""Aggregation of loaded run results into the standard report tables.
 
 Percentages are computed against fixed cohort denominators (a tool that was
 never attempted on a variant counts as failing it) and truncated to two
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .dtree import Task
 from .elf import SizeProfile, size_delta
 from .errors import UnknownTool
-from .harness import VARIANT_COLUMNS, Results, RunRecord, TriState, VariantConfig
+from .harness import VARIANT_COLUMNS, Results, TriState, VariantConfig
 from .util import fmt_pct, trunc_pct
 
 COHORT_PRESETS: dict[str, dict[str, str]] = {
@@ -59,21 +59,13 @@ def _variant_matches(variant: VariantConfig | None, predicate: dict[str, str]) -
     return all(cells[_VARIANT_INDEX[key]] == want for key, want in predicate.items())
 
 
-def _columns(records: Results | Sequence[RunRecord]) -> Results:
-    """The tables read columns; a list of records is converted once here."""
-    return records if isinstance(records, Results) else Results.from_records(records)
-
-
-def make_cohort(
-    name: str, predicate: dict[str, str], records: Results | Sequence[RunRecord]
-) -> Cohort:
+def make_cohort(name: str, predicate: dict[str, str], results: Results) -> Cohort:
     """Build a cohort whose denominator is the number of distinct binaries
-    in the record set matching the predicate."""
+    in results matching the predicate."""
     unknown = set(predicate) - set(VARIANT_COLUMNS)
     if unknown:
         raise ValueError(f"unknown cohort fields {sorted(unknown)}")
-    variants = _columns(records).variants.values()
-    denominator = sum(_variant_matches(v, predicate) for v in variants)
+    denominator = sum(_variant_matches(v, predicate) for v in results.variants.values())
     return Cohort(name=name, predicate=dict(predicate), denominator=denominator)
 
 
@@ -123,12 +115,11 @@ class SuccessTable:
 
 
 def success_table(
-    records: Results | Sequence[RunRecord],
+    results: Results,
     cohort: Cohort,
     tool_order: Sequence[str] | None = None,
 ) -> SuccessTable:
     """Checkpoint/functional success counts and percentages per tool."""
-    results = _columns(records)
     if tool_order is None:
         tool_order = sorted(set(results.tools))
     else:
@@ -170,6 +161,11 @@ def _is(column: list, member) -> Iterable[bool]:
     return map(operator.is_, column, repeat(member))
 
 
+def handled(results: Results) -> Iterable[bool]:
+    """The mask of results' rows that a tool handled: NOP runs that passed EXE."""
+    return map(operator.and_, _is(results.tasks, Task.NOP), results.exe)
+
+
 def _check_tools(tool_order: Sequence[str], results: Results) -> None:
     """Raise UnknownTool when a requested tool has no records at all."""
     missing = set(tool_order).difference(results.tools)
@@ -190,10 +186,6 @@ def _metric_column(results: Results, metric: str) -> Iterable[float | None]:
     if metric == "mem_kb":
         return map(float, results.mem_kb)
     return (None if v is None else float(v) for v in results.out_size)
-
-
-def default_success_filter(record: RunRecord) -> bool:
-    return record.task is Task.NOP and record.exe_ok
 
 
 @dataclass(frozen=True)
@@ -221,25 +213,23 @@ class ComparativeTable:
 
 
 def comparative_average(
-    records: Results | Sequence[RunRecord],
+    results: Results,
     metric: str = "runtime_s",
     tool_order: Sequence[str] | None = None,
     mean_of_ratios: bool = False,
 ) -> ComparativeTable:
     """Pairwise metric comparison over the intersection of binaries both
-    tools handled (NOP runs that passed EXE); cell(row, col) is row's average as a percentage of
+    tools handled; cell(row, col) is row's average as a percentage of
     col's. NA when no binary was handled by both. UnknownTool when
     tool_order names a tool with no records."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    results = _columns(records)
     if tool_order:
         _check_tools(tool_order, results)
 
     per_tool: defaultdict[str, dict[str, float]] = defaultdict(dict)
-    handled = map(operator.and_, _is(results.tasks, Task.NOP), results.exe)
     rows = zip(results.tools, results.binary_ids, _metric_column(results, metric))
-    for tool, binary_id, value in compress(rows, handled):
+    for tool, binary_id, value in compress(rows, handled(results)):
         if value is not None:
             per_tool[tool][binary_id] = value
 

@@ -3,6 +3,7 @@
 - readelf_facts: parses real `readelf -h -SW` output for parity checks.
 - tally_success: a dumb success-table tally straight off the results CSV.
 - correlation_ranking: features ranked by |phi correlation| with the label.
+- columns: every column of a loaded results object, for equality checks.
 """
 
 from __future__ import annotations
@@ -88,3 +89,9 @@ def correlation_ranking(columns: dict[str, list[bool]], labels: list[bool]) -> l
         return cov / (sx * sy)
 
     return sorted(columns, key=lambda name: (-abs(phi(columns[name])), name))
+
+
+def columns(results) -> dict:
+    """Each of results' __slots__ and its value: two loads are equal when
+    these are, column by column and in the binary-to-variant map."""
+    return {name: getattr(results, name) for name in type(results).__slots__}

@@ -17,6 +17,7 @@ from rweval.elf import BUCKET_UNMAPPED, parse_elf, size_profile
 from rweval.features import FeatureMatrix, FeatureVector, Label, MatrixRow, extract_features
 from rweval.harness import (
     ManifestEntry,
+    Results,
     ToolAdapter,
     TriState,
     VariantConfig,
@@ -270,8 +271,9 @@ def _synthetic_20_records():
 def test_criterion_7_report_math(tmp_path):
     with criterion(7, "report math vs independent tally and fixtures"):
         records = _synthetic_20_records()
-        cohort = make_cohort("full", {}, records)
-        table = success_table(records, cohort)
+        loaded = Results.from_records(records)
+        cohort = make_cohort("full", {}, loaded)
+        table = success_table(loaded, cohort)
         results = tmp_path / "results.csv"
         write_records_csv(records, str(results))
         oracle = tally_success(results.read_text(encoding="utf-8"), {})
@@ -286,7 +288,7 @@ def test_criterion_7_report_math(tmp_path):
                     assert cell.count == want[0]
                     assert cell.raw_pct == pytest.approx(want[1], abs=1e-9)
 
-        comp = comparative_average(records, "runtime_s")
+        comp = comparative_average(loaded, "runtime_s")
         for a in comp.tools:
             for b in comp.tools:
                 x, y = comp.raw_cells[(a, b)], comp.raw_cells[(b, a)]
@@ -304,6 +306,7 @@ def test_criterion_7_report_math(tmp_path):
                     task=Task.NOP, ir_ok=TriState.NA, exe_ok=True,
                     func_ok=TriState.YES, runtime_seconds=val, memory_kbytes=1,
                 ))
+        fixture = Results.from_records(fixture)
         assert comparative_average(fixture, "runtime_s").cell("alpha", "beta") == 50.00
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import rweval
-from rweval import cli
+from rweval import cli, harness
 from rweval.cli import main
 
 from elfbuild import Sec, build_elf
@@ -300,6 +300,17 @@ class TestRunCommand:
                                "--out", str(tmp_path / "missing" / "o.csv"))
         assert code == 2 and "cannot write" in err
 
+    @pytest.mark.parametrize("spec", ["", ",", " , "])
+    def test_tasks_without_a_name_exits_3(self, capsys, campaign_files, tmp_path, spec):
+        manifest, adapters = campaign_files
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli(capsys, "run", "--manifest", str(manifest),
+                                 "--adapters", str(adapters), "--out", str(out_csv),
+                                 "--tasks", spec)
+        assert (code, out) == (3, "")
+        assert "--tasks" in err and "no task names" in err
+        assert not out_csv.exists()
+
     def test_missing_manifest_exits_2(self, capsys, campaign_files, tmp_path):
         _, adapters = campaign_files
         code, _, _ = run_cli(capsys, "run", "--manifest", str(tmp_path / "no.json"),
@@ -367,12 +378,64 @@ class TestTrainCommand:
             assert code == 0
         assert m1.read_bytes() == m2.read_bytes()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--k", "0", "k must be at least 1"),
+        ("--train-fraction", "1.5", "train_fraction must be strictly between 0 and 1"),
+        ("--max-depth", "0", "max_depth and min_leaf must be at least 1"),
+        ("--min-leaf", "0", "max_depth and min_leaf must be at least 1"),
+        ("--max-support-fraction", "2", "max_support_fraction must be within [0, 1]"),
+    ])
+    def test_bad_settings_exit_3_before_anything_loads(self, capsys, monkeypatch,
+                                                       trainable_corpus, tmp_path,
+                                                       flag, value, message):
+        manifest, results = trainable_corpus
+        loads = []
+        for name in ("_load_results", "_load_manifest"):
+            monkeypatch.setattr(cli, name, lambda path, name=name: loads.append(name))
+        out_model = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "train", "--results", str(results),
+                                 "--manifest", str(manifest), "--tool", "toolx",
+                                 "--out-model", str(out_model), flag, value)
+        assert (code, out, loads) == (3, "", [])
+        assert err == f"rweval: bad train settings: {message}\n"
+        assert not out_model.exists()
+
     def test_tool_absent_exits_2(self, capsys, trainable_corpus, tmp_path):
         manifest, results = trainable_corpus
         code, _, _ = run_cli(capsys, "train", "--results", str(results),
                              "--manifest", str(manifest), "--tool", "ghost",
                              "--out-model", str(tmp_path / "m.json"))
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["success", "comparative", "size", "sections", "train"])
+def test_read_side_builds_no_run_record(capsys, monkeypatch, trainable_corpus, tmp_path,
+                                        command):
+    # the tables and train read the loaded columns, not one RunRecord per row
+    manifest, results = trainable_corpus
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    rows = read_rows(results)
+    for row in rows[1:]:
+        original = (tmp_path / f"{row[0]}.elf").read_bytes()
+        (outputs / f"{row[0]}__toolx__NOP").write_bytes(original)
+        rows.append([*row[:8], "NOP", "na", "1", "yes", "1.0", "100", str(len(original))])
+    with open(results, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    calls = []
+    real_post_init = harness.RunRecord.__post_init__
+    monkeypatch.setattr(harness.RunRecord, "__post_init__",
+                        lambda self: (calls.append(self), real_post_init(self))[1])
+    if command == "train":
+        argv = ["train", "--results", str(results), "--manifest", str(manifest),
+                "--tool", "toolx", "--task", "AFL", "--out-model", str(tmp_path / "m.json")]
+    else:
+        argv = ["report", str(results), "--table", command, "--manifest", str(manifest),
+                "--outputs", str(outputs), "--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "toolx" in out or command == "train"
+    assert calls == []
 
 
 class TestSizeReportPipeline:
@@ -494,6 +557,19 @@ class TestSizeReportPipeline:
             (name, f"{b}.elf") for name in ("isfile", "getsize") for b in ("b0", "b1", "b2"))
         assert json.loads(out)["t0"] > 0
 
+    def test_size_table_skips_rows_without_an_output_size(self, capsys, three_binaries):
+        results, manifest, _ = three_binaries
+        rows = read_rows(results)
+        for row in rows[1:]:
+            if row[7] == "t0":
+                row[-1] = ""
+        with open(results, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        code, out, err = run_cli(capsys, "report", str(results), "--table", "size",
+                                 "--manifest", str(manifest), "--format", "json")
+        assert (code, err) == (0, "")
+        assert set(json.loads(out)) == {"t1", "t2"}
+
     def test_sections_without_outputs_dir_exits_3(self, capsys, tmp_path):
         results = tmp_path / "results.csv"
         buf = io.StringIO()
@@ -563,6 +639,14 @@ class TestReportCommand:
         code, out, err = run_cli(capsys, "report", results_csv, "--tools", spec)
         assert (code, out) == (3, "")
         assert "--tools" in err
+
+    @pytest.mark.parametrize("table", ["success", "comparative"])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_repeated_tool_exits_3(self, capsys, results_csv, table, fmt):
+        code, out, err = run_cli(capsys, "report", results_csv, "--table", table,
+                                 "--tools", "alpha, alpha", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert "--tools" in err and "repeated alpha" in err
 
     def test_unknown_tool_in_comparative_exits_2(self, capsys, results_csv):
         code, out, err = run_cli(capsys, "report", results_csv, "--table",

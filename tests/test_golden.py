@@ -21,7 +21,8 @@ import pytest
 
 from rweval.cli import main
 
-from elfbuild import ET_EXEC, ET_REL, SHT_NOBITS, SHT_STRTAB, SHT_SYMTAB, Sec, build_elf
+from elfbuild import (ET_DYN, ET_EXEC, ET_REL, SHT_NOBITS, SHT_PROGBITS, SHT_STRTAB, SHT_SYMTAB,
+                      Sec, build_elf)
 
 IMAGES = {
     "dyn": lambda: build_elf(),
@@ -207,6 +208,121 @@ def test_run_campaign_with_stub_tools(tmp_path, images, parallelism):
     assert digest(text) == GOLDEN["run-stub"], text
 
 
+@pytest.fixture
+def trainable_corpus(tmp_path):
+    """A seeded 22-binary corpus and results for two tools and both tasks.
+
+    Each binary carries a random subset of six marker sections and random pi
+    and strip bits. Each (tool, task) labels by its own noisy rule over those
+    features; one results binary is missing from the manifest and one manifest
+    binary has no results rows."""
+    rng = random.Random(20220327)
+    pool = (".alpha", ".beta", ".gamma", ".delta", ".eps", ".zeta")
+    rules = {
+        ("alpha", "AFL"): lambda s: ".alpha" in s and ".beta" not in s,
+        ("alpha", "NOP"): lambda s: ".gamma" in s or ".symtab" in s,
+        ("beta", "AFL"): lambda s: ".delta" not in s,
+        ("beta", "NOP"): lambda s: ".eps" in s or ".alpha" in s,
+    }
+    rows = [RESULTS_HEADER]
+    manifest = []
+    for i in range(22):
+        binary_id = f"t{i:02d}"
+        names = {n for n in pool if rng.random() < 0.5}
+        if rng.random() < 0.5:
+            names.add(".symtab")
+        pie = rng.random() < 0.6
+        path = tmp_path / f"{binary_id}.elf"
+        path.write_bytes(build_elf(
+            [Sec(".text", b"\x90" * 8),
+             *(Sec(n, b"\x00" * 8, SHT_SYMTAB if n == ".symtab" else SHT_PROGBITS)
+               for n in sorted(names))],
+            elf_type=ET_DYN if pie else ET_EXEC))
+        if i != 7:
+            manifest.append({"id": binary_id, "path": str(path), "program": "p",
+                             "compiler": "gcc", "flags": "O2",
+                             "relocation": "pie" if pie else "nopie",
+                             "symbols": "present" if ".symtab" in names else "stripped",
+                             "os": "u20"})
+        if i == 11:
+            continue
+        for (tool, task), rule in rules.items():
+            passed = rule(names) != (rng.random() < 0.1)
+            exe = passed or rng.random() < 0.5
+            func = "yes" if passed else ("no" if exe else "na")
+            rows.append([binary_id, "p", "gcc", "O2", "pie" if pie else "nopie",
+                         "present" if ".symtab" in names else "stripped", "u20",
+                         tool, task, "na", "1" if exe else "0", func, "1.000000",
+                         "100", "4096" if exe else ""])
+    results = tmp_path / "results.csv"
+    with open(results, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+    return results, manifest_path
+
+
+TRAIN_CASES = {
+    "alpha-AFL": ("--tool", "alpha", "--task", "AFL", "--seed", "3", "--k", "4",
+                  "--max-depth", "3", "--train-fraction", "0.6"),
+    "beta-NOP": ("--tool", "beta", "--task", "NOP"),
+}
+
+
+@pytest.mark.parametrize("case", TRAIN_CASES)
+def test_train(tmp_path, trainable_corpus, case):
+    results, manifest = trainable_corpus
+    model = tmp_path / "model.json"
+    out = cli(tmp_path, "train", "--results", results, "--manifest", manifest,
+              *TRAIN_CASES[case], "--out-model", model)
+    text = out + "--model--\n" + model.read_text(encoding="utf-8")
+    assert digest(text) == GOLDEN[f"train-{case}"], text
+
+
+@pytest.fixture
+def kept_campaign(tmp_path, images):
+    """A stub campaign's results, manifest and kept outputs. Tool cp copies
+    each original, topie and toexec replace it with the pie and exec images,
+    and false writes nothing. The exec original is deleted after the run, so
+    the sections table drops its rows."""
+    originals = tmp_path / "originals"
+    originals.mkdir()
+    manifest = tmp_path / "manifest.json"
+    entries = []
+    for name in ("dyn", "rel", "nonames", "exec"):
+        path = originals / f"{name}.elf"
+        path.write_bytes(images[name].read_bytes())
+        entries.append({"id": name, "path": str(path), "program": "p", "compiler": "gcc",
+                        "flags": "O2", "relocation": "pie", "symbols": "present",
+                        "os": "u20", "null_invocation": ["--version"]})
+    manifest.write_text(json.dumps(entries))
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps([
+        {"tool_name": "cp", "nop_command": "cp {input} {output}",
+         "afl_command": "cp {input} {output}"},
+        *({"tool_name": f"to{image}", "nop_command": replace, "afl_command": replace}
+          for image in ("pie", "exec")
+          for replace in [f"sh -c 'cp \"$1\" \"$3\"' r {images[image]} {{input}} {{output}}"]),
+        {"tool_name": "false", "nop_command": "false {input} {output}",
+         "afl_command": "false {input} {output}"},
+    ]))
+    results = tmp_path / "results.csv"
+    kept = tmp_path / "kept"
+    assert main(["run", "--manifest", str(manifest), "--adapters", str(adapters),
+                 "--out", str(results), "--afl-driver", "true {target}",
+                 "--keep-outputs", str(kept)]) == 0
+    (originals / "exec.elf").unlink()
+    return results, manifest, kept
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_report_sections(tmp_path, kept_campaign, fmt):
+    results, manifest, kept = kept_campaign
+    out = cli(tmp_path, "report", results, "--table", "sections", "--manifest", manifest,
+              "--outputs", kept, "--format", fmt)
+    assert digest(out) == GOLDEN[f"report-sections-{fmt}"], out
+
+
 # sha256 of each case's masked output. A refactor must leave every one unchanged.
 GOLDEN = {
     "delta-dyn-pie-csv":
@@ -253,6 +369,12 @@ GOLDEN = {
         "6802f20c7e0ca74520390e60dcea940b9229cfc44e87c1c534f4ed37df3093eb",
     "report-comparative-ratio_of_means-text":
         "6281594939c12e79de6605c1a220cb18b7a97e9ae2588e301003f98cf48e87fe",
+    "report-sections-csv":
+        "d8272a97891e0e20c0a27d03845716a90d1d2423bba2075b6997107cb4040916",
+    "report-sections-json":
+        "fdc06703ec6ddc4ee617ffb9e5cda0e5f22fe1f3e43c145812791ecadc4a68b2",
+    "report-sections-text":
+        "7819500b7c4a20e04397e01d346174da843eccb2a224e15904de409ee971eef4",
     "report-size-csv":
         "6948b7618ba2da3531b6cd16214feb2cf65039a26f00378584eb63500ee1c200",
     "report-size-json":
@@ -326,4 +448,8 @@ GOLDEN = {
         "127bf18849f9133d38bbb12a190ea7a2f05e9a6e8114073255dfe84136484ead",
     "size-rel-text":
         "1097023ed85196fdc2dfdac8bc81caf15a1d9d8bdceec5bdb374c3dc1f928609",
+    "train-alpha-AFL":
+        "46bda492b79413c280d7e66940a329cf0f695519b7f0c2a7c1f72e73fce9a231",
+    "train-beta-NOP":
+        "00776a3a95300523a91b8b216b7a26b57e9ac4e516e0ebbeae0eeef0707eaa26",
 }

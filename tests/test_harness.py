@@ -43,6 +43,7 @@ from rweval.harness import (
 )
 
 from elfbuild import build_elf
+from oracles import columns
 
 COPY = ToolAdapter("copytool", emits_ir=False, nop_command="cp {input} {output}",
                    afl_command="cp {input} {output}")
@@ -552,10 +553,10 @@ class TestSerialization:
         ]
 
     def test_csv_round_trip(self, tmp_path):
-        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first = tmp_path / "first.csv"
         write_records_csv(self.make_records(), str(first))
-        write_records_csv(load_records_csv(str(first)).records(), str(second))
-        assert second.read_bytes() == first.read_bytes()
+        assert columns(load_records_csv(str(first))) == columns(
+            Results.from_records(self.make_records()))
 
     def test_csv_header(self, tmp_path):
         path = str(tmp_path / "results.csv")
@@ -608,31 +609,32 @@ class TestSerialization:
     @pytest.mark.parametrize("layout", ["plain", "reordered", "extra_column", "blank_lines"])
     def test_loader_matches_dictreader_conversion(self, tmp_path, layout):
         records = self.seeded_records(seed=len(layout))
-        columns = list(RESULTS_COLUMNS)
+        header = list(RESULTS_COLUMNS)
         if layout == "reordered":
-            random.Random(5).shuffle(columns)
-            assert columns != list(RESULTS_COLUMNS)
+            random.Random(5).shuffle(header)
+            assert header != list(RESULTS_COLUMNS)
         if layout == "extra_column":
-            columns.insert(8, "note")
+            header.insert(8, "note")
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
+        w.writerow(header)
         for i, r in enumerate(records):
             row = dict(zip(RESULTS_COLUMNS, record_to_row(r)), note=f"n,{i}")
-            w.writerow([row[c] for c in columns])
+            w.writerow([row[c] for c in header])
             if layout == "blank_lines" and i % 4 == 0:
                 buf.write("\n")
         path = tmp_path / "results.csv"
         path.write_text(buf.getvalue())
 
-        loaded = load_records_csv(str(path)).records()
+        loaded = load_records_csv(str(path))
         with open(path, newline="") as f:
-            assert loaded == [row_to_record(row) for row in csv.DictReader(f)]
-        assert loaded == records
+            assert columns(loaded) == columns(
+                Results.from_records(map(row_to_record, csv.DictReader(f))))
+        assert columns(loaded) == columns(Results.from_records(records))
+        # one variant per binary id, and equal variants are one object
         shared = {}
-        for r in loaded:
-            if r.variant is not None:
-                assert shared.setdefault(r.binary_id, r.variant) is r.variant
+        for v in filter(None, loaded.variants.values()):
+            assert shared.setdefault(v, v) is v
 
     def bad_results(self, tmp_path, edit):
         """A three-record results CSV whose second record, on line 3, is
@@ -794,7 +796,7 @@ class TestColumnarLoader:
         path = self.write(tmp_path, rows)
         with open(path, newline="") as f:
             want = [row_to_record(row) for row in csv.DictReader(f) if row["binary_id"]]
-        assert load_records_csv(path).records() == want
+        assert columns(load_records_csv(path)) == columns(Results.from_records(want))
         assert len(want) == 12
 
     def test_columns_are_typed_and_share_their_strings(self, tmp_path, monkeypatch):
@@ -818,8 +820,12 @@ class TestColumnarLoader:
 
     def test_from_records_round_trips_and_checks_rows(self):
         records = TestSerialization.seeded_records(seed=3)
-        assert Results.from_records(records).records() == records
-        assert Results.from_records([]).records() == []
+        results = Results.from_records(records)
+        rows = zip(results.binary_ids, map(results.variants.__getitem__, results.binary_ids),
+                   results.tools, results.tasks, results.ir, results.exe, results.func,
+                   results.runtime_s, results.mem_kb, results.out_size)
+        assert [RunRecord(*row) for row in rows] == records
+        assert columns(Results.from_records([])) == columns(Results())
         repeat = replace(records[0], exe_ok=False, func_ok=TriState.NO)
         with pytest.raises(ValueError, match=(
                 f"^repeated row for 'b0', tool 'alpha', task {records[0].task.value}$")):

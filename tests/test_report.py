@@ -9,10 +9,12 @@ from rweval.dtree import Task
 from rweval.elf import SizeProfile
 from rweval.errors import UnknownTool
 from rweval.harness import (
+    Results,
     RunRecord,
     TriState,
     VariantConfig,
     load_records_csv,
+    row_to_record,
     write_records_csv,
 )
 from rweval.report import (
@@ -111,8 +113,9 @@ def assert_matches_tally(table, oracle):
 class TestSuccessTable:
     def test_matches_independent_tally(self, tmp_path):
         records = synthetic_records(seed=7)
-        cohort = make_cohort("full", {}, records)
-        table = success_table(records, cohort)
+        results = Results.from_records(records)
+        cohort = make_cohort("full", {}, results)
+        table = success_table(results, cohort)
         oracle = tally_success(csv_text(records, tmp_path), {})
         assert cohort.denominator == oracle["__denominator__"]
         assert_matches_tally(table, oracle)
@@ -121,9 +124,10 @@ class TestSuccessTable:
         records = synthetic_records(seed=3, n_binaries=16,
                                     compilers=("gcc", "clang", "icx", "ollvm"))
         text = csv_text(records, tmp_path)
+        results = Results.from_records(records)
         for name, predicate in COHORT_PRESETS.items():
-            cohort = make_cohort(name, predicate, records)
-            table = success_table(records, cohort)
+            cohort = make_cohort(name, predicate, results)
+            table = success_table(results, cohort)
             oracle = tally_success(text, predicate)
             assert cohort.denominator == oracle["__denominator__"] > 0, name
             assert set(table.tool_order) == set(oracle) - {"__denominator__"}
@@ -137,31 +141,34 @@ class TestSuccessTable:
                 record(f"b{i}", "alpha", Task.NOP, TriState.YES if i < 3282 else TriState.NO,
                        i < 3282, TriState.NA if i >= 3282 else TriState.YES)
             )
-        cohort = make_cohort("full", {}, records)
-        table = success_table(records, cohort)
+        results = Results.from_records(records)
+        cohort = make_cohort("full", {}, results)
+        table = success_table(results, cohort)
         cell = table.cells[("alpha", "IR")]
         assert cell.count == 3282
         assert cell.pct == 98.14
 
     def test_zero_successes(self):
-        records = [record("b0", "alpha", Task.NOP, TriState.NO, False, TriState.NA)]
-        table = success_table(records, make_cohort("full", {}, records))
+        results = Results.from_records(
+            [record("b0", "alpha", Task.NOP, TriState.NO, False, TriState.NA)])
+        table = success_table(results, make_cohort("full", {}, results))
         cell = table.cells[("alpha", "EXE")]
         assert (cell.count, cell.pct) == (0, 0.0)
 
     def test_ir_na_for_non_emitting_tool(self):
-        records = [record("b0", "direct", Task.NOP, TriState.NA, True, TriState.YES)]
-        table = success_table(records, make_cohort("full", {}, records))
+        results = Results.from_records(
+            [record("b0", "direct", Task.NOP, TriState.NA, True, TriState.YES)])
+        table = success_table(results, make_cohort("full", {}, results))
         assert table.cells[("direct", "IR")].count is None
 
     def test_unknown_tool_rejected(self):
-        records = synthetic_records()
+        results = Results.from_records(synthetic_records())
         with pytest.raises(UnknownTool):
-            success_table(records, make_cohort("full", {}, records), ["nosuch"])
+            success_table(results, make_cohort("full", {}, results), ["nosuch"])
 
     def test_checkpoint_columns_monotone(self):
-        records = synthetic_records(seed=11, n_binaries=8)
-        table = success_table(records, make_cohort("full", {}, records))
+        results = Results.from_records(synthetic_records(seed=11, n_binaries=8))
+        table = success_table(results, make_cohort("full", {}, results))
         for tool in table.tool_order:
             assert (
                 table.cells[(tool, "NullFunc")].count
@@ -175,6 +182,8 @@ class TestSuccessTable:
 
 class TestComparativeAverage:
     def fixture_records(self):
+        """alpha at 2, 4, 6 s and beta at 4, 8, 12 s on b0-b2; a list, to
+        extend before it goes through Results.from_records."""
         records = []
         for i, (a_val, b_val) in enumerate([(2, 4), (4, 8), (6, 12)]):
             records.append(record(f"b{i}", "alpha", Task.NOP, TriState.NA, True,
@@ -186,19 +195,22 @@ class TestComparativeAverage:
     def test_unknown_tool_rejected(self):
         records = self.fixture_records()
         records.append(record("b0", "gamma", Task.NOP, TriState.NA, False, TriState.NA))
+        results = Results.from_records(records)
         with pytest.raises(UnknownTool):
-            comparative_average(records, tool_order=["alpha", "nosuch"])
+            comparative_average(results, tool_order=["alpha", "nosuch"])
         # a tool with records but no successful run is known: its cells are NA
-        table = comparative_average(records, tool_order=["alpha", "gamma"])
+        table = comparative_average(results, tool_order=["alpha", "gamma"])
         assert table.cell("alpha", "gamma") is None
 
     def test_2_4_6_versus_4_8_12_is_50_percent(self):
-        table = comparative_average(self.fixture_records(), "runtime_s")
+        table = comparative_average(Results.from_records(self.fixture_records()),
+                                    "runtime_s")
         assert table.cell("alpha", "beta") == 50.00
         assert table.cell("beta", "alpha") == 200.00
 
     def test_diagonal_is_100(self):
-        table = comparative_average(self.fixture_records(), "runtime_s")
+        table = comparative_average(Results.from_records(self.fixture_records()),
+                                    "runtime_s")
         assert table.cell("alpha", "alpha") == 100.0
         assert table.cell("beta", "beta") == 100.0
 
@@ -207,7 +219,7 @@ class TestComparativeAverage:
             record("b0", "alpha", Task.NOP, TriState.NA, True, TriState.YES),
             record("b1", "beta", Task.NOP, TriState.NA, True, TriState.YES),
         ]
-        table = comparative_average(records, "runtime_s")
+        table = comparative_average(Results.from_records(records), "runtime_s")
         assert table.cell("alpha", "beta") is None
         assert table.cell("beta", "alpha") is None
 
@@ -220,7 +232,7 @@ class TestComparativeAverage:
                     continue
                 records.append(record(f"b{i}", tool, Task.NOP, TriState.NA, True,
                                       TriState.YES, runtime=rng.uniform(0.1, 50)))
-        table = comparative_average(records, "runtime_s")
+        table = comparative_average(Results.from_records(records), "runtime_s")
         for a in table.tools:
             for b in table.tools:
                 x, y = table.raw_cells[(a, b)], table.raw_cells[(b, a)]
@@ -235,7 +247,7 @@ class TestComparativeAverage:
             record("b9", "beta", Task.NOP, TriState.NA, True, TriState.YES,
                    runtime=999.0),
         ]
-        table = comparative_average(records, "runtime_s")
+        table = comparative_average(Results.from_records(records), "runtime_s")
         assert table.cell("alpha", "beta") == 50.00
 
     def test_mean_of_ratios_mode(self):
@@ -245,8 +257,9 @@ class TestComparativeAverage:
                                   TriState.YES, runtime=float(a_val)))
             records.append(record(f"b{i}", "beta", Task.NOP, TriState.NA, True,
                                   TriState.YES, runtime=float(b_val)))
-        ratio_of_means = comparative_average(records, "runtime_s")
-        mean_of_ratios = comparative_average(records, "runtime_s", mean_of_ratios=True)
+        results = Results.from_records(records)
+        ratio_of_means = comparative_average(results, "runtime_s")
+        mean_of_ratios = comparative_average(results, "runtime_s", mean_of_ratios=True)
         assert ratio_of_means.raw_cells[("alpha", "beta")] == pytest.approx(
             (31 / 42) * 100
         )
@@ -257,7 +270,7 @@ class TestComparativeAverage:
             record("b0", "alpha", Task.NOP, TriState.NA, True, TriState.YES, mem=500),
             record("b0", "beta", Task.NOP, TriState.NA, True, TriState.YES, mem=1000),
         ]
-        table = comparative_average(records, "mem_kb")
+        table = comparative_average(Results.from_records(records), "mem_kb")
         assert table.cell("alpha", "beta") == 50.0
 
 
@@ -305,8 +318,9 @@ class TestTablesFromLoadedResults:
         assert cohort.denominator == oracle["__denominator__"] > 0
         assert table.tool_order == ("alpha", "beta", "gamma")
         assert_matches_tally(table, oracle)
-        from_list = success_table(records, make_cohort(name, predicate, records))
-        assert from_list == table
+        # a list of records goes through Results.from_records to the same table
+        from_list = Results.from_records(records)
+        assert success_table(from_list, make_cohort(name, predicate, from_list)) == table
 
     @pytest.mark.parametrize("mean_of_ratios", [False, True])
     @pytest.mark.parametrize("metric", METRICS)
@@ -316,9 +330,9 @@ class TestTablesFromLoadedResults:
         want = plain_comparative(text, metric, mean_of_ratios)
         assert table.tools == ("alpha", "beta", "gamma")
         assert table.raw_cells == want  # same sums in the same order: exact
-        # a list of records goes through Results.from_records to the same table
-        assert comparative_average(results.records(), metric,
-                                   mean_of_ratios=mean_of_ratios) == table
+        # a list of the file's records goes through Results.from_records to the same table
+        from_list = Results.from_records(map(row_to_record, csv.DictReader(io.StringIO(text))))
+        assert comparative_average(from_list, metric, mean_of_ratios=mean_of_ratios) == table
 
 
 class TestRelativeSize:
@@ -385,12 +399,12 @@ class TestCohorts:
             record("b0", "alpha", Task.NOP, TriState.NA, True, TriState.YES, pie=True),
             record("b1", "alpha", Task.NOP, TriState.NA, True, TriState.YES, pie=False),
         ]
-        cohort = make_cohort("pi", {"relocation": "pie"}, records)
+        cohort = make_cohort("pi", {"relocation": "pie"}, Results.from_records(records))
         assert cohort.denominator == 1
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
-            make_cohort("x", {"architecture": "x86"}, [])
+            make_cohort("x", {"architecture": "x86"}, Results())
 
 
 class TestRounding:
