@@ -323,6 +323,35 @@ def test_report_sections(tmp_path, kept_campaign, fmt):
     assert digest(out) == GOLDEN[f"report-sections-{fmt}"], out
 
 
+USAGE_CASES = {
+    "help": ["--help"],
+    **{f"help-{command}": [command, "--help"]
+       for command in ("scope", "features", "size", "run", "train", "report")},
+    "no-command": [],
+    "double-dash": ["--", "scope", "x"],
+    "unknown-command": ["bogus"],
+    "missing-scope-path": ["scope"],
+    "missing-run-options": ["run"],
+    "bad-choice": ["report", "x", "--table", "nope"],
+    "unknown-option": ["scope", "x", "--bogus"],
+    "unknown-top-option": ["--bogus"],
+    "option-before-command": ["--bogus", "scope"],
+}
+
+
+@pytest.mark.parametrize("case", USAGE_CASES)
+def test_help_and_usage_errors(monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(USAGE_CASES[case])
+        except SystemExit as e:  # argparse exits after printing help
+            rc = e.code
+    text = f"rc={rc}\n--stdout--\n{out.getvalue()}--stderr--\n{err.getvalue()}"
+    assert digest(text) == GOLDEN[f"usage-{case}"], text
+
+
 # sha256 of each case's masked output. A refactor must leave every one unchanged.
 GOLDEN = {
     "delta-dyn-pie-csv":
@@ -452,4 +481,36 @@ GOLDEN = {
         "46bda492b79413c280d7e66940a329cf0f695519b7f0c2a7c1f72e73fce9a231",
     "train-beta-NOP":
         "00776a3a95300523a91b8b216b7a26b57e9ac4e516e0ebbeae0eeef0707eaa26",
+    "usage-bad-choice":
+        "bdf91a0cfbe5109e7a20440d33cef741bb8c14fa02b4b0a39d30aae4adb11332",
+    "usage-double-dash":
+        "d8ddfdca712ad0aa0b99572d46dd605dc793c1cf73197aeab86b31baca94158a",
+    "usage-help":
+        "e4aab85f72015286d537e65f0dcaa589d4cbae1a4b464555300ea2b60b066f27",
+    "usage-help-features":
+        "b87b59f700dd2f2640de3800e37a16408c20374a5f9844f12780e81561b7e36a",
+    "usage-help-report":
+        "5f0f1ac8dbc5a8aeb616ac38f53318c412ac006348abae56b48e1f6025191275",
+    "usage-help-run":
+        "46f7a543cf6390d8a94449aab8e8255bb2b9c7d5717dcc8b2ea777b538bf1a68",
+    "usage-help-scope":
+        "f7a9eb3d787b54286aadd9e2d6d46a6cd705e4c530cb22b10308ab05d1deb893",
+    "usage-help-size":
+        "bb180cd40b29b93115122eb825b54b972be08578711b2ca595941ce3b4ccad6a",
+    "usage-help-train":
+        "9b6ce1ae7977f24209cfbf130179bfa20b517a223f07f2cfa032ba6a346e9d5a",
+    "usage-missing-run-options":
+        "72e5eb7463b8ed897c509fb17e484e3f830f156823d4fed066c64bc7966b1c91",
+    "usage-missing-scope-path":
+        "be2240ccd38ea8898bad84b3a9d5d53abe01d53df84594481bd2a0bdbeaa334a",
+    "usage-no-command":
+        "62e8545babddb3d7acc6e2560b34715fff476ca4de34d25e4a11e5d2eec1c8ee",
+    "usage-option-before-command":
+        "be2240ccd38ea8898bad84b3a9d5d53abe01d53df84594481bd2a0bdbeaa334a",
+    "usage-unknown-command":
+        "32c0f52010338c9342f7b5c57add6c9fb12d002c2db1639a7b01819d73b6f355",
+    "usage-unknown-option":
+        "4853db46f790bb47408ca18242cef471c8b1d87ff7c4b7701125300ac67f182c",
+    "usage-unknown-top-option":
+        "62e8545babddb3d7acc6e2560b34715fff476ca4de34d25e4a11e5d2eec1c8ee",
 }
