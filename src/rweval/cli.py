@@ -235,31 +235,36 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_cohort(spec: str, records) -> report.Cohort:
-    if "=" in spec:
-        predicate = {}
-        for part in spec.split(","):
-            if "=" not in part:
-                raise CliConfigError(f"bad cohort term {part!r}, want key=value")
-            key, _, value = part.partition("=")
-            predicate[key.strip()] = value.strip()
-        try:
-            return report.make_cohort(spec, predicate, records)
-        except ValueError as e:
-            raise CliConfigError(str(e)) from e
-    if spec not in report.COHORT_PRESETS:
-        raise CliConfigError(
-            f"unknown cohort {spec!r}; presets: {', '.join(report.COHORT_PRESETS)}"
-        )
-    return report.make_cohort(spec, report.COHORT_PRESETS[spec], records)
+def _cohort_predicate(spec: str) -> dict[str, str]:
+    """The variant predicate of a --cohort value: a preset name, or
+    key=value terms over the variant columns."""
+    if "=" not in spec:
+        if spec not in report.COHORT_PRESETS:
+            raise CliConfigError(
+                f"unknown cohort {spec!r}; presets: {', '.join(report.COHORT_PRESETS)}"
+            )
+        return report.COHORT_PRESETS[spec]
+    predicate = {}
+    for part in spec.split(","):
+        if "=" not in part:
+            raise CliConfigError(f"bad cohort term {part!r}, want key=value")
+        key, _, value = part.partition("=")
+        predicate[key.strip()] = value.strip()
+    try:
+        report.check_cohort_fields(predicate)
+    except ValueError as e:
+        raise CliConfigError(str(e)) from e
+    return predicate
 
 
 def cmd_report(args) -> int:
     results = _load_results(args.results)
     tool_order = _parse_tools(args.tools)
+    # checked on every table, so a mistyped value is not silently ignored
+    predicate = _cohort_predicate(args.cohort)
     try:
         if args.table == "success":
-            cohort = _parse_cohort(args.cohort, results)
+            cohort = report.make_cohort(args.cohort, predicate, results)
             table = report.success_table(results, cohort, tool_order)
         elif args.table == "comparative":
             table = report.comparative_average(
@@ -269,9 +274,9 @@ def cmd_report(args) -> int:
                 mean_of_ratios=args.mean_of_ratios,
             )
         elif args.table == "size":
-            table = _size_table(args, results)
+            table = _size_table(args, results, tool_order)
         else:  # sections
-            table = _sections_table(args, results)
+            table = _sections_table(args, results, tool_order)
     except UnknownTool as e:
         raise CliInputError(str(e)) from e
     print(report.render(table, args.format))
@@ -290,9 +295,13 @@ def _parse_tools(spec: str | None) -> list[str] | None:
     return tools
 
 
-def _original_paths(args) -> dict[str, str]:
+def _original_paths(args, results, tool_order) -> dict[str, str]:
+    """Each manifest binary's path. The size tables list every tool, but a
+    tool that --tools names must still have records."""
     if not args.manifest:
         raise CliConfigError("--manifest is required for this table")
+    if tool_order is not None:
+        report._check_tools(tool_order, results)
     return {e.binary_id: e.path for e in _load_manifest(args.manifest)}
 
 
@@ -311,19 +320,20 @@ def _handled_originals(results: harness.Results, paths: dict[str, str], measure)
             yield tool, binary_id, out_size, original
 
 
-def _size_table(args, results) -> report.MapTable:
-    runs = _handled_originals(results, _original_paths(args), _file_size)
+def _size_table(args, results, tool_order) -> report.MapTable:
+    runs = _handled_originals(results, _original_paths(args, results, tool_order),
+                              _file_size)
     pairs = ((tool, size, out_size) for tool, _, out_size, size in runs
              if out_size is not None)
     return report.MapTable("tool", "pct", report.relative_size(pairs))
 
 
-def _sections_table(args, results) -> report.SectionSizeTable:
+def _sections_table(args, results, tool_order) -> report.SectionSizeTable:
     if not args.outputs:
         raise CliConfigError("--outputs DIR (from run --keep-outputs) is required")
     pairs = []
     for tool, binary_id, _, before in _handled_originals(
-            results, _original_paths(args), _profile_file):
+            results, _original_paths(args, results, tool_order), _profile_file):
         after = _profile_file(os.path.join(
             args.outputs, harness.job_name(binary_id, tool, Task.NOP)))
         if after is not None:
@@ -350,29 +360,25 @@ def _profile_path(path: str) -> SizeProfile:
     return size_profile(_parse_path(path))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="rweval", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scope", help="predict which rewriters can handle a binary")
+def _scope_options(p: _Parser) -> None:
     p.add_argument("path")
     p.add_argument("--models", default=None, metavar="DIR",
                    help="directory of tree JSON files (default: built-in models)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_scope)
 
-    p = sub.add_parser("features", help="print a binary's boolean feature vector")
+
+def _features_options(p: _Parser) -> None:
     p.add_argument("path")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("size", help="byte attribution profile, or delta of two files")
+
+def _size_options(p: _Parser) -> None:
     p.add_argument("path")
     p.add_argument("path2", nargs="?", default=None)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_size)
 
-    p = sub.add_parser("run", help="execute a rewriting campaign")
+
+def _run_options(p: _Parser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--adapters", required=True)
     p.add_argument("--out", required=True, metavar="CSV")
@@ -382,9 +388,9 @@ def build_parser() -> _Parser:
     p.add_argument("--afl-driver", default=None,
                    help="driver command template with {target}")
     p.add_argument("--keep-outputs", default=None, metavar="DIR")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("train", help="train a success predictor from results")
+
+def _train_options(p: _Parser) -> None:
     p.add_argument("--results", required=True, metavar="CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--tool", required=True)
@@ -397,9 +403,9 @@ def build_parser() -> _Parser:
     p.add_argument("--max-support-fraction", type=float, default=1.0)
     p.add_argument("--train-fraction", type=float, default=0.7)
     p.add_argument("--out-model", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("report", help="aggregate results into tables")
+
+def _report_options(p: _Parser) -> None:
     p.add_argument("results", metavar="CSV")
     p.add_argument("--table", choices=("success", "comparative", "size", "sections"),
                    default="success")
@@ -413,14 +419,42 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--outputs", default=None, metavar="DIR")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_report)
 
+
+# command -> (help, handler, adds its options)
+_COMMANDS = {
+    "scope": ("predict which rewriters can handle a binary", cmd_scope, _scope_options),
+    "features": ("print a binary's boolean feature vector", cmd_features,
+                 _features_options),
+    "size": ("byte attribution profile, or delta of two files", cmd_size, _size_options),
+    "run": ("execute a rewriting campaign", cmd_run, _run_options),
+    "train": ("train a success predictor from results", cmd_train, _train_options),
+    "report": ("aggregate results into tables", cmd_report, _report_options),
+}
+
+
+def build_parser(command: str | None) -> _Parser:
+    """The rweval parser, with every command registered by name and help but
+    only `command`'s options and handler built. A parse only ever enters the
+    command its argv names, and the top-level help lists no command's
+    options, so building the others would be wasted work on every call."""
+    parser = _Parser(prog="rweval", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_options(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse enters the command named by the first argument that is not an
+    # option; the top-level parser has no option that takes a value
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except CliConfigError as e:
         print(f"rweval: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG

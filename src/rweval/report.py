@@ -59,12 +59,17 @@ def _variant_matches(variant: VariantConfig | None, predicate: dict[str, str]) -
     return all(cells[_VARIANT_INDEX[key]] == want for key, want in predicate.items())
 
 
-def make_cohort(name: str, predicate: dict[str, str], results: Results) -> Cohort:
-    """Build a cohort whose denominator is the number of distinct binaries
-    in results matching the predicate."""
+def check_cohort_fields(predicate: dict[str, str]) -> None:
+    """Raise ValueError when predicate keys a field that is not a variant column."""
     unknown = set(predicate) - set(VARIANT_COLUMNS)
     if unknown:
         raise ValueError(f"unknown cohort fields {sorted(unknown)}")
+
+
+def make_cohort(name: str, predicate: dict[str, str], results: Results) -> Cohort:
+    """Build a cohort whose denominator is the number of distinct binaries
+    in results matching the predicate."""
+    check_cohort_fields(predicate)
     denominator = sum(_variant_matches(v, predicate) for v in results.variants.values())
     return Cohort(name=name, predicate=dict(predicate), denominator=denominator)
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -438,6 +439,9 @@ def test_read_side_builds_no_run_record(capsys, monkeypatch, trainable_corpus, t
     assert calls == []
 
 
+REPORT_TABLES = ("success", "comparative", "size", "sections")
+
+
 class TestSizeReportPipeline:
     def test_keep_outputs_feeds_size_and_sections_tables(self, capsys,
                                                          hello_variants, tmp_path):
@@ -570,6 +574,44 @@ class TestSizeReportPipeline:
         assert (code, err) == (0, "")
         assert set(json.loads(out)) == {"t1", "t2"}
 
+    @pytest.mark.parametrize("cohort", ["bogus", "arch=x86", "compiler=gcc,pie"])
+    def test_bad_cohort_exits_3_on_every_table(self, capsys, three_binaries, cohort):
+        results, manifest, outputs = three_binaries
+        runs = [run_cli(capsys, "report", str(results), "--table", table, "--cohort", cohort,
+                        "--manifest", str(manifest), "--outputs", str(outputs))
+                for table in REPORT_TABLES]
+        # every table gives the success table's exit code and message
+        assert runs == [(3, "", runs[0][2])] * len(REPORT_TABLES)
+        assert "cohort" in runs[0][2]
+
+    @pytest.mark.parametrize("table", ["size", "sections"])
+    def test_unknown_tool_exits_2_on_size_tables(self, capsys, three_binaries, table):
+        results, manifest, outputs = three_binaries
+        code, out, err = run_cli(capsys, "report", str(results), "--table", table,
+                                 "--tools", "ghost,t0", "--manifest", str(manifest),
+                                 "--outputs", str(outputs))
+        assert (code, out) == (2, "")
+        assert "ghost" in err
+
+    @pytest.mark.parametrize("table", REPORT_TABLES)
+    def test_valid_values_of_unused_options_are_accepted(self, capsys, three_binaries,
+                                                         table):
+        results, manifest, outputs = three_binaries
+        files = ("--manifest", str(manifest), "--outputs", str(outputs))
+        unused = {
+            "success": ("--metric", "mem_kb", "--mean-of-ratios", *files),
+            "comparative": ("--cohort", "compiler=gcc", *files),
+            "size": ("--cohort", "gcc", "--tools", "t2,t0", "--metric", "mem_kb",
+                     "--mean-of-ratios"),
+            "sections": ("--cohort", "compiler=gcc", "--tools", "t2,t0", "--metric",
+                         "mem_kb", "--mean-of-ratios"),
+        }[table]
+        used = files if table in ("size", "sections") else ()
+        argv = ("report", str(results), "--table", table, "--format", "json", *used)
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, *unused) == plain
+
     def test_sections_without_outputs_dir_exits_3(self, capsys, tmp_path):
         results = tmp_path / "results.csv"
         buf = io.StringIO()
@@ -692,6 +734,36 @@ class TestReportCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header.startswith("tool,IR,EXE,NullFunc,AFL_EXE,AFL_Func")
+
+
+# options each command adds to its parser, besides its -h
+COMMAND_OPTIONS = {"scope": 3, "features": 2, "size": 3, "run": 8, "train": 12, "report": 9}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_main_builds_only_the_invoked_commands_options(capsys, monkeypatch, tmp_path,
+                                                       command):
+    # an in-process caller pays for the parser on every call
+    added = []
+    real_add_argument = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *args, **kwargs: (
+                            added.append(args), real_add_argument(self, *args, **kwargs))[1])
+    missing = str(tmp_path / "missing")
+    argv = {
+        "scope": [missing],
+        "features": [missing],
+        "size": [missing],
+        "run": ["--manifest", missing, "--adapters", missing, "--out", missing],
+        "train": ["--results", missing, "--manifest", missing, "--tool", "t",
+                  "--out-model", missing],
+        "report": [missing],
+    }[command]
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == 2 and "missing" in err  # parsed, and the command's handler ran
+    parsers = len(COMMAND_OPTIONS) + 1
+    assert added.count(("-h", "--help")) == parsers
+    assert len(added) == parsers + COMMAND_OPTIONS[command]
 
 
 def test_import_leaves_numpy_unloaded():
