@@ -341,6 +341,7 @@ USAGE_CASES = {
 
 @pytest.mark.parametrize("case", USAGE_CASES)
 def test_help_and_usage_errors(monkeypatch, case):
+    # argparse's wording is the interpreter's; these digests are Python 3.11's
     monkeypatch.setenv("COLUMNS", "80")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
