@@ -23,7 +23,6 @@ from .errors import (
     EmptyMatrix,
     MalformedElf,
     RwevalError,
-    SchemaError,
     UnknownTool,
     Unsupported,
 )
@@ -75,16 +74,13 @@ def _load_models(model_dir: str | None):
             with open(p, "r", encoding="utf-8") as f:
                 models.append(dtree.parse_tree(f.read()))
         return models
-    except (OSError, SchemaError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise CliConfigError(f"cannot load models from {model_dir!r}: {e}") from e
 
 
 def cmd_scope(args) -> int:
     models = _load_models(args.models)
-    try:
-        rep = scope.scope_binary(args.path, models)
-    except OSError as e:
-        raise CliInputError(f"cannot read {args.path!r}: {e}") from e
+    rep = scope.scope_binary(args.path, _parse_path(args.path), models)
     print(rep.to_json() if args.format == "json" else rep.to_text())
     return EXIT_OK
 

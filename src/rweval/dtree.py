@@ -53,30 +53,20 @@ class DecisionTreeModel:
 
     def __post_init__(self):
         declared = set(self.feature_order)
-        for node, _ in _walk(self.root):
+        for node, path in _walk(self.root):
             if isinstance(node, Internal) and node.feature not in declared:
-                raise ValueError(
-                    f"tree tests feature {node.feature!r} not in feature_order"
-                )
-            if isinstance(node, Leaf) and (node.fail_count < 0 or node.pass_count < 0):
-                raise ValueError("leaf counts must be non-negative")
+                raise SchemaError(f"node tests undeclared feature {node.feature!r}", path)
+            if isinstance(node, Leaf) and not all(
+                    math.isfinite(c) and c >= 0 for c in (node.fail_count, node.pass_count)):
+                raise SchemaError("leaf counts must be finite and non-negative", path)
 
 
-def _walk(root: TreeNode):
-    """Yield (node, path) pairs; rejects cyclic structures."""
-    on_path: set[int] = set()
-
-    def rec(node: TreeNode, path: str):
-        if id(node) in on_path:
-            raise ValueError(f"cyclic tree structure at {path}")
-        yield node, path
-        if isinstance(node, Internal):
-            on_path.add(id(node))
-            yield from rec(node.when_false, path + ".false")
-            yield from rec(node.when_true, path + ".true")
-            on_path.discard(id(node))
-
-    yield from rec(root, "root")
+def _walk(node: TreeNode, path: str = "root"):
+    """Yield (node, path) for node and every node below it."""
+    yield node, path
+    if isinstance(node, Internal):
+        yield from _walk(node.when_false, path + ".false")
+        yield from _walk(node.when_true, path + ".true")
 
 
 def leaf_count_total(model: DecisionTreeModel) -> float:
@@ -317,10 +307,13 @@ def serialize_tree(model: DecisionTreeModel) -> str:
     )
 
 
-def parse_tree(source: str | dict) -> DecisionTreeModel:
-    """Inverse of serialize_tree. Rejects unknown fields, bad counts,
-    undeclared features, and cyclic node objects, reporting the node path."""
-    obj = json.loads(source) if isinstance(source, str) else source
+def parse_tree(source: str) -> DecisionTreeModel:
+    """Inverse of serialize_tree. SchemaError, with the node path, for
+    unknown fields or values of the wrong type; DecisionTreeModel checks
+    the counts and features of the tree itself."""
+    # Every JSON number as a float: an integer too large for one then reads as
+    # infinite, which the checks reject, where float(int) would overflow.
+    obj = json.loads(source, parse_int=float)
     if not isinstance(obj, dict):
         raise SchemaError("model must be a JSON object")
     unknown = set(obj) - {"tool", "task", "features", "accuracy", "root"}
@@ -339,41 +332,26 @@ def parse_tree(source: str | dict) -> DecisionTreeModel:
     if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
         raise SchemaError("'features' must be a list of strings")
     acc = obj.get("accuracy")
-    if acc is not None and not isinstance(acc, (int, float)):
-        raise SchemaError("'accuracy' must be a number or null")
-
-    declared = set(feats)
-    seen_on_path: set[int] = set()
+    if acc is not None and not (isinstance(acc, float) and math.isfinite(acc)):
+        raise SchemaError("'accuracy' must be a finite number or null")
 
     def node_from(o, path: str) -> TreeNode:
         if not isinstance(o, dict):
             raise SchemaError("node must be an object", path)
-        if id(o) in seen_on_path:
-            raise SchemaError("cyclic node structure", path)
         keys = set(o)
         if keys == {"fail", "pass"}:
-            fail, pss = o["fail"], o["pass"]
-            for name, v in (("fail", fail), ("pass", pss)):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
+            for name in ("fail", "pass"):
+                if not isinstance(o[name], float):
                     raise SchemaError(f"leaf {name!r} count must be a number", path)
-                if v < 0:
-                    raise SchemaError(f"leaf {name!r} count must be non-negative", path)
-            return Leaf(float(fail), float(pss))
+            return Leaf(o["fail"], o["pass"])
         if keys == {"feature", "false", "true"}:
             if not isinstance(o["feature"], str):
                 raise SchemaError("'feature' must be a string", path)
-            if o["feature"] not in declared:
-                raise SchemaError(
-                    f"feature {o['feature']!r} not declared in 'features'", path
-                )
-            seen_on_path.add(id(o))
-            node = Internal(
+            return Internal(
                 feature=o["feature"],
                 when_false=node_from(o["false"], path + ".false"),
                 when_true=node_from(o["true"], path + ".true"),
             )
-            seen_on_path.discard(id(o))
-            return node
         raise SchemaError(
             "node must have exactly {fail, pass} or {feature, false, true}, "
             f"got {sorted(keys)}",
@@ -385,5 +363,5 @@ def parse_tree(source: str | dict) -> DecisionTreeModel:
         task=task,
         feature_order=tuple(feats),
         root=node_from(obj["root"], "root"),
-        reported_accuracy=None if acc is None else float(acc),
+        reported_accuracy=acc,
     )

@@ -30,8 +30,8 @@ class DegenerateSplit(RwevalError):
     """A train/test split that would leave one side empty."""
 
 
-class SchemaError(RwevalError):
-    """A serialized tree violates the model schema.
+class SchemaError(RwevalError, ValueError):
+    """A tree, built or serialized, violates the model schema.
 
     ``path`` locates the offending node, e.g. ``root.true.false``.
     """

@@ -787,8 +787,8 @@ def _checked_columns(rows: list[list[str]], width: int, pick, variant_of: _Varia
                      pair_bit: _PairBits, masks: dict[str, int],
                      variants: dict[str, VariantConfig | None]):
     """rows as the typed columns Results._extend takes, after every check of
-    _record_from_cells and _admit. None when a row fails one; then variants
-    is left as it was, but masks may hold some of the rows."""
+    _record_from_cells and _admit. None when a row fails one; variants and
+    masks may then hold the rows up to that one."""
     if set(map(len, rows)) != {width}:
         return None
     ids, *variant_cells, tools, tasks, ir, exe, func, runtime, mem, out = pick(
@@ -807,20 +807,14 @@ def _checked_columns(rows: list[list[str]], width: int, pick, variant_of: _Varia
         return None
     ids = list(map(sys.intern, ids))
     tools = list(map(sys.intern, tools))
-    chunk_variants = dict(zip(ids, row_variants))
-    if (not all(map(operator.is_, map(chunk_variants.__getitem__, ids), row_variants))
-            or not all(map(operator.is_, map(variants.get, chunk_variants,
-                                             chunk_variants.values()),
-                           chunk_variants.values()))):
-        return None
     # Not a set of every (binary_id, tool, task): that holds a tuple per row,
     # 9 MB more at paper scale. One int per binary holds a bit per pair.
-    for binary_id, bit in zip(ids, map(pair_bit.__getitem__, zip(tools, tasks))):
+    for binary_id, variant, bit in zip(ids, row_variants,
+                                       map(pair_bit.__getitem__, zip(tools, tasks))):
         mask = masks.get(binary_id, 0)
-        if mask & bit:
+        if variants.setdefault(binary_id, variant) is not variant or mask & bit:
             return None
         masks[binary_id] = mask | bit
-    variants.update(chunk_variants)
     return (ids, tools, list(map(_TASKS.__getitem__, tasks)),
             list(map(_TRISTATES.__getitem__, ir)), list(map(_EXE_CELLS.__getitem__, exe)),
             list(map(_TRISTATES.__getitem__, func)), runtime, mem, out)

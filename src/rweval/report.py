@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Sequence
 from .dtree import Task
 from .elf import SizeProfile, size_delta
 from .errors import UnknownTool
-from .harness import VARIANT_COLUMNS, Results, TriState, VariantConfig
+from .harness import (COMPILERS, OLLVM_FLAGS, OPT_FLAGS, RELOCATIONS, SYMBOLS,
+                      VARIANT_COLUMNS, Results, TriState, VariantConfig)
 from .util import fmt_pct, trunc_pct
 
 COHORT_PRESETS: dict[str, dict[str, str]] = {
@@ -59,11 +60,22 @@ def _variant_matches(variant: VariantConfig | None, predicate: dict[str, str]) -
     return all(cells[_VARIANT_INDEX[key]] == want for key, want in predicate.items())
 
 
+# The values a cohort may ask of each variant column that has a closed set.
+_COHORT_VALUES = {"compiler": COMPILERS, "flags": OPT_FLAGS + OLLVM_FLAGS,
+                  "relocation": RELOCATIONS, "symbols": SYMBOLS}
+
+
 def check_cohort_fields(predicate: dict[str, str]) -> None:
-    """Raise ValueError when predicate keys a field that is not a variant column."""
+    """Raise ValueError when predicate keys a field that is not a variant
+    column, or asks a closed-set column for a value outside its set."""
     unknown = set(predicate) - set(VARIANT_COLUMNS)
     if unknown:
         raise ValueError(f"unknown cohort fields {sorted(unknown)}")
+    for key, value in predicate.items():
+        allowed = _COHORT_VALUES.get(key)
+        if allowed is not None and value not in allowed:
+            raise ValueError(
+                f"bad cohort value {key}={value!r}; allowed: {', '.join(allowed)}")
 
 
 def make_cohort(name: str, predicate: dict[str, str], results: Results) -> Cohort:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import dtree, features
 from .dtree import DecisionTreeModel, Internal, Leaf, Prediction, Task
-from .elf import ElfFile, parse_elf
+from .elf import ElfSummary
 from .features import FeatureVector
 
 TOOLS_WITHOUT_MODELS = ("egalito", "multiverse", "reopt", "revng", "uroboros")
@@ -501,16 +501,14 @@ class ScopeReport:
 
 
 def scope_binary(
-    path: str, models: Sequence[DecisionTreeModel] | None = None
+    binary_id: str, summary: ElfSummary, models: Sequence[DecisionTreeModel] | None = None
 ) -> ScopeReport:
-    """Parse, extract features, and evaluate every model against one file."""
-    with ElfFile(path) as binary:
-        summary = parse_elf(binary)
+    """Extract the features of a parsed binary and evaluate every model."""
     if models is None:
         models = builtin_models()
     fv = features.extract_features(summary)
     return ScopeReport(
-        binary_id=path,
+        binary_id=binary_id,
         features=fv,
         predictions={m.tool_name: dtree.predict(m, fv) for m in models},
     )

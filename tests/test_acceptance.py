@@ -13,7 +13,7 @@ import pytest
 
 from rweval.dtree import Task, accuracy, predict, select_features, split_train_test, train_cart
 from rweval.dtree import Internal, Leaf
-from rweval.elf import BUCKET_UNMAPPED, parse_elf, size_profile
+from rweval.elf import BUCKET_UNMAPPED, ElfFile, parse_elf, size_profile
 from rweval.features import FeatureMatrix, FeatureVector, Label, MatrixRow, extract_features
 from rweval.harness import (
     ManifestEntry,
@@ -328,7 +328,8 @@ def test_criterion_8_end_to_end_scope(hello_variants):
             want = Label.PASS if expected["PASS"] > expected["FAIL"] else Label.FAIL
             assert predictions[tool].outcome is want, tool
 
-        report = scope_binary(str(variant.path))
+        with ElfFile(str(variant.path)) as binary:
+            report = scope_binary(str(variant.path), parse_elf(binary))
         assert {t: p.outcome for t, p in report.predictions.items()} == {
             t: p.outcome for t, p in predictions.items()
         }

@@ -72,6 +72,28 @@ class TestScopeCommand:
         assert code == 0
         assert list(json.loads(out)["predictions"]) == ["custom"]
 
+    @pytest.mark.parametrize("field,value", [
+        ("fail", "NaN"), ("pass", "Infinity"), ("accuracy", "NaN"), ("accuracy", "true"),
+        pytest.param("fail", "1" + "0" * 400, id="fail-huge_int")])
+    def test_bad_model_number_exits_3(self, capsys, elf_file, tmp_path, field, value):
+        mdir = tmp_path / "models"
+        mdir.mkdir()
+        model = {"tool": "nanny", "task": "AFL", "features": [], "accuracy": None,
+                 "root": {"fail": 1, "pass": 0}}
+        (model if field == "accuracy" else model["root"])[field] = "VALUE"
+        (mdir / "nanny.json").write_text(json.dumps(model).replace('"VALUE"', value))
+        code, out, err = run_cli(capsys, "scope", elf_file, "--models", str(mdir))
+        assert (code, out) == (3, "")
+        assert "cannot load models" in err
+
+    def test_model_file_not_utf8_exits_3(self, capsys, elf_file, tmp_path):
+        mdir = tmp_path / "models"
+        mdir.mkdir()
+        (mdir / "latin1.json").write_bytes(b'{"tool": "caf\xe9"}')
+        code, out, err = run_cli(capsys, "scope", elf_file, "--models", str(mdir))
+        assert (code, out) == (3, "")
+        assert "cannot load models" in err
+
     def test_bad_model_dir_exits_3(self, capsys, elf_file, tmp_path):
         code, _, _ = run_cli(capsys, "scope", elf_file, "--models",
                              str(tmp_path / "nothing-here"))
@@ -663,6 +685,25 @@ class TestReportCommand:
                                "compiler=gcc,relocation=pie", "--format", "json")
         assert code == 0
         assert json.loads(out)["denominator"] == 4
+
+    @pytest.mark.parametrize("term,allowed", [
+        ("compiler=gc", "clang, gcc, icx, ollvm"),
+        ("flags=O4", "O0, O1, O2, O3, Os, Ofast, fla, sub, bcf"),
+        ("relocation=pi", "pie, nopie"),
+        ("symbols=yes", "present, stripped"),
+    ])
+    def test_bad_cohort_value_exits_3(self, capsys, results_csv, term, allowed):
+        code, out, err = run_cli(capsys, "report", results_csv, "--cohort",
+                                 f"program=p,{term}")
+        assert (code, out) == (3, "")
+        assert term.partition("=")[2] in err and allowed in err
+
+    @pytest.mark.parametrize("term", ["program=other", "os=u99"])
+    def test_free_cohort_values_are_accepted(self, capsys, results_csv, term):
+        code, out, err = run_cli(capsys, "report", results_csv, "--cohort", term,
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["denominator"] == 0
 
     def test_unknown_tool_exits_2(self, capsys, results_csv):
         code, _, _ = run_cli(capsys, "report", results_csv, "--tools", "ghost")

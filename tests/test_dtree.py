@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -368,14 +369,64 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             parse_tree(json.dumps(obj))
 
-    def test_cyclic_structure_rejected(self):
-        node = {"feature": "f", "false": {"fail": 1, "pass": 0}}
-        node["true"] = node
-        with pytest.raises(SchemaError):
-            parse_tree({"tool": "x", "task": "AFL", "features": ["f"],
-                        "accuracy": None, "root": node})
-
     def test_bad_task_rejected(self):
         with pytest.raises(SchemaError):
-            parse_tree({"tool": "x", "task": "FUZZ", "features": [],
-                        "accuracy": None, "root": {"fail": 1, "pass": 0}})
+            parse_tree(json.dumps({"tool": "x", "task": "FUZZ", "features": [],
+                                   "accuracy": None, "root": {"fail": 1, "pass": 0}}))
+
+    @pytest.mark.parametrize("count", ["NaN", "Infinity", "-Infinity",
+                                       pytest.param("1" + "0" * 400, id="huge_int")])
+    @pytest.mark.parametrize("side", ["fail", "pass"])
+    def test_non_finite_count_rejected_with_path(self, side, count):
+        leaf = {"fail": 1, "pass": 0, side: "COUNT"}
+        source = json.dumps({
+            "tool": "x", "task": "AFL", "features": ["f"], "accuracy": None,
+            "root": {"feature": "f", "false": {"fail": 1, "pass": 0}, "true": leaf},
+        }).replace('"COUNT"', count)
+        with pytest.raises(SchemaError) as exc:
+            parse_tree(source)
+        assert exc.value.path == "root.true"
+
+    @pytest.mark.parametrize("acc", ["true", "false", "NaN", "Infinity", "-Infinity",
+                                     '"81.47"', pytest.param("1" + "0" * 400, id="huge_int")])
+    def test_bad_accuracy_rejected(self, acc):
+        source = ('{"tool": "x", "task": "AFL", "features": [], "accuracy": %s, '
+                  '"root": {"fail": 1, "pass": 0}}' % acc)
+        with pytest.raises(SchemaError, match="accuracy"):
+            parse_tree(source)
+
+
+class TestTreeErrorsNameTheirNode:
+    """DecisionTreeModel alone checks a tree; parse_tree only reads JSON, so
+    a bad tree gets the same error, with the same node path, either way."""
+
+    OBJ = {
+        "tool": "x", "task": "AFL", "features": ["f"], "accuracy": None,
+        "root": {
+            "feature": "f",
+            "false": {"fail": 1, "pass": 0},
+            "true": {"feature": "f", "false": {"feature": "g", "false": {"fail": 1, "pass": 0},
+                                               "true": {"fail": 0, "pass": 1}},
+                     "true": {"fail": 0, "pass": 1}},
+        },
+    }
+
+    def test_direct_construction(self):
+        leaf = Leaf(1.0, 0.0)
+        with pytest.raises(SchemaError) as exc:
+            DecisionTreeModel("x", Task.AFL, ("f",), Internal(
+                "f", leaf, Internal("f", Internal("g", leaf, leaf), leaf)))
+        assert exc.value.path == "root.true.false"
+        assert isinstance(exc.value, ValueError)
+
+    def test_parsed_from_json(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_tree(json.dumps(self.OBJ))
+        assert exc.value.path == "root.true.false"
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf, -1.0])
+    def test_bad_leaf_count_at_construction(self, count):
+        with pytest.raises(SchemaError) as exc:
+            DecisionTreeModel("x", Task.AFL, ("f",),
+                              Internal("f", Leaf(1.0, 0.0), Leaf(count, 0.0)))
+        assert exc.value.path == "root.true"

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rweval.dtree import Task, leaf_count_total, predict
+from rweval.elf import ElfFile, parse_elf
 from rweval.errors import MalformedElf
 from rweval.features import FeatureVector, Label
 from rweval.scope import TOOLS_WITHOUT_MODELS, ScopeReport, builtin_models, scope_binary
@@ -12,6 +13,12 @@ from rweval.scope import TOOLS_WITHOUT_MODELS, ScopeReport, builtin_models, scop
 from transliterations import TRANSLITERATIONS
 
 MODELS = {m.tool_name: m for m in builtin_models()}
+
+
+def scope_file(path) -> ScopeReport:
+    """scope_binary on the file at path, parsed as the CLI parses it."""
+    with ElfFile(str(path)) as binary:
+        return scope_binary(str(path), parse_elf(binary))
 
 
 class TestBuiltinModels:
@@ -124,28 +131,28 @@ class TestScopeBinary:
         path = tmp_path / "notes.txt"
         path.write_text("just some notes\n")
         with pytest.raises(MalformedElf):
-            scope_binary(str(path))
+            scope_file(path)
 
     def test_report_covers_loaded_models(self, hello_variants):
         variant = hello_variants[0]
-        report = scope_binary(str(variant.path))
+        report = scope_file(variant.path)
         assert set(report.predictions) == set(MODELS)
         assert report.features.get("pi") is variant.pie
 
     def test_stripped_nopie_binary_fails_retrowrite(self, hello_variants):
         variant = next(v for v in hello_variants if v.stripped and not v.pie)
-        report = scope_binary(str(variant.path))
+        report = scope_file(variant.path)
         # hand-trace: with pi false the published tree fails both build_id arms
         assert report.predictions["retrowrite"].outcome is Label.FAIL
 
     def test_deterministic_and_side_effect_free(self, hello_variants):
-        path = str(hello_variants[0].path)
-        before = hello_variants[0].path.read_bytes()
-        assert scope_binary(path) == scope_binary(path)
-        assert hello_variants[0].path.read_bytes() == before
+        path = hello_variants[0].path
+        before = path.read_bytes()
+        assert scope_file(path) == scope_file(path)
+        assert path.read_bytes() == before
 
     def test_json_shape(self, hello_variants):
-        report = scope_binary(str(hello_variants[0].path))
+        report = scope_file(hello_variants[0].path)
         obj = report.to_json_obj()
         assert set(obj) == {"binary", "features", "predictions"}
         for cell in obj["predictions"].values():

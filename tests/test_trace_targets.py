@@ -56,6 +56,26 @@ def test_size_path_crosses_each_scope_batch_layer_once_per_file(bench_ops, tmp_p
     assert counts["io.read"] == counts["elf.parse_elf"] == counts["elf.size_profile"] == 2
 
 
+def test_scope_path_crosses_each_scope_batch_layer(bench_ops, tmp_path):
+    from bench_trace import Tracer
+
+    from rweval import cli
+
+    path = tmp_path / "sample.elf"
+    path.write_bytes(build_elf([Sec(".text", b"\x90" * 16)]))
+    tracer = Tracer()
+    assert tracer.install(bench_ops.ScopeBatch.layers) == []
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["scope", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    counts = Counter(span.name for span in tracer.spans)
+    assert counts == Counter({"cli.main": 1, "io.read": 1, "elf.parse_elf": 1,
+                              "features.extract_features": 1,
+                              "scope.builtin_models": 1, "dtree.predict": 5})
+
+
 @pytest.mark.parametrize("table,crossed", [
     ("success", ["harness.load_records_csv", "report.make_cohort",
                  "report.success_table", "report.render"]),
