@@ -15,7 +15,10 @@ from dataclasses import replace
 from itertools import compress
 from pathlib import Path
 
-from . import dtree, features, harness, report, scope
+# harness, report and scope are imported inside the handlers and option
+# adders that use them, so a call loads only its own command's modules:
+# a cold `scope` or `size` never loads the campaign harness.
+from . import dtree, features
 from .dtree import Task
 from .elf import ElfFile, ElfSummary, SizeProfile, parse_elf, size_delta, size_profile
 from .errors import (
@@ -63,8 +66,9 @@ def _parse_path(path: str) -> ElfSummary:
 
 
 def _load_models(model_dir: str | None):
+    """The trees under model_dir; None, for the built-in models, without one."""
     if model_dir is None:
-        return scope.builtin_models()
+        return None
     try:
         paths = sorted(glob.glob(os.path.join(glob.escape(model_dir), "*.json")))
         if not paths:
@@ -79,6 +83,8 @@ def _load_models(model_dir: str | None):
 
 
 def cmd_scope(args) -> int:
+    from . import scope
+
     models = _load_models(args.models)
     rep = scope.scope_binary(args.path, _parse_path(args.path), models)
     print(rep.to_json() if args.format == "json" else rep.to_text())
@@ -96,6 +102,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_size(args) -> int:
+    from . import report
+
     profile = _profile_path(args.path)
     if args.path2 is None:
         table = report.MapTable("bucket", "bytes", profile.buckets, str)
@@ -107,6 +115,8 @@ def cmd_size(args) -> int:
 
 
 def _load_manifest(path: str):
+    from . import harness
+
     try:
         return harness.load_manifest(path)
     except (OSError, ValueError, json.JSONDecodeError) as e:
@@ -114,6 +124,8 @@ def _load_manifest(path: str):
 
 
 def _load_adapters(path: str):
+    from . import harness
+
     try:
         return harness.load_adapters(path)
     except (OSError, ValueError, json.JSONDecodeError) as e:
@@ -121,6 +133,8 @@ def _load_adapters(path: str):
 
 
 def cmd_run(args) -> int:
+    from . import harness
+
     manifest = _load_manifest(args.manifest)
     adapters = _load_adapters(args.adapters)
     tasks = _parse_tasks(args.tasks)
@@ -178,6 +192,8 @@ def _names(spec: str) -> list[str]:
 
 
 def _load_results(path: str):
+    from . import harness
+
     try:
         return harness.load_records_csv(path)
     except (OSError, ValueError) as e:
@@ -185,6 +201,8 @@ def _load_results(path: str):
 
 
 def cmd_train(args) -> int:
+    from .variant import TriState
+
     try:
         dtree.check_train_settings(
             k=args.k, train_fraction=args.train_fraction, max_depth=args.max_depth,
@@ -197,7 +215,7 @@ def cmd_train(args) -> int:
 
     # Results holds one row per (binary, tool, task): one label per binary.
     label_by_id = {
-        binary_id: features.Label.PASS if func is harness.TriState.YES
+        binary_id: features.Label.PASS if func is TriState.YES
         else features.Label.FAIL
         for binary_id, tool, row_task, func in zip(
             results.binary_ids, results.tools, results.tasks, results.func)
@@ -234,6 +252,8 @@ def cmd_train(args) -> int:
 def _cohort_predicate(spec: str) -> dict[str, str]:
     """The variant predicate of a --cohort value: a preset name, or
     key=value terms over the variant columns."""
+    from . import report
+
     if "=" not in spec:
         if spec not in report.COHORT_PRESETS:
             raise CliConfigError(
@@ -254,10 +274,17 @@ def _cohort_predicate(spec: str) -> dict[str, str]:
 
 
 def cmd_report(args) -> int:
-    results = _load_results(args.results)
+    from . import report
+
+    # every check that needs only the options comes before the load
     tool_order = _parse_tools(args.tools)
     # checked on every table, so a mistyped value is not silently ignored
     predicate = _cohort_predicate(args.cohort)
+    if args.table == "sections" and not args.outputs:
+        raise CliConfigError("--outputs DIR (from run --keep-outputs) is required")
+    if args.table in ("size", "sections") and not args.manifest:
+        raise CliConfigError("--manifest is required for this table")
+    results = _load_results(args.results)
     try:
         if args.table == "success":
             cohort = report.make_cohort(args.cohort, predicate, results)
@@ -269,10 +296,20 @@ def cmd_report(args) -> int:
                 tool_order=tool_order,
                 mean_of_ratios=args.mean_of_ratios,
             )
-        elif args.table == "size":
-            table = _size_table(args, results, tool_order)
-        else:  # sections
-            table = _sections_table(args, results, tool_order)
+        else:  # size, sections
+            # these tables list every tool, but a tool that --tools names
+            # must still have records
+            if tool_order is not None:
+                report._check_tools(tool_order, results)
+            paths = {e.binary_id: e.path for e in _load_manifest(args.manifest)}
+            rows = compress(zip(results.tools, results.binary_ids, results.out_size),
+                            report.handled(results))
+            if args.table == "size":
+                table = report.MapTable("tool", "pct",
+                                        report.relative_size(_size_pairs(rows, paths)))
+            else:
+                table = report.section_size_table(
+                    _section_pairs(rows, paths, args.outputs))
     except UnknownTool as e:
         raise CliInputError(str(e)) from e
     print(report.render(table, args.format))
@@ -291,23 +328,13 @@ def _parse_tools(spec: str | None) -> list[str] | None:
     return tools
 
 
-def _original_paths(args, results, tool_order) -> dict[str, str]:
-    """Each manifest binary's path. The size tables list every tool, but a
-    tool that --tools names must still have records."""
-    if not args.manifest:
-        raise CliConfigError("--manifest is required for this table")
-    if tool_order is not None:
-        report._check_tools(tool_order, results)
-    return {e.binary_id: e.path for e in _load_manifest(args.manifest)}
-
-
-def _handled_originals(results: harness.Results, paths: dict[str, str], measure):
-    """(tool, binary id, out_size, measure(original's path)) for each handled
-    row of results. measure runs once per binary id; a binary whose original
-    is not in paths, or for which measure gives None, drops out."""
+def _handled_originals(rows, paths: dict[str, str], measure):
+    """(tool, binary id, out_size, measure(original's path)) for each
+    (tool, binary id, out_size) of the handled rows. measure runs once per
+    binary id; a binary whose original is not in paths, or for which
+    measure gives None, drops out."""
     originals: dict = {}  # binary id -> measure of its original
-    rows = zip(results.tools, results.binary_ids, results.out_size)
-    for tool, binary_id, out_size in compress(rows, report.handled(results)):
+    for tool, binary_id, out_size in rows:
         if binary_id not in originals:
             path = paths.get(binary_id)
             originals[binary_id] = None if path is None else measure(path)
@@ -316,25 +343,23 @@ def _handled_originals(results: harness.Results, paths: dict[str, str], measure)
             yield tool, binary_id, out_size, original
 
 
-def _size_table(args, results, tool_order) -> report.MapTable:
-    runs = _handled_originals(results, _original_paths(args, results, tool_order),
-                              _file_size)
-    pairs = ((tool, size, out_size) for tool, _, out_size, size in runs
-             if out_size is not None)
-    return report.MapTable("tool", "pct", report.relative_size(pairs))
+def _size_pairs(rows, paths: dict[str, str]):
+    """(tool, original size, output size) for relative_size."""
+    for tool, _, out_size, size in _handled_originals(rows, paths, _file_size):
+        if out_size is not None:
+            yield tool, size, out_size
 
 
-def _sections_table(args, results, tool_order) -> report.SectionSizeTable:
-    if not args.outputs:
-        raise CliConfigError("--outputs DIR (from run --keep-outputs) is required")
-    pairs = []
-    for tool, binary_id, _, before in _handled_originals(
-            results, _original_paths(args, results, tool_order), _profile_file):
+def _section_pairs(rows, paths: dict[str, str], outputs: str):
+    """(tool, original profile, output profile) for section_size_table; the
+    outputs are the NOP jobs' files kept under outputs."""
+    from . import harness
+
+    for tool, binary_id, _, before in _handled_originals(rows, paths, _profile_file):
         after = _profile_file(os.path.join(
-            args.outputs, harness.job_name(binary_id, tool, Task.NOP)))
+            outputs, harness.job_name(binary_id, tool, Task.NOP)))
         if after is not None:
-            pairs.append((tool, before, after))
-    return report.section_size_table(pairs)
+            yield tool, before, after
 
 
 def _file_size(path: str) -> int | None:
@@ -375,6 +400,8 @@ def _size_options(p: _Parser) -> None:
 
 
 def _run_options(p: _Parser) -> None:
+    from . import harness
+
     p.add_argument("--manifest", required=True)
     p.add_argument("--adapters", required=True)
     p.add_argument("--out", required=True, metavar="CSV")
@@ -402,6 +429,8 @@ def _train_options(p: _Parser) -> None:
 
 
 def _report_options(p: _Parser) -> None:
+    from . import report
+
     p.add_argument("results", metavar="CSV")
     p.add_argument("--table", choices=("success", "comparative", "size", "sections"),
                    default="success")

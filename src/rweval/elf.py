@@ -267,8 +267,9 @@ def size_profile(summary: ElfSummary) -> SizeProfile:
     Claim precedence: ELF header, then program header table, then section
     header table, then sections in ascending file-offset order (section-table
     order breaks ties); a byte already claimed is never re-claimed. NOBITS
-    sections claim nothing. Whatever remains is "[Unmapped]". Bucket values
-    always sum to summary.file_size exactly.
+    sections claim nothing. A section without a name is labelled by its
+    section-header index, as "[section N]". Whatever remains is "[Unmapped]".
+    Bucket values always sum to summary.file_size exactly.
     """
     file_size = summary.file_size
     claimed: list[tuple[int, int]] = []
@@ -287,12 +288,13 @@ def size_profile(summary: ElfSummary) -> SizeProfile:
         # the unnamed null section would otherwise pollute every profile
         if sec.name and sec.name not in buckets:
             buckets[sec.name] = 0
-    for sec in sorted(
-        (s for s in summary.sections if s.file_size_on_disk > 0),
-        key=lambda s: s.file_offset,
+    for index, sec in sorted(
+        ((i, s) for i, s in enumerate(summary.sections) if s.file_size_on_disk > 0),
+        key=lambda item: item[1].file_offset,
     ):
         gained = claim(sec.file_offset, sec.file_size_on_disk)
-        buckets[sec.name] = buckets.get(sec.name, 0) + gained
+        label = sec.name or f"[section {index}]"
+        buckets[label] = buckets.get(label, 0) + gained
 
     buckets[BUCKET_UNMAPPED] = file_size - sum(e - s for s, e in claimed)
     return SizeProfile(buckets=buckets)

@@ -17,14 +17,17 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .dtree import Task
 from .elf import SizeProfile, size_delta
 from .errors import UnknownTool
-from .harness import (COMPILERS, OLLVM_FLAGS, OPT_FLAGS, RELOCATIONS, SYMBOLS,
-                      VARIANT_COLUMNS, Results, TriState, VariantConfig)
 from .util import fmt_pct, trunc_pct
+from .variant import (COMPILERS, OLLVM_FLAGS, OPT_FLAGS, RELOCATIONS, SYMBOLS,
+                      VARIANT_COLUMNS, TriState, VariantConfig)
+
+if TYPE_CHECKING:  # annotations only: harness would load the process runner
+    from .harness import Results
 
 COHORT_PRESETS: dict[str, dict[str, str]] = {
     "full": {},

@@ -731,6 +731,17 @@ class TestReportCommand:
         assert (code, out) == (3, "")
         assert "--tools" in err and "repeated alpha" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--cohort", "relocation=pi"], "bad cohort value relocation='pi'"),
+        (["--tools", "a,a"], "bad --tools value 'a,a': repeated a"),
+        (["--table", "size"], "--manifest is required for this table"),
+    ], ids=["cohort", "tools", "manifest"])
+    def test_options_are_checked_before_the_results_load(self, capsys, argv, message):
+        # /dev/null is no results CSV: loading it would exit 2
+        code, out, err = run_cli(capsys, "report", "/dev/null", *argv)
+        assert (code, out) == (3, "")
+        assert message in err and "cannot load" not in err
+
     def test_unknown_tool_in_comparative_exits_2(self, capsys, results_csv):
         code, out, err = run_cli(capsys, "report", results_csv, "--table",
                                  "comparative", "--tools", "alpha,nosuch")

@@ -304,6 +304,15 @@ class TestSizeProfile:
         profile = size_profile(parse_elf(img))
         assert profile.buckets[BUCKET_UNMAPPED] == 7
 
+    def test_each_nameless_section_has_its_own_bucket(self):
+        img = build_elf([Sec(".text", b"\x90" * 12), Sec(".data", b"\x01" * 20),
+                         Sec(".bss", b"\x00" * 8, SHT_NOBITS)], with_shstrtab=False)
+        profile = size_profile(parse_elf(img))
+        nameless = {k: v for k, v in profile.buckets.items() if not k.startswith("[E")}
+        # the null section and the NOBITS section have no bytes on disk: no rows
+        assert nameless == {"[section 1]": 12, "[section 2]": 20, BUCKET_UNMAPPED: 0}
+        assert profile.total() == len(img)
+
     def test_nobits_claims_nothing(self):
         img = build_elf(
             [Sec(".text", b"\x90" * 16), Sec(".bss", b"\x00" * 999, SHT_NOBITS)]

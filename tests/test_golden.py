@@ -399,12 +399,14 @@ GOLDEN = {
         "6802f20c7e0ca74520390e60dcea940b9229cfc44e87c1c534f4ed37df3093eb",
     "report-comparative-ratio_of_means-text":
         "6281594939c12e79de6605c1a220cb18b7a97e9ae2588e301003f98cf48e87fe",
+    # report-sections-* and size-nonames-* changed once on purpose: the
+    # nameless section's row went from a blank label to "[section 1]".
     "report-sections-csv":
-        "d8272a97891e0e20c0a27d03845716a90d1d2423bba2075b6997107cb4040916",
+        "edd1474a5058047862efdfb8cc8f106872d4f583a1814256cc3e123e58428704",
     "report-sections-json":
-        "fdc06703ec6ddc4ee617ffb9e5cda0e5f22fe1f3e43c145812791ecadc4a68b2",
+        "ff56c45c446a5cd6fd3d37b4e2820e64d5d9336576ac5d6b1853e55379d99e76",
     "report-sections-text":
-        "7819500b7c4a20e04397e01d346174da843eccb2a224e15904de409ee971eef4",
+        "f0d48367cb18a7968997990548f43d2d3220094dc53ce92908ef1cda4db436c4",
     "report-size-csv":
         "6948b7618ba2da3531b6cd16214feb2cf65039a26f00378584eb63500ee1c200",
     "report-size-json":
@@ -460,12 +462,13 @@ GOLDEN = {
         "7ae5e6f1649e35d29c6b93749aec23f088f82827dc0a05eaaa52a31ee1d7a6a3",
     "size-exec-text":
         "86962315c7a61182c7a0a3f9427daffa2f0d73fc93078bcb9753abd1a1170127",
+    # changed once on purpose, like report-sections-* above
     "size-nonames-csv":
-        "5b3fc56c5bbd62e8230083c44fa9ea8fc2b073d12454a10639ba61e0a9b0d9ca",
+        "659a9209faf44480d3158f499cb73d74e6f74f4e95eca72b99b41b656b8ee741",
     "size-nonames-json":
-        "ea4f44ea2a40d331e6b4094a97ba3fa71a1679016a5712e4684e47b8f89fccda",
+        "becf7c683831f0fe1847047f53fc3fc4ad0fc1f943e78a2d9ea39933fa6a2d23",
     "size-nonames-text":
-        "e40646e6529890c64a283272202aa2b6ce1d219c91354ee5afca2136155fead6",
+        "92179e4a87bdbe2847df82bf5c069e3548a6769c91b493a1ec27f4c70f2d6223",
     "size-pie-csv":
         "9d56e4e0127b900b5d0091b30b5505d83908166439785f1a094c7434578ea078",
     "size-pie-json":
