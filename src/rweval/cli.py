@@ -66,18 +66,23 @@ def _parse_path(path: str) -> ElfSummary:
 
 
 def _load_models(model_dir: str | None):
-    """The trees under model_dir; None, for the built-in models, without one."""
+    """The trees under model_dir; None, for the built-in models, without one.
+    Verdicts are keyed by tool, so two trees for one tool are an error."""
     if model_dir is None:
         return None
     try:
         paths = sorted(glob.glob(os.path.join(glob.escape(model_dir), "*.json")))
         if not paths:
             raise CliConfigError(f"no *.json models under {model_dir!r}")
-        models = []
+        models = {}
         for p in paths:
             with open(p, "r", encoding="utf-8") as f:
-                models.append(dtree.parse_tree(f.read()))
-        return models
+                model = dtree.parse_tree(f.read())
+            first = models.setdefault(model.tool_name, (p, model))[0]
+            if first != p:
+                raise ValueError(f"two models for tool {model.tool_name!r}: "
+                                 f"{os.path.basename(first)} and {os.path.basename(p)}")
+        return [model for _, model in models.values()]
     except (OSError, ValueError) as e:
         raise CliConfigError(f"cannot load models from {model_dir!r}: {e}") from e
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateSplit, EmptyMatrix, SchemaError
@@ -130,6 +128,10 @@ def train_cart(
     gain (XOR-style targets need the zero-gain split to become separable one
     level down). The procedure is fully deterministic.
     """
+    # fractions and random are imported by the train-path functions that use
+    # them, since every command imports this module
+    from fractions import Fraction
+
     if len(matrix.feature_names) < 1:
         raise EmptyMatrix("cannot train on a matrix with no feature columns")
     if len(matrix.rows) < 2:
@@ -208,33 +210,43 @@ def select_features(matrix: FeatureMatrix, k: int = 8) -> list[str]:
     Minimizes L2-regularized hinge loss (weight SELECT_REG) over {-1,+1}
     labels (PASS=+1) with full-batch subgradient descent from zero weights
     for SELECT_EPOCHS epochs, learning rate SELECT_STEP/sqrt(t) at epoch t.
-    Deterministic.
+    Deterministic: the gradient sums are integer counts, and each margin is
+    summed with math.fsum, which rounds once whatever the column order.
     Returns the k features with largest absolute weight, descending, ties
     by name.
     """
     check_train_settings(k=k)
     if not matrix.rows:
         raise EmptyMatrix("cannot select features from an empty matrix")
-    import numpy as np  # here, not at the top: it is most of rweval's import time
+    n, d = len(matrix.rows), len(matrix.feature_names)
 
-    x = np.array([[1.0 if v else 0.0 for v in r.values] for r in matrix.rows])
-    y = np.array([1.0 if r.label is Label.PASS else -1.0 for r in matrix.rows])
-    n, d = x.shape
+    # Equal rows give equal margins and gradient terms, so each distinct set
+    # of true columns is visited once per epoch, with its PASS and FAIL counts.
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for r in matrix.rows:
+        counts = groups.setdefault(tuple(j for j, v in enumerate(r.values) if v), [0, 0])
+        counts[r.label is Label.FAIL] += 1
+    # members[j]: the groups in which column j is true, whose violating
+    # rows make up column j's gradient count
+    members: list[list[int]] = [[] for _ in range(d)]
+    for i, active in enumerate(groups):
+        for j in active:
+            members[j].append(i)
 
-    w = np.zeros(d)
+    w = [0.0] * d
     b = 0.0
     for t in range(1, SELECT_EPOCHS + 1):
-        margins = y * (x @ w + b)
-        viol = margins < 1.0
-        grad_w = SELECT_REG * w - (y[viol] @ x[viol]) / n
-        grad_b = -float(np.sum(y[viol])) / n
+        net = []
+        for active, (passes, fails) in groups.items():
+            s = math.fsum(map(w.__getitem__, active)) + b
+            # a row violates when its margin, label * s, is below 1
+            net.append((passes if s < 1.0 else 0) - (fails if -s < 1.0 else 0))
         lr = SELECT_STEP / math.sqrt(t)
-        w = w - lr * grad_w
-        b = b - lr * grad_b
+        w = [wj - lr * (SELECT_REG * wj - sum(map(net.__getitem__, m)) / n)
+             for wj, m in zip(w, members)]
+        b = b - lr * (-sum(net) / n)
 
-    ranked = sorted(
-        zip(matrix.feature_names, np.abs(w)), key=lambda p: (-p[1], p[0])
-    )
+    ranked = sorted(zip(matrix.feature_names, map(abs, w)), key=lambda p: (-p[1], p[0]))
     return [name for name, _ in ranked[:k]]
 
 
@@ -242,6 +254,9 @@ def split_train_test(
     matrix: FeatureMatrix, train_fraction: float, seed: int = 0
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Seeded shuffle, then the first ceil(n * train_fraction) rows train."""
+    import random
+    from fractions import Fraction
+
     check_train_settings(train_fraction=train_fraction)
     n = len(matrix.rows)
     # Fraction-of-string keeps ceil(10 * 0.7) == 7 rather than a float wobble.

@@ -1,11 +1,11 @@
 """Minimal ELF64 reader and whole-file byte attribution.
 
 Parses just enough of an ELF image to answer the questions the rest of the
-toolkit asks: object type, interpreter presence, the section inventory, and
-where the header tables live in the file. An image comes from memory or
-from a file read by pread (ElfFile); either way only the ELF header, the
-two header tables and .shstrtab are fetched, and every extent is checked
-against the image size before it is read.
+toolkit asks: object type, the section inventory, and where the header
+tables live in the file. An image comes from memory or from a file read by
+pread (ElfFile); either way only the ELF header, the section-header table
+and .shstrtab are fetched, and every extent is checked against the image
+size before it is read.
 
 Only 64-bit little-endian images are accepted (the x86-64 Linux corpus this
 toolkit targets).
@@ -28,7 +28,6 @@ PHDR_SIZE = 56
 SHDR_SIZE = 64
 
 SHT_NOBITS = 8
-PT_INTERP = 3
 
 BUCKET_EHDR = "[ELF Header]"
 BUCKET_PHDRS = "[ELF Program Headers]"
@@ -50,17 +49,14 @@ class ElfType(Enum):
 @dataclass(frozen=True)
 class SectionEntry:
     name: str
-    sh_type: int
     file_offset: int
     file_size_on_disk: int  # always 0 for NOBITS sections
-    mem_size: int
 
 
 @dataclass(frozen=True)
 class ElfSummary:
     file_size: int
     elf_type: ElfType
-    has_interp: bool
     sections: tuple[SectionEntry, ...]
     program_header_extent: tuple[int, int]  # (offset, length), (0, 0) if absent
     section_header_extent: tuple[int, int]
@@ -89,7 +85,7 @@ class ElfFile:
     """An input binary opened for header-only reads.
 
     Open it with ``with ElfFile(path) as binary`` and pass ``binary`` to
-    parse_elf, which preads the ELF header, the two header tables and
+    parse_elf, which preads the ELF header, the section-header table and
     .shstrtab, and nothing else. The size comes from fstat. Anything but a
     regular file raises OSError("not a regular file") before any read, so a
     FIFO or a device cannot block or flood the reader.
@@ -187,28 +183,11 @@ def parse_elf(data: bytes | ByteSource) -> ElfSummary:
             raise MalformedElf(
                 f"section {name!r} data extends past end of file", offset=sh_offset
             )
-        sections.append(
-            SectionEntry(
-                name=name,
-                sh_type=sh_type,
-                file_offset=sh_offset,
-                file_size_on_disk=on_disk,
-                mem_size=sh_size,
-            )
-        )
-
-    has_interp = any(s.name == ".interp" for s in sections)
-    phdrs = read(*ph_extent)
-    for i in range(e_phnum):
-        (p_type,) = struct.unpack_from("<I", phdrs, i * e_phentsize)
-        if p_type == PT_INTERP:
-            has_interp = True
-            break
+        sections.append(SectionEntry(name, sh_offset, on_disk))
 
     return ElfSummary(
         file_size=size,
         elf_type=ElfType.from_code(e_type),
-        has_interp=has_interp,
         sections=tuple(sections),
         program_header_extent=ph_extent,
         section_header_extent=sh_extent,

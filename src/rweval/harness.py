@@ -462,6 +462,9 @@ RESULTS_COLUMNS = ("binary_id", *VARIANT_COLUMNS, "tool", "task", "ir", "exe", "
 def load_manifest(path: str) -> list[ManifestEntry]:
     def entry(obj) -> ManifestEntry:
         invocation = obj.get("null_invocation")
+        if invocation is not None and not (
+                isinstance(invocation, list) and all(isinstance(a, str) for a in invocation)):
+            raise ValueError(f"'null_invocation' must be a list of strings, got {invocation!r}")
         return ManifestEntry(
             binary_id=obj["id"],
             path=obj["path"],
@@ -474,9 +477,12 @@ def load_manifest(path: str) -> list[ManifestEntry]:
 
 def load_adapters(path: str) -> list[ToolAdapter]:
     def adapter(obj) -> ToolAdapter:
+        emits_ir = obj.get("emits_ir", False)
+        if not isinstance(emits_ir, bool):
+            raise ValueError(f"'emits_ir' must be true or false, got {emits_ir!r}")
         return ToolAdapter(
             tool_name=obj["tool_name"],
-            emits_ir=bool(obj.get("emits_ir", False)),
+            emits_ir=emits_ir,
             nop_command=obj["nop_command"],
             afl_command=obj.get("afl_command"),
             ir_artifact_glob=obj.get("ir_artifact_glob"),

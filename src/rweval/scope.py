@@ -496,7 +496,9 @@ class ScopeReport:
         lines = [f"binary: {self.binary_id}", f"{'tool':<12} {'verdict':<8} confidence"]
         for tool, p in self.predictions.items():
             lines.append(f"{tool:<12} {p.outcome.value:<8} {p.confidence:.3f}")
-        lines.append("no model: " + ", ".join(TOOLS_WITHOUT_MODELS))
+        missing = [tool for tool in TOOLS_WITHOUT_MODELS if tool not in self.predictions]
+        if missing:
+            lines.append("no model: " + ", ".join(missing))
         return "\n".join(lines)
 
 

@@ -3,6 +3,8 @@
 - readelf_facts: parses real `readelf -h -SW` output for parity checks.
 - tally_success: a dumb success-table tally straight off the results CSV.
 - correlation_ranking: features ranked by |phi correlation| with the label.
+- numpy_select_features: dtree.select_features's descent over a dense numpy
+  matrix; callers skip when numpy is not installed.
 - columns: every column of a loaded results object, for equality checks.
 """
 
@@ -89,6 +91,33 @@ def correlation_ranking(columns: dict[str, list[bool]], labels: list[bool]) -> l
         return cov / (sx * sy)
 
     return sorted(columns, key=lambda name: (-abs(phi(columns[name])), name))
+
+
+def numpy_select_features(matrix, k: int) -> list[str]:
+    """The hinge-loss ranking of dtree.select_features over a dense 0/1
+    matrix, one row per sample, with numpy's dot products."""
+    import numpy as np
+
+    from rweval.dtree import SELECT_EPOCHS, SELECT_REG, SELECT_STEP
+    from rweval.features import Label
+
+    x = np.array([[1.0 if v else 0.0 for v in r.values] for r in matrix.rows])
+    y = np.array([1.0 if r.label is Label.PASS else -1.0 for r in matrix.rows])
+    n, d = x.shape
+
+    w = np.zeros(d)
+    b = 0.0
+    for t in range(1, SELECT_EPOCHS + 1):
+        margins = y * (x @ w + b)
+        viol = margins < 1.0
+        grad_w = SELECT_REG * w - (y[viol] @ x[viol]) / n
+        grad_b = -float(np.sum(y[viol])) / n
+        lr = SELECT_STEP / math.sqrt(t)
+        w = w - lr * grad_w
+        b = b - lr * grad_b
+
+    ranked = sorted(zip(matrix.feature_names, np.abs(w)), key=lambda p: (-p[1], p[0]))
+    return [name for name, _ in ranked[:k]]
 
 
 def columns(results) -> dict:

@@ -72,6 +72,35 @@ class TestScopeCommand:
         assert code == 0
         assert list(json.loads(out)["predictions"]) == ["custom"]
 
+    @staticmethod
+    def write_leaf_model(path, tool, passed):
+        path.write_text(json.dumps({
+            "tool": tool, "task": "AFL", "features": [], "accuracy": None,
+            "root": {"fail": 0 if passed else 1, "pass": 1 if passed else 0}}))
+
+    def test_no_model_line_omits_tools_with_a_verdict(self, capsys, elf_file, tmp_path):
+        mdir = tmp_path / "models"
+        mdir.mkdir()
+        self.write_leaf_model(mdir / "egalito.json", "egalito", passed=True)
+        code, out, _ = run_cli(capsys, "scope", elf_file, "--models", str(mdir))
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "egalito      PASS     1.000",
+            "no model: multiverse, reopt, revng, uroboros"]
+        for tool in ("multiverse", "reopt", "revng", "uroboros"):
+            self.write_leaf_model(mdir / f"{tool}.json", tool, passed=False)
+        code, out, _ = run_cli(capsys, "scope", elf_file, "--models", str(mdir))
+        assert code == 0 and "no model" not in out
+
+    def test_two_models_for_one_tool_exit_3(self, capsys, elf_file, tmp_path):
+        mdir = tmp_path / "models"
+        mdir.mkdir()
+        self.write_leaf_model(mdir / "a.json", "egalito", passed=True)
+        self.write_leaf_model(mdir / "b.json", "egalito", passed=False)
+        code, out, err = run_cli(capsys, "scope", elf_file, "--models", str(mdir))
+        assert (code, out) == (3, "")
+        assert "two models for tool 'egalito': a.json and b.json" in err
+
     @pytest.mark.parametrize("field,value", [
         ("fail", "NaN"), ("pass", "Infinity"), ("accuracy", "NaN"), ("accuracy", "true"),
         pytest.param("fail", "1" + "0" * 400, id="fail-huge_int")])

@@ -26,7 +26,7 @@ from rweval.errors import DegenerateSplit, EmptyMatrix, SchemaError
 from rweval.features import FeatureMatrix, FeatureVector, Label, MatrixRow
 from rweval.scope import builtin_models
 
-from oracles import correlation_ranking
+from oracles import correlation_ranking, numpy_select_features
 
 
 def matrix(names, rows):
@@ -229,6 +229,35 @@ class TestSelectFeatures:
     def test_deterministic(self):
         m = self.synth(seed=3)
         assert select_features(m, k=4) == select_features(m, k=4)
+
+    @staticmethod
+    def reference_case(seed):
+        """A seeded matrix: odd seeds draw rows from a pool of 8, so rows
+        repeat; seeds divisible by 3 repeat column 0 as the last column;
+        seeds 0 and 1 mod 4 make a tenth of the rows all false."""
+        rng = random.Random(seed)
+        n, d = rng.choice((30, 90, 200)), rng.choice((4, 9, 16))
+        pool = [tuple(rng.random() < 0.4 for _ in range(d)) for _ in range(8)]
+        rows = []
+        for i in range(n):
+            if seed % 4 < 2 and i % 10 == 0:
+                values = (False,) * d
+            elif seed % 2:
+                values = rng.choice(pool)
+            else:
+                values = tuple(rng.random() < 0.4 for _ in range(d))
+            if seed % 3 == 0:
+                values += values[:1]
+            passed = values[0] + values[1] + rng.random() > 1.5
+            rows.append((values, Label.PASS if passed else Label.FAIL))
+        return matrix([f"f{j:02d}" for j in range(len(rows[0][0]))], rows)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_ranking_matches_the_numpy_reference(self, seed):
+        pytest.importorskip("numpy")
+        m = self.reference_case(seed)
+        d = len(m.feature_names)
+        assert select_features(m, k=d) == numpy_select_features(m, k=d)
 
 
 class TestSplit:

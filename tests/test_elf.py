@@ -67,7 +67,6 @@ class TestParse:
         s = parse_elf(img)
         assert s.file_size == len(img)
         assert s.elf_type is ElfType.DYN
-        assert s.has_interp
         assert [sec.name for sec in s.sections] == [
             "",
             ".interp",
@@ -79,7 +78,6 @@ class TestParse:
     def test_exec_type_without_interp(self):
         s = parse_elf(build_elf(elf_type=ET_EXEC, interp=False))
         assert s.elf_type is ElfType.EXEC
-        assert not s.has_interp
 
     def test_other_type_maps_to_other(self):
         s = parse_elf(build_elf(elf_type=4))  # ET_CORE
@@ -89,7 +87,6 @@ class TestParse:
         img = build_elf([Sec(".bss", b"\x00" * 4096, SHT_NOBITS)])
         (bss,) = [sec for sec in parse_elf(img).sections if sec.name == ".bss"]
         assert bss.file_size_on_disk == 0
-        assert bss.mem_size == 4096
 
     def test_missing_shstrtab_gives_empty_names(self):
         img = build_elf([Sec(".text", b"\x90" * 4)], with_shstrtab=False)
@@ -189,10 +186,10 @@ class TestFileReader:
         assert parse_elf(Recording()) == summary
         shstrtab = next(s for s in summary.sections if s.name == ".shstrtab")
         assert sorted(fetched) == sorted([
-            (0, 64), summary.program_header_extent, summary.section_header_extent,
+            (0, 64), summary.section_header_extent,
             (shstrtab.file_offset, shstrtab.file_size_on_disk)])
 
-    @pytest.mark.parametrize("call", [0, 1, 2, 3])
+    @pytest.mark.parametrize("call", [0, 1, 2])
     def test_short_fetch_is_malformed_at_its_offset(self, call):
         img = build_elf(interp=True)
         offsets = []
@@ -242,7 +239,6 @@ class TestReadelfParity:
             assert summary.elf_type.value == facts.elf_type, variant.name
             ours = [sec.name for sec in summary.sections if sec.name]
             assert ours == facts.section_names, variant.name
-            assert summary.has_interp, variant.name  # all are dynamic builds
 
     def test_pie_has_symtab_until_stripped(self, hello_variants):
         for variant in hello_variants:

@@ -902,6 +902,28 @@ class TestConfigLoaders:
         with pytest.raises(ValueError):
             load_adapters(str(path))
 
+    @pytest.mark.parametrize("config,field,bad,code", [
+        ("manifest", "null_invocation", "--version", 2),
+        ("manifest", "null_invocation", ["--version", 1], 2),
+        ("adapters", "emits_ir", "false", 3),
+        ("adapters", "emits_ir", 0, 3)])
+    def test_field_of_the_wrong_json_type(self, tmp_path, capsys, config, field, bad, code):
+        from rweval.cli import main
+
+        manifest = {"id": "a", "path": "/bin/a", "program": "p", "compiler": "gcc",
+                    "flags": "O0", "relocation": "pie", "symbols": "present", "os": "u20"}
+        adapter = {"tool_name": "t", "nop_command": "t {input} {output}"}
+        (manifest if config == "manifest" else adapter)[field] = bad
+        for name, obj in (("manifest", manifest), ("adapters", adapter)):
+            (tmp_path / f"{name}.json").write_text(json.dumps([obj]))
+        loader = load_manifest if config == "manifest" else load_adapters
+        with pytest.raises(ValueError, match=f"entry 0: '{field}' must be"):
+            loader(str(tmp_path / f"{config}.json"))
+        assert main(["run", "--manifest", str(tmp_path / "manifest.json"),
+                     "--adapters", str(tmp_path / "adapters.json"),
+                     "--out", str(tmp_path / "out.csv")]) == code
+        assert f"entry 0: '{field}' must be" in capsys.readouterr().err
+
     def test_adapters_missing_placeholder(self, tmp_path):
         path = tmp_path / "adapters.json"
         path.write_text(json.dumps([

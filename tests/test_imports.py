@@ -2,7 +2,8 @@
 resolves its public names on first use.
 
 A cold `rweval scope` is one process per binary, so every module it loads
-and does not run is start-up time paid on each call.
+and does not run is start-up time paid on each call. `train` runs on the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def test_binary_commands_leave_the_campaign_harness_unloaded(tmp_path, bare_modu
     path = tmp_path / "sample.elf"
     path.write_bytes(build_elf([Sec(".text", b"\x90" * 16)]))
     loaded = _loaded_by([command, str(path)], bare_modules)
-    assert {"rweval.harness", "subprocess", "concurrent.futures"} & loaded == set()
+    # fractions is for CART training only
+    assert {"rweval.harness", "subprocess", "concurrent.futures", "fractions"} & loaded == set()
 
 
 def test_report_leaves_scope_unloaded(tmp_path, bare_modules):
@@ -68,7 +70,31 @@ def test_report_leaves_scope_unloaded(tmp_path, bare_modules):
                     "b0,p,gcc,O0,pie,present,u20,alpha,NOP,na,1,yes,1.0,100,1000\n")
     loaded = _loaded_by(["report", str(path)], bare_modules)
     assert {"rweval.harness", "rweval.report"} <= loaded
-    assert "rweval.scope" not in loaded
+    assert {"rweval.scope", "fractions"} & loaded == set()
+
+
+def test_train_loads_no_third_party_module(tmp_path, bare_modules):
+    from rweval.harness import RESULTS_COLUMNS
+
+    entries, rows = [], [",".join(RESULTS_COLUMNS)]
+    for i in range(6):
+        marked = i % 2 == 0
+        path = tmp_path / f"b{i}.elf"
+        path.write_bytes(build_elf([Sec(".text", b"\x90" * 16),
+                                    *([Sec(".marker", b"\x01")] if marked else [])]))
+        entries.append({"id": f"b{i}", "path": str(path), "program": "p",
+                        "compiler": "gcc", "flags": "O0", "relocation": "pie",
+                        "symbols": "present", "os": "u20"})
+        rows.append(f"b{i},p,gcc,O0,pie,present,u20,t,AFL,na,1,"
+                    f"{'yes' if marked else 'no'},1.0,100,1000")
+    manifest, results = tmp_path / "manifest.json", tmp_path / "results.csv"
+    manifest.write_text(json.dumps(entries))
+    results.write_text("\n".join(rows) + "\n")
+    loaded = _loaded_by(["train", "--results", str(results), "--manifest", str(manifest),
+                         "--tool", "t", "--out-model", str(tmp_path / "model.json")],
+                        bare_modules)
+    tops = {name.partition(".")[0] for name in loaded}
+    assert tops - set(sys.stdlib_module_names) - {"rweval"} == set()
 
 
 def test_import_rweval_loads_no_submodule():
