@@ -18,7 +18,7 @@ _EXPORTS = {
               "Task", "accuracy", "parse_tree", "predict", "select_features",
               "serialize_tree", "split_train_test", "train_cart"),
     "elf": ("ByteSource", "ElfFile", "ElfSummary", "ElfType", "SectionEntry",
-            "SizeProfile", "parse_elf", "size_delta", "size_profile"),
+            "parse_elf", "size_delta", "size_profile"),
     "errors": ("DegenerateSplit", "EmptyMatrix", "MalformedElf", "RwevalError",
                "SchemaError", "SpawnError", "UnknownTool", "Unsupported",
                "WorkdirError"),

@@ -20,7 +20,7 @@ from pathlib import Path
 # a cold `scope` or `size` never loads the campaign harness.
 from . import dtree, features
 from .dtree import Task
-from .elf import ElfFile, ElfSummary, SizeProfile, parse_elf, size_delta, size_profile
+from .elf import ElfFile, ElfSummary, parse_elf, size_delta, size_profile
 from .errors import (
     DegenerateSplit,
     EmptyMatrix,
@@ -111,7 +111,7 @@ def cmd_size(args) -> int:
 
     profile = _profile_path(args.path)
     if args.path2 is None:
-        table = report.MapTable("bucket", "bytes", profile.buckets, str)
+        table = report.MapTable("bucket", "bytes", profile, str)
     else:
         delta = size_delta(profile, _profile_path(args.path2))
         table = report.MapTable("bucket", "pct", delta)
@@ -371,7 +371,7 @@ def _file_size(path: str) -> int | None:
     return os.path.getsize(path) if os.path.isfile(path) else None
 
 
-def _profile_file(path: str) -> SizeProfile | None:
+def _profile_file(path: str) -> dict[str, int] | None:
     """path's size profile; None when path is not a file, or its section
     table is too broken to profile."""
     if not os.path.isfile(path):
@@ -382,7 +382,7 @@ def _profile_file(path: str) -> SizeProfile | None:
         return None
 
 
-def _profile_path(path: str) -> SizeProfile:
+def _profile_path(path: str) -> dict[str, int]:
     return size_profile(_parse_path(path))
 
 

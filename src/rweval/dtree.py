@@ -253,7 +253,9 @@ def select_features(matrix: FeatureMatrix, k: int = 8) -> list[str]:
 def split_train_test(
     matrix: FeatureMatrix, train_fraction: float, seed: int = 0
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Seeded shuffle, then the first ceil(n * train_fraction) rows train."""
+    """Seeded shuffle, then the first ceil(n * train_fraction) rows train.
+    DegenerateSplit unless that leaves at least 2 rows to train (as
+    train_cart needs) and 1 to test."""
     import random
     from fractions import Fraction
 
@@ -261,9 +263,10 @@ def split_train_test(
     n = len(matrix.rows)
     # Fraction-of-string keeps ceil(10 * 0.7) == 7 rather than a float wobble.
     n_train = math.ceil(n * Fraction(str(train_fraction)))
-    if n_train <= 0 or n_train >= n:
+    if n_train < 2 or n_train >= n:
         raise DegenerateSplit(
-            f"{n} rows at train_fraction={train_fraction} leaves an empty side"
+            f"{n} rows at train_fraction={train_fraction} leave {n_train} to train "
+            f"and {n - n_train} to test; need at least 2 and 1"
         )
     order = list(range(n))
     random.Random(seed).shuffle(order)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
@@ -60,16 +60,6 @@ class ElfSummary:
     sections: tuple[SectionEntry, ...]
     program_header_extent: tuple[int, int]  # (offset, length), (0, 0) if absent
     section_header_extent: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class SizeProfile:
-    """Every byte of a file attributed to exactly one named bucket."""
-
-    buckets: dict[str, int] = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.buckets.values())
 
 
 class ByteSource(Protocol):
@@ -240,8 +230,8 @@ def _claim(claimed: list[tuple[int, int]], start: int, end: int) -> int:
     return sum(pe - ps for ps, pe in pieces)
 
 
-def size_profile(summary: ElfSummary) -> SizeProfile:
-    """Attribute every byte of a file to exactly one bucket.
+def size_profile(summary: ElfSummary) -> dict[str, int]:
+    """Attribute every byte of a file to exactly one bucket: {bucket: bytes}.
 
     Claim precedence: ELF header, then program header table, then section
     header table, then sections in ascending file-offset order (section-table
@@ -276,23 +266,17 @@ def size_profile(summary: ElfSummary) -> SizeProfile:
         buckets[label] = buckets.get(label, 0) + gained
 
     buckets[BUCKET_UNMAPPED] = file_size - sum(e - s for s, e in claimed)
-    return SizeProfile(buckets=buckets)
+    return buckets
 
 
-def size_delta(before: SizeProfile, after: SizeProfile) -> dict[str, float | None]:
+def size_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, float | None]:
     """Per-bucket after/before ratio as a percentage.
 
     Buckets missing on either side, or with a zero before-value, map to None
     (rendered as "NA" in tables).
     """
-    keys = list(before.buckets)
-    keys.extend(k for k in after.buckets if k not in before.buckets)
     out: dict[str, float | None] = {}
-    for k in keys:
-        b = before.buckets.get(k)
-        a = after.buckets.get(k)
-        if b is None or a is None or b == 0:
-            out[k] = None
-        else:
-            out[k] = a / b * 100.0
+    for k in {**before, **after}:  # before's order, then after's new buckets
+        b, a = before.get(k), after.get(k)
+        out[k] = None if not b or a is None else a / b * 100.0
     return out

@@ -28,7 +28,7 @@ class Label(Enum):
 
 def canonicalize(section_name: str) -> str:
     """Canonical feature name for a section: drop one leading dot,
-    lowercase ASCII letters, turn "-" into "_". Idempotent."""
+    lowercase ASCII letters, turn "-" into "_"."""
     if not section_name:
         raise ValueError("section name must be non-empty")
     if section_name.startswith("."):

@@ -50,22 +50,26 @@ _variant_cells = operator.itemgetter(*VARIANT_COLUMNS)
 @dataclass(frozen=True)
 class ToolAdapter:
     tool_name: str
-    emits_ir: bool
     nop_command: str
     afl_command: str | None = None
     ir_artifact_glob: str | None = None
 
     def __post_init__(self):
-        _check_name("tool name", self.tool_name)
+        _check_name("tool_name", self.tool_name)
+        _check_text("ir_artifact_glob", self.ir_artifact_glob, optional=True)
         for label, tpl in (("nop_command", self.nop_command),
                            ("afl_command", self.afl_command)):
-            if tpl is None:
-                continue
-            if "{input}" not in tpl or "{output}" not in tpl:
+            _check_text(label, tpl, optional=label == "afl_command")
+            if tpl is not None and ("{input}" not in tpl or "{output}" not in tpl):
                 raise ValueError(
                     f"{label} of {self.tool_name!r} must contain "
                     "{input} and {output} placeholders"
                 )
+
+    @property
+    def emits_ir(self) -> bool:
+        """Whether the tool has an IR checkpoint: it names its IR artifact."""
+        return self.ir_artifact_glob is not None
 
     def command_for(self, task: Task) -> str | None:
         return self.nop_command if task is Task.NOP else self.afl_command
@@ -112,13 +116,22 @@ class ManifestEntry:
     null_invocation: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        _check_name("binary id", self.binary_id)
+        _check_name("id", self.binary_id)
+        _check_text("path", self.path)
 
 
-def _check_name(kind: str, name: str) -> None:
+def _check_text(key: str, value, optional: bool = False) -> None:
+    """A config value that names a file, a command or a pattern is a
+    non-empty string, or None where it is optional."""
+    if not (optional and value is None) and not (isinstance(value, str) and value):
+        raise ValueError(f"{key!r} must be a non-empty string, got {value!r}")
+
+
+def _check_name(key: str, name) -> None:
     """Binary ids and tool names become path components in job_name."""
-    if name in ("", ".", "..") or "/" in name or "\0" in name or "__" in name:
-        raise ValueError(f"{kind} {name!r} must be one path component without '__'")
+    _check_text(key, name)
+    if name in (".", "..") or "/" in name or "\0" in name or "__" in name:
+        raise ValueError(f"{key!r} must be one path component without '__', got {name!r}")
 
 
 def job_name(binary_id: str, tool_name: str, task: Task) -> str:
@@ -151,14 +164,15 @@ def _run(argv: Sequence[str], cwd: str, timeout_s: float, log=None) -> _Run:
     Spawns argv in cwd in its own session and waits up to timeout_s for it
     to exit. Then, whether it exited or timed out, kills its whole process
     group and reaps it, so nothing it put in the background outlives it.
-    Every exec failure raises SpawnError. stdout and stderr go to log, or
+    Every exec failure raises SpawnError. stdin is /dev/null, so no process
+    waits on or reads the caller's input; stdout and stderr go to log, or
     to /dev/null. maxrss is the kernel's high-water mark in kbytes for the
     child and everything it reaped. Needs Linux >= 5.3 (pidfd_open)."""
     start = time.monotonic()
     out = log if log is not None else subprocess.DEVNULL
     try:
-        proc = subprocess.Popen(argv, cwd=cwd, stdout=out, stderr=out,
-                                start_new_session=True)
+        proc = subprocess.Popen(argv, cwd=cwd, stdin=subprocess.DEVNULL, stdout=out,
+                                stderr=out, start_new_session=True)
     except OSError as e:
         raise SpawnError(f"cannot execute {argv[0]!r}: {e.strerror}") from e
     pidfd = os.pidfd_open(proc.pid)
@@ -238,11 +252,8 @@ def run_task(
 
     notes = []
     if adapter.emits_ir:
-        pattern = adapter.ir_artifact_glob
-        matched = bool(
-            pattern and globlib.glob(os.path.join(globlib.escape(workdir), pattern))
-        )
-        ir_ok = TriState.YES if matched else TriState.NO
+        pattern = os.path.join(globlib.escape(workdir), adapter.ir_artifact_glob)
+        ir_ok = TriState.YES if globlib.glob(pattern) else TriState.NO
     else:
         ir_ok = TriState.NA
 
@@ -477,16 +488,21 @@ def load_manifest(path: str) -> list[ManifestEntry]:
 
 def load_adapters(path: str) -> list[ToolAdapter]:
     def adapter(obj) -> ToolAdapter:
-        emits_ir = obj.get("emits_ir", False)
-        if not isinstance(emits_ir, bool):
-            raise ValueError(f"'emits_ir' must be true or false, got {emits_ir!r}")
-        return ToolAdapter(
+        tool = ToolAdapter(
             tool_name=obj["tool_name"],
-            emits_ir=emits_ir,
             nop_command=obj["nop_command"],
             afl_command=obj.get("afl_command"),
             ir_artifact_glob=obj.get("ir_artifact_glob"),
         )
+        # emits_ir follows from ir_artifact_glob; the optional key restates it
+        emits_ir = obj.get("emits_ir", tool.emits_ir)
+        if not isinstance(emits_ir, bool):
+            raise ValueError(f"'emits_ir' must be true or false, got {emits_ir!r}")
+        if emits_ir is not tool.emits_ir:
+            raise ValueError("'emits_ir' must be false when there is no 'ir_artifact_glob'"
+                             if emits_ir else
+                             "'ir_artifact_glob' must be absent when 'emits_ir' is false")
+        return tool
 
     return _load_json_list(path, "adapter config", adapter, lambda a: a.tool_name)
 

@@ -20,11 +20,10 @@ from itertools import compress, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .dtree import Task
-from .elf import SizeProfile, size_delta
+from .elf import size_delta
 from .errors import UnknownTool
 from .util import fmt_pct, trunc_pct
-from .variant import (COMPILERS, OLLVM_FLAGS, OPT_FLAGS, RELOCATIONS, SYMBOLS,
-                      VARIANT_COLUMNS, TriState, VariantConfig)
+from .variant import CLOSED_VALUES, VARIANT_COLUMNS, TriState, VariantConfig
 
 if TYPE_CHECKING:  # annotations only: harness would load the process runner
     from .harness import Results
@@ -63,11 +62,6 @@ def _variant_matches(variant: VariantConfig | None, predicate: dict[str, str]) -
     return all(cells[_VARIANT_INDEX[key]] == want for key, want in predicate.items())
 
 
-# The values a cohort may ask of each variant column that has a closed set.
-_COHORT_VALUES = {"compiler": COMPILERS, "flags": OPT_FLAGS + OLLVM_FLAGS,
-                  "relocation": RELOCATIONS, "symbols": SYMBOLS}
-
-
 def check_cohort_fields(predicate: dict[str, str]) -> None:
     """Raise ValueError when predicate keys a field that is not a variant
     column, or asks a closed-set column for a value outside its set."""
@@ -75,7 +69,7 @@ def check_cohort_fields(predicate: dict[str, str]) -> None:
     if unknown:
         raise ValueError(f"unknown cohort fields {sorted(unknown)}")
     for key, value in predicate.items():
-        allowed = _COHORT_VALUES.get(key)
+        allowed = CLOSED_VALUES.get(key)
         if allowed is not None and value not in allowed:
             raise ValueError(
                 f"bad cohort value {key}={value!r}; allowed: {', '.join(allowed)}")
@@ -96,7 +90,7 @@ class Cell:
 
     @property
     def pct(self) -> float | None:
-        return None if self.raw_pct is None else trunc_pct(self.raw_pct)
+        return trunc_pct(self.raw_pct)
 
 
 @dataclass(frozen=True)
@@ -214,8 +208,7 @@ class ComparativeTable:
     raw_cells: dict[tuple[str, str], float | None]
 
     def cell(self, row: str, col: str) -> float | None:
-        raw = self.raw_cells[(row, col)]
-        return None if raw is None else trunc_pct(raw)
+        return trunc_pct(self.raw_cells[(row, col)])
 
     def to_rows(self) -> list[list[str]]:
         rows = [["tool", *self.tools]]
@@ -336,21 +329,15 @@ class SectionSizeTable:
         return {
             "tools": list(self.tools),
             "sections": {
-                bucket: {
-                    tool: (
-                        None
-                        if self.raw_cells[(bucket, tool)] is None
-                        else trunc_pct(self.raw_cells[(bucket, tool)])
-                    )
-                    for tool in self.tools
-                }
+                bucket: {tool: trunc_pct(self.raw_cells[(bucket, tool)])
+                         for tool in self.tools}
                 for bucket in self.buckets
             },
         }
 
 
 def section_size_table(
-    profile_pairs: Iterable[tuple[str, SizeProfile, SizeProfile]],
+    profile_pairs: Iterable[tuple[str, dict[str, int], dict[str, int]]],
 ) -> SectionSizeTable:
     """Average per-bucket size change per tool.
 

@@ -13,9 +13,12 @@ def round_half_up(value: float) -> float:
     return float(Decimal(str(value)).quantize(_HUNDREDTH, rounding=ROUND_HALF_UP))
 
 
-def trunc_pct(value: float) -> float:
+def trunc_pct(value: float | None) -> float | None:
     """Truncate toward zero at two decimals, the convention the published
-    tables follow (3282/3344 prints as 98.14, not 98.15)."""
+    tables follow (3282/3344 prints as 98.14, not 98.15). None, a missing
+    cell, stays None."""
+    if value is None:
+        return None
     return float(Decimal(str(value)).quantize(_HUNDREDTH, rounding=ROUND_DOWN))
 
 

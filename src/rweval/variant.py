@@ -10,15 +10,22 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-COMPILERS = ("clang", "gcc", "icx", "ollvm")
-OPT_FLAGS = ("O0", "O1", "O2", "O3", "Os", "Ofast")
-OLLVM_FLAGS = ("fla", "sub", "bcf")
-RELOCATIONS = ("pie", "nopie")
-SYMBOLS = ("present", "stripped")
-
 # The binary class's key names, shared by the manifest, the results CSV and
 # cohort predicates, in VariantConfig's field order.
 VARIANT_COLUMNS = ("program", "compiler", "flags", "relocation", "symbols", "os")
+
+OPT_FLAGS = ("O0", "O1", "O2", "O3", "Os", "Ofast")
+OLLVM_FLAGS = ("fla", "sub", "bcf")
+
+# The closed value set of each variant column that has one; program and os
+# are free. A binary's flags must also suit its compiler: OLLVM_FLAGS for
+# ollvm, OPT_FLAGS for the others.
+CLOSED_VALUES = {
+    "compiler": ("clang", "gcc", "icx", "ollvm"),
+    "flags": OPT_FLAGS + OLLVM_FLAGS,
+    "relocation": ("pie", "nopie"),
+    "symbols": ("present", "stripped"),
+}
 
 
 class TriState(Enum):
@@ -33,7 +40,8 @@ class TriState(Enum):
 @dataclass(frozen=True)
 class VariantConfig:
     """A binary's class: one field per VARIANT_COLUMNS entry, in order.
-    All but program and os_tag are checked against their closed sets."""
+    Each field with a CLOSED_VALUES set is checked against it in field
+    order, and flags against its compiler's part of that set."""
 
     program: str
     compiler: str
@@ -43,17 +51,12 @@ class VariantConfig:
     os_tag: str
 
     def __post_init__(self):
-        if self.compiler not in COMPILERS:
-            raise ValueError(f"unknown compiler {self.compiler!r}")
-        allowed = OLLVM_FLAGS if self.compiler == "ollvm" else OPT_FLAGS
-        if self.flags not in allowed:
-            raise ValueError(
-                f"flags {self.flags!r} invalid for compiler {self.compiler!r}"
-            )
-        if self.relocation not in RELOCATIONS:
-            raise ValueError(f"unknown relocation {self.relocation!r}")
-        if self.symbols not in SYMBOLS:
-            raise ValueError(f"unknown symbols {self.symbols!r}")
+        for key, value in zip(VARIANT_COLUMNS, self.columns()):
+            if key == "flags":
+                if value not in (OLLVM_FLAGS if self.compiler == "ollvm" else OPT_FLAGS):
+                    raise ValueError(f"flags {value!r} invalid for compiler {self.compiler!r}")
+            elif key in CLOSED_VALUES and value not in CLOSED_VALUES[key]:
+                raise ValueError(f"unknown {key} {value!r}")
 
     @classmethod
     def from_cells(cls, cells: Iterable[str]) -> VariantConfig:

@@ -106,13 +106,13 @@ def test_criterion_4_size_conservation(hello_variants):
         images.append(build_elf([Sec(".bss", b"\x00" * 50, sh_type=8)]))
         for data in images:
             profile = size_profile(parse_elf(data))
-            assert profile.total() == len(data)
+            assert sum(profile.values()) == len(data)
             grown = data + bytes(137)
             p1 = size_profile(parse_elf(grown))
-            assert p1.buckets[BUCKET_UNMAPPED] == profile.buckets[BUCKET_UNMAPPED] + 137
-            for name, value in profile.buckets.items():
+            assert p1[BUCKET_UNMAPPED] == profile[BUCKET_UNMAPPED] + 137
+            for name, value in profile.items():
                 if name != BUCKET_UNMAPPED:
-                    assert p1.buckets[name] == value
+                    assert p1[name] == value
 
 
 def _matrix(names, rows):
@@ -199,9 +199,9 @@ def _campaign_fixtures(hello_variants):
         ),
     ]
     adapters = [
-        ToolAdapter("copytool", False, "cp {input} {output}",
+        ToolAdapter("copytool", "cp {input} {output}",
                     "cp {input} {output}"),
-        ToolAdapter("failtool", False, 'sh -c "exit 1" r {input} {output}',
+        ToolAdapter("failtool", 'sh -c "exit 1" r {input} {output}',
                     'sh -c "exit 1" r {input} {output}'),
     ]
     return manifest, adapters

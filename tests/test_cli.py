@@ -452,6 +452,18 @@ class TestTrainCommand:
         assert err == f"rweval: bad train settings: {message}\n"
         assert not out_model.exists()
 
+    def test_split_with_one_train_row_exits_2(self, capsys, trainable_corpus, tmp_path):
+        manifest, results = trainable_corpus
+        manifest.write_text(json.dumps(json.loads(manifest.read_text())[:3]))
+        out_model = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "train", "--results", str(results),
+                                 "--manifest", str(manifest), "--tool", "toolx",
+                                 "--task", "AFL", "--train-fraction", "0.1",
+                                 "--out-model", str(out_model))
+        assert (code, out) == (2, "")
+        assert "3 rows at train_fraction=0.1 leave 1 to train" in err
+        assert not out_model.exists()
+
     def test_tool_absent_exits_2(self, capsys, trainable_corpus, tmp_path):
         manifest, results = trainable_corpus
         code, _, _ = run_cli(capsys, "train", "--results", str(results),

@@ -294,6 +294,11 @@ class TestSplit:
         with pytest.raises(DegenerateSplit):
             split_train_test(m, 0.7)
 
+    def test_one_train_row_degenerate(self):
+        # ceil(10 * 0.1) leaves 1 row to train, and train_cart needs 2
+        with pytest.raises(DegenerateSplit, match="leave 1 to train"):
+            split_train_test(self.ten_rows(), 0.1)
+
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             split_train_test(self.ten_rows(), 1.0)

@@ -13,7 +13,6 @@ from rweval.elf import (
     ElfFile,
     ElfType,
     MalformedElf,
-    SizeProfile,
     Unsupported,
     parse_elf,
     size_delta,
@@ -266,56 +265,56 @@ class TestSizeProfile:
     def test_gap_free_file_has_zero_unmapped(self):
         img = build_elf([Sec(".text", b"\x90" * 32), Sec(".data", b"\x01" * 8)])
         profile = size_profile(parse_elf(img))
-        assert profile.buckets[BUCKET_UNMAPPED] == 0
-        assert profile.total() == len(img)
+        assert profile[BUCKET_UNMAPPED] == 0
+        assert sum(profile.values()) == len(img)
 
     def test_trailing_bytes_go_to_unmapped_only(self):
         base = build_elf([Sec(".text", b"\x90" * 32)])
         grown = base + bytes(100)
         p0 = size_profile(parse_elf(base))
         p1 = size_profile(parse_elf(grown))
-        assert p1.buckets[BUCKET_UNMAPPED] == p0.buckets[BUCKET_UNMAPPED] + 100
-        for name, value in p0.buckets.items():
+        assert p1[BUCKET_UNMAPPED] == p0[BUCKET_UNMAPPED] + 100
+        for name, value in p0.items():
             if name != BUCKET_UNMAPPED:
-                assert p1.buckets[name] == value
+                assert p1[name] == value
 
     def test_hello_world_buckets_sum_to_disk_size(self, hello_variants):
         for variant in hello_variants:
             data = variant.path.read_bytes()
             profile = size_profile(parse_elf(data))
-            assert profile.total() == variant.path.stat().st_size, variant.name
-            assert all(v >= 0 for v in profile.buckets.values())
+            assert sum(profile.values()) == variant.path.stat().st_size, variant.name
+            assert all(v >= 0 for v in profile.values())
 
     def test_header_buckets_have_expected_sizes(self):
         img = build_elf([Sec(".text", b"\x90" * 16)])
         s = parse_elf(img)
         profile = size_profile(s)
-        assert profile.buckets[BUCKET_EHDR] == 64
-        assert profile.buckets[BUCKET_PHDRS] == 56
-        assert profile.buckets[BUCKET_SHDRS] == 3 * 64
-        assert profile.buckets[".text"] == 16
+        assert profile[BUCKET_EHDR] == 64
+        assert profile[BUCKET_PHDRS] == 56
+        assert profile[BUCKET_SHDRS] == 3 * 64
+        assert profile[".text"] == 16
 
     def test_gaps_are_unmapped(self):
         img = build_elf([Sec(".text", b"\x90" * 16, gap_before=7)])
         profile = size_profile(parse_elf(img))
-        assert profile.buckets[BUCKET_UNMAPPED] == 7
+        assert profile[BUCKET_UNMAPPED] == 7
 
     def test_each_nameless_section_has_its_own_bucket(self):
         img = build_elf([Sec(".text", b"\x90" * 12), Sec(".data", b"\x01" * 20),
                          Sec(".bss", b"\x00" * 8, SHT_NOBITS)], with_shstrtab=False)
         profile = size_profile(parse_elf(img))
-        nameless = {k: v for k, v in profile.buckets.items() if not k.startswith("[E")}
+        nameless = {k: v for k, v in profile.items() if not k.startswith("[E")}
         # the null section and the NOBITS section have no bytes on disk: no rows
         assert nameless == {"[section 1]": 12, "[section 2]": 20, BUCKET_UNMAPPED: 0}
-        assert profile.total() == len(img)
+        assert sum(profile.values()) == len(img)
 
     def test_nobits_claims_nothing(self):
         img = build_elf(
             [Sec(".text", b"\x90" * 16), Sec(".bss", b"\x00" * 999, SHT_NOBITS)]
         )
         profile = size_profile(parse_elf(img))
-        assert profile.buckets[".bss"] == 0
-        assert profile.total() == len(img)
+        assert profile[".bss"] == 0
+        assert sum(profile.values()) == len(img)
 
     def test_overlap_first_claimer_wins(self):
         # two section headers pointing at the same bytes
@@ -327,9 +326,9 @@ class TestSizeProfile:
         struct.pack_into("<QQ", img, shoff + 2 * 64 + 24, text.file_offset, 16)
         s2 = parse_elf(bytes(img))
         profile = size_profile(s2)
-        assert profile.buckets[".text"] == 16
-        assert profile.buckets[".dup"] == 0
-        assert profile.total() == len(img)
+        assert profile[".text"] == 16
+        assert profile[".dup"] == 0
+        assert sum(profile.values()) == len(img)
 
     def test_deterministic(self):
         img = build_elf()
@@ -357,8 +356,8 @@ class TestSizeProfile:
         ]
         img = build_elf(secs, trailing=b"\xee" * trailing)
         profile = size_profile(parse_elf(img))
-        assert profile.total() == len(img)
-        assert all(v >= 0 for v in profile.buckets.values())
+        assert sum(profile.values()) == len(img)
+        assert all(v >= 0 for v in profile.values())
 
 
 class TestSizeDelta:
@@ -370,18 +369,18 @@ class TestSizeDelta:
         assert delta[".text"] == 100.0
 
     def test_growth_arithmetic(self):
-        before = SizeProfile({".text": 1000})
-        after = SizeProfile({".text": 1500})
+        before = {".text": 1000}
+        after = {".text": 1500}
         assert size_delta(before, after) == {".text": 150.0}
 
     def test_bucket_missing_on_either_side_is_na(self):
-        before = SizeProfile({".text": 10})
-        after = SizeProfile({".text": 10, ".got.plt": 64})
+        before = {".text": 10}
+        after = {".text": 10, ".got.plt": 64}
         delta = size_delta(before, after)
         assert delta[".got.plt"] is None
         assert size_delta(after, before)[".got.plt"] is None
 
     def test_zero_before_value_is_na(self):
-        assert size_delta(SizeProfile({".bss": 0}), SizeProfile({".bss": 0})) == {
+        assert size_delta({".bss": 0}, {".bss": 0}) == {
             ".bss": None
         }

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rweval.elf import parse_elf
@@ -27,6 +27,7 @@ class TestCanonicalize:
             (".symtab", "symtab"),
             (".interp", "interp"),
             ("no-leading-dot", "no_leading_dot"),
+            ("..x", ".x"),
         ],
     )
     def test_known_spellings(self, raw, expected):
@@ -39,11 +40,16 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize("")
 
-    @given(st.text(min_size=1, max_size=30))
-    def test_idempotent(self, name):
-        once = canonicalize(name)
-        if once:
-            assert canonicalize(once) == once
+    @given(st.text(".", max_size=3), st.text(max_size=30))
+    def test_matches_the_readme_rule(self, dots, text):
+        # any non-empty name, with leading dots drawn often:
+        # strip one leading ".", lowercase ASCII letters, "-" becomes "_"
+        name = dots + text
+        assume(name)
+        rest = name[1:] if name.startswith(".") else name
+        expected = "".join("_" if c == "-" else c.lower() if "A" <= c <= "Z" else c
+                           for c in rest)
+        assert canonicalize(name) == expected
 
 
 class TestExtract:

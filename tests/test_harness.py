@@ -45,24 +45,22 @@ from rweval.harness import (
 from elfbuild import build_elf
 from oracles import columns
 
-COPY = ToolAdapter("copytool", emits_ir=False, nop_command="cp {input} {output}",
+COPY = ToolAdapter("copytool", nop_command="cp {input} {output}",
                    afl_command="cp {input} {output}")
-FAIL = ToolAdapter("failtool", emits_ir=False,
+FAIL = ToolAdapter("failtool",
                    nop_command='sh -c "exit 1" runner {input} {output}',
                    afl_command='sh -c "exit 1" runner {input} {output}')
 LIFT = ToolAdapter(
     "lifttool",
-    emits_ir=True,
     nop_command='sh -c \'echo IR > lifted.ir && cp "$1" "$2"\' runner {input} {output}',
     ir_artifact_glob="*.ir",
 )
 NO_IR = ToolAdapter(
     "forgetful",
-    emits_ir=True,
     nop_command='sh -c \'cp "$1" "$2"\' runner {input} {output}',
     ir_artifact_glob="*.ir",
 )
-SLEEPER = ToolAdapter("sleeper", emits_ir=False,
+SLEEPER = ToolAdapter("sleeper",
                       nop_command='sh -c "sleep 5" runner {input} {output}')
 
 
@@ -158,9 +156,9 @@ class TestVariantConfig:
 class TestToolAdapter:
     def test_templates_must_have_placeholders(self):
         with pytest.raises(ValueError):
-            ToolAdapter("x", False, nop_command="cp {input} out")
+            ToolAdapter("x", nop_command="cp {input} out")
         with pytest.raises(ValueError):
-            ToolAdapter("x", False, nop_command="cp {input} {output}",
+            ToolAdapter("x", nop_command="cp {input} {output}",
                         afl_command="true")
 
 
@@ -232,10 +230,20 @@ class TestRunTask:
     def test_backgrounded_children_die_with_the_rewriter(self, elf_input, tmp_path,
                                                          bg_pidfile):
         tool = script(tmp_path / "tool", f'sleep 30 & echo $! > "{bg_pidfile}"; cp "$1" "$2"')
-        bg = ToolAdapter("bg", False, nop_command=f"{tool} {{input}} {{output}}")
+        bg = ToolAdapter("bg", nop_command=f"{tool} {{input}} {{output}}")
         rec = run_task(bg, Task.NOP, elf_input, str(tmp_path / "w"), timeout_s=10)
         assert rec.exe_ok is True
         assert process_gone(int(bg_pidfile.read_text())), "the tool's background sleep outlived it"
+
+    def test_processes_do_not_read_the_callers_stdin(self, tmp_path):
+        # a process that read the caller's stdin could take a user's typing,
+        # race a parallel job for it, or wait on a terminal until its timeout
+        code = ("import sys; from rweval import harness; "
+                "harness._run(['sh', '-c', 'cat > got.txt'], sys.argv[1], 10)")
+        src = os.path.dirname(os.path.dirname(rweval.__file__))
+        subprocess.run([sys.executable, "-c", code, str(tmp_path)], input=b"typed-by-the-user",
+                       env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert (tmp_path / "got.txt").read_bytes() == b""
 
     def test_missing_afl_command(self, elf_input, tmp_path):
         rec = run_task(LIFT, Task.AFL, elf_input, str(tmp_path / "w"), 10)
@@ -254,7 +262,7 @@ class TestRunTask:
         assert "MissingIrArtifact" in rec.annotation
 
     def test_unknown_command_raises_spawn_error(self, elf_input, tmp_path):
-        ghost = ToolAdapter("ghost", False,
+        ghost = ToolAdapter("ghost",
                             nop_command="definitely-not-a-command {input} {output}")
         with pytest.raises(SpawnError):
             run_task(ghost, Task.NOP, elf_input, str(tmp_path / "w"), 10)
@@ -268,7 +276,7 @@ class TestRunTask:
         elf = tmp_path / "input.elf"
         elf.write_bytes(build_elf())
         hog = ToolAdapter(
-            "hog", False,
+            "hog",
             nop_command="python3 -c \"import sys,shutil; x=bytearray(60*1024*1024); "
                         "shutil.copy(sys.argv[1], sys.argv[2])\" {input} {output}",
         )
@@ -388,7 +396,7 @@ class TestCampaignStubs:
         garbage = tmp_path / "garbage-tool"
         garbage.write_bytes(b"\x00\x01 not a program \xff\n")
         garbage.chmod(0o755)
-        broken = ToolAdapter("broken", False, nop_command=f"{garbage} {{input}} {{output}}")
+        broken = ToolAdapter("broken", nop_command=f"{garbage} {{input}} {{output}}")
         records = run_campaign([ManifestEntry("bin", elf_input, variant())],
                                [broken, COPY], tasks=(Task.NOP,), timeout_s=30)
         by_tool = {r.tool_name: r for r in records}
@@ -419,7 +427,7 @@ class TestCampaignStubs:
         # two jobs with one job name would share a workdir and a kept output
         marker = tmp_path / "ran"
         tool = script(tmp_path / "tool", f'touch "{marker}"; cp "$1" "$2"')
-        first = ToolAdapter("t", False, nop_command=f"{tool} {{input}} {{output}}")
+        first = ToolAdapter("t", nop_command=f"{tool} {{input}} {{output}}")
         second = replace(first, nop_command="false {input} {output}")
         adapters, tasks = [first, second], (Task.NOP,)
         if repeated == "task":
@@ -533,7 +541,7 @@ class TestCampaign:
         assert sorted(self.strip_timing(seen)) == sorted(self.strip_timing(records))
 
     def test_spawn_error_captured_per_run(self, hello_variants):
-        ghost = ToolAdapter("ghost", False,
+        ghost = ToolAdapter("ghost",
                             nop_command="definitely-not-a-command {input} {output}")
         records = run_campaign(self.manifest(hello_variants), [ghost],
                                tasks=(Task.NOP,), timeout_s=30)
@@ -906,13 +914,23 @@ class TestConfigLoaders:
         ("manifest", "null_invocation", "--version", 2),
         ("manifest", "null_invocation", ["--version", 1], 2),
         ("adapters", "emits_ir", "false", 3),
-        ("adapters", "emits_ir", 0, 3)])
+        ("adapters", "emits_ir", 0, 3),
+        ("manifest", "path", 5, 2),
+        ("manifest", "path", "", 2),
+        ("manifest", "id", 5, 2),
+        ("adapters", "tool_name", 5, 3),
+        ("adapters", "nop_command", ["cp", "{input}", "{output}"], 3),
+        ("adapters", "afl_command", ["cp", "{input}", "{output}"], 3),
+        ("adapters", "ir_artifact_glob", 5, 3),
+        # emits_ir restates whether there is an ir_artifact_glob: both must agree
+        ("adapters", "emits_ir", True, 3),
+        ("adapters", "ir_artifact_glob", "*.ir", 3)])
     def test_field_of_the_wrong_json_type(self, tmp_path, capsys, config, field, bad, code):
         from rweval.cli import main
 
         manifest = {"id": "a", "path": "/bin/a", "program": "p", "compiler": "gcc",
                     "flags": "O0", "relocation": "pie", "symbols": "present", "os": "u20"}
-        adapter = {"tool_name": "t", "nop_command": "t {input} {output}"}
+        adapter = {"tool_name": "t", "emits_ir": False, "nop_command": "t {input} {output}"}
         (manifest if config == "manifest" else adapter)[field] = bad
         for name, obj in (("manifest", manifest), ("adapters", adapter)):
             (tmp_path / f"{name}.json").write_text(json.dumps([obj]))

@@ -6,7 +6,6 @@ import pytest
 
 from rweval import harness
 from rweval.dtree import Task
-from rweval.elf import SizeProfile
 from rweval.errors import UnknownTool
 from rweval.harness import (
     Results,
@@ -353,38 +352,38 @@ class TestRelativeSize:
 class TestSectionSizeTable:
     def test_all_identity(self):
         pairs = [
-            ("t", SizeProfile({".text": 10}), SizeProfile({".text": 10})),
-            ("t", SizeProfile({".text": 99}), SizeProfile({".text": 99})),
+            ("t", {".text": 10}, {".text": 10}),
+            ("t", {".text": 99}, {".text": 99}),
         ]
         table = section_size_table(pairs)
         assert table.raw_cells[(".text", "t")] == 100.0
 
     def test_bucket_absent_from_rewrites_is_na(self):
         pairs = [
-            ("zipr", SizeProfile({".text": 10, ".got.plt": 4}),
-             SizeProfile({".text": 10})),
+            ("zipr", {".text": 10, ".got.plt": 4},
+             {".text": 10}),
         ]
         table = section_size_table(pairs)
         assert table.raw_cells[(".got.plt", "zipr")] is None
 
     def test_mixed_deltas_average(self):
         pairs = [
-            ("t", SizeProfile({".data": 100}), SizeProfile({".data": 50})),
-            ("t", SizeProfile({".data": 100}), SizeProfile({".data": 150})),
+            ("t", {".data": 100}, {".data": 50}),
+            ("t", {".data": 100}, {".data": 150}),
         ]
         assert section_size_table(pairs).raw_cells[(".data", "t")] == 100.0
 
     def test_na_pairs_skipped_in_mean(self):
         pairs = [
-            ("t", SizeProfile({".data": 0}), SizeProfile({".data": 50})),
-            ("t", SizeProfile({".data": 100}), SizeProfile({".data": 150})),
+            ("t", {".data": 0}, {".data": 50}),
+            ("t", {".data": 100}, {".data": 150}),
         ]
         assert section_size_table(pairs).raw_cells[(".data", "t")] == 150.0
 
     def test_named_sections_sort_before_bracketed(self):
         pairs = [
-            ("t", SizeProfile({"[Unmapped]": 5, ".text": 10}),
-             SizeProfile({"[Unmapped]": 5, ".text": 10})),
+            ("t", {"[Unmapped]": 5, ".text": 10},
+             {"[Unmapped]": 5, ".text": 10}),
         ]
         assert section_size_table(pairs).buckets == (".text", "[Unmapped]")
 
