@@ -270,7 +270,10 @@ def _cohort_predicate(spec: str) -> dict[str, str]:
         if "=" not in part:
             raise CliConfigError(f"bad cohort term {part!r}, want key=value")
         key, _, value = part.partition("=")
-        predicate[key.strip()] = value.strip()
+        key = key.strip()
+        if key in predicate:
+            raise CliConfigError(f"bad --cohort value {spec!r}: repeated {key}")
+        predicate[key] = value.strip()
     try:
         report.check_cohort_fields(predicate)
     except ValueError as e:

@@ -695,31 +695,66 @@ def write_records_csv(records: Iterable[RunRecord], path: str) -> None:
 
 # Rows per chunk of load_records_csv: it never holds more raw cells than these.
 CHUNK_ROWS = 512
+# The header line results_writer writes.
+_HEADER_LINE = ",".join(RESULTS_COLUMNS)
+# A row's binary cells: binary_id and the variant columns.
+_BINARY_CELLS = 1 + len(VARIANT_COLUMNS)
 
 
 def load_records_csv(path: str) -> Results:
     """The runs of a results CSV, as columns. Columns may come in any order,
-    extra columns are ignored and blank lines skipped. ValueError names the
-    1-based line of the first malformed row, including a row that repeats a
-    (binary_id, tool, task) triple or gives a binary a second variant.
+    extra columns are ignored and blank lines skipped. ValueError names a
+    repeated results column, or the 1-based line of the first malformed row,
+    including a row that repeats a (binary_id, tool, task) triple or gives a
+    binary a second variant.
 
     Rows are read CHUNK_ROWS at a time; each chunk is turned into typed
     columns and checked column by column. Only a chunk that fails a check is
-    walked row by row, to find its first bad row and that row's message."""
+    walked row by row, by csv.reader, to find its first bad row and that
+    row's message. A file as results_writer writes it is split by
+    str.split. From the first chunk that csv.reader might read otherwise (a
+    quote, CR or NUL, or a line as long as the field size limit), or after
+    any other header, csv.reader reads the rest: the columns and the errors
+    are the same."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        index = {name: i for i, name in enumerate(header)}
-        missing = set(RESULTS_COLUMNS) - index.keys()
-        if missing:
-            raise ValueError(f"results CSV missing columns {sorted(missing)}")
-        pick = operator.itemgetter(*(index[c] for c in RESULTS_COLUMNS))
-        width = len(header)
-        variant_of, pair_bit = _VariantCache(), _PairBits()
-        masks: dict[str, int] = {}  # binary id -> the bits of its rows' pairs
+        head = f.readline()
+        # offset: the lines read before the split loop's chunk, or before
+        # the first line reader reads
+        if head.rstrip("\n") == _HEADER_LINE:
+            header, reader, offset = RESULTS_COLUMNS, None, 1
+        else:
+            reader, offset = csv.reader(itertools.chain([head], f)), 0
+            header = next(reader, [])
+        pick, width = _results_picker(header), len(header)
         results = Results()
+        binary_of, pair_bit = _BinaryIds(results.variants), _PairBits()
+        masks: dict[str, int] = {}  # binary id -> the bits of its rows' pairs
+        while reader is None:
+            lines = list(itertools.islice(f, CHUNK_ROWS))
+            text = "".join(lines)
+            # csv.reader might read these otherwise: a quoted cell, a CR line
+            # break, a NUL (rejected before Python 3.11), a field past its limit
+            if ('"' in text or "\r" in text or "\0" in text
+                    or max(map(len, lines), default=0) >= csv.field_size_limit()):
+                reader = csv.reader(itertools.chain(lines, f))
+                break
+            # csv.reader reads each line as line.split(","); the binary's
+            # cells stay one string, the row's key in binary_of
+            cuts = width - _BINARY_CELLS
+            rows = [line.rsplit(",", cuts) for line in text.split("\n") if line]
+            if rows:
+                columns = (_checked_columns(zip(*rows), binary_of, pair_bit, masks)
+                           if set(map(len, rows)) == {1 + cuts} else None)
+                if columns is None:
+                    raise _first_error(list(csv.reader(lines)),
+                                       range(offset + 1, offset + len(lines) + 1),
+                                       width, pick, binary_of.variant_of, results)
+                results._extend(*columns)
+            offset += len(lines)
+            if len(lines) < CHUNK_ROWS:
+                return results
         while True:
-            first_line = reader.line_num + 1
+            first_line = offset + reader.line_num + 1
             chunk: list[list[str]] = []
             try:
                 chunk.extend(itertools.islice(reader, CHUNK_ROWS))
@@ -728,17 +763,58 @@ def load_records_csv(path: str) -> Results:
                 read_error = e
             rows = chunk if all(chunk) else list(filter(None, chunk))
             if rows:
-                columns = _checked_columns(rows, width, pick, variant_of, pair_bit,
-                                           masks, results.variants)
+                columns = None
+                if set(map(len, rows)) == {width}:
+                    picked = pick(list(zip(*rows)))
+                    columns = _checked_columns(
+                        (zip(*picked[:_BINARY_CELLS]), *picked[_BINARY_CELLS:]),
+                        binary_of, pair_bit, masks)
                 if columns is None:
-                    i, error = _first_error(rows, width, pick, variant_of, results)
-                    raise ValueError(
-                        f"line {_line_of(chunk, i, first_line)}: {error}") from error
+                    raise _first_error(chunk, range(first_line, offset + reader.line_num + 1),
+                                       width, pick, binary_of.variant_of, results)
                 results._extend(*columns)
             if read_error is not None:
-                raise ValueError(f"line {reader.line_num}: {read_error}") from read_error
+                raise ValueError(
+                    f"line {offset + reader.line_num}: {read_error}") from read_error
             if len(chunk) < CHUNK_ROWS:
                 return results
+
+
+def _results_picker(header: Sequence[str]):
+    """The itemgetter of a header's RESULTS_COLUMNS cells, in that order.
+    ValueError when the header lacks or repeats one of them."""
+    missing = set(RESULTS_COLUMNS).difference(header)
+    if missing:
+        raise ValueError(f"results CSV missing columns {sorted(missing)}")
+    repeated = sorted(c for c in RESULTS_COLUMNS if header.count(c) > 1)
+    if repeated:
+        raise ValueError(f"results CSV repeats columns {repeated}")
+    return operator.itemgetter(*map(header.index, RESULTS_COLUMNS))
+
+
+class _BinaryIds(dict):
+    """A row's binary cells -> the binary id, interned: the line prefix
+    "binary_id,program,...,os" of a split row, or the (binary_id, *variant
+    cells) tuple of a csv.reader row. A new key's variant is checked and
+    recorded in variants once, so each distinct key is checked once; a key
+    seen before names the same binary and variant. ValueError for a prefix
+    of another field count or a bad or second variant."""
+
+    def __init__(self, variants: dict[str, VariantConfig | None]):
+        super().__init__()
+        self.variants = variants
+        self.variant_of = _VariantCache()
+
+    def __missing__(self, key: str | tuple[str, ...]) -> str:
+        binary_id, *cells = key.split(",") if isinstance(key, str) else key
+        if len(cells) != len(VARIANT_COLUMNS):
+            raise ValueError(f"expected {len(VARIANT_COLUMNS)} variant cells")
+        binary_id = sys.intern(binary_id)
+        variant = self.variant_of[tuple(cells)]
+        if self.variants.setdefault(binary_id, variant) is not variant:
+            raise ValueError(f"binary {binary_id!r} has a second variant")
+        self[key] = binary_id
+        return binary_id
 
 
 class _PairBits(dict):
@@ -749,20 +825,17 @@ class _PairBits(dict):
         return bit
 
 
-def _checked_columns(rows: list[list[str]], width: int, pick, variant_of: _VariantCache,
-                     pair_bit: _PairBits, masks: dict[str, int],
-                     variants: dict[str, VariantConfig | None]):
-    """rows as the typed columns Results._extend takes, after every check of
-    _record_from_cells and _admit. None when a row fails one; variants and
-    masks may then hold the rows up to that one."""
-    if set(map(len, rows)) != {width}:
-        return None
-    ids, *variant_cells, tools, tasks, ir, exe, func, runtime, mem, out = pick(
-        list(zip(*rows)))
+def _checked_columns(columns: Iterable[Sequence], binary_of: _BinaryIds,
+                     pair_bit: _PairBits, masks: dict[str, int]):
+    """The typed columns Results._extend takes, from a chunk's columns: the
+    rows' binary_of keys, then their cells from tool to out_size_bytes.
+    None when a row fails a check of _record_from_cells or _admit; variants
+    and masks may then hold rows of the chunk."""
+    keys, tools, tasks, ir, exe, func, runtime, mem, out = columns
     if not _STATE_CELLS.issuperset(zip(tasks, ir, exe, func)):
         return None
     try:
-        row_variants = list(map(variant_of.__getitem__, zip(*variant_cells)))
+        ids = list(map(binary_of.__getitem__, keys))
         runtime = list(map(float, runtime))
         mem = list(map(int, mem))
         out = [int(cell) if cell else None for cell in out]
@@ -771,14 +844,12 @@ def _checked_columns(rows: list[list[str]], width: int, pick, variant_of: _Varia
     if (not all(map(math.isfinite, runtime)) or min(runtime) < 0 or min(mem) < 0
             or min(filter(None, out), default=0) < 0):
         return None
-    ids = list(map(sys.intern, ids))
     tools = list(map(sys.intern, tools))
     # Not a set of every (binary_id, tool, task): that holds a tuple per row,
     # 9 MB more at paper scale. One int per binary holds a bit per pair.
-    for binary_id, variant, bit in zip(ids, row_variants,
-                                       map(pair_bit.__getitem__, zip(tools, tasks))):
+    for binary_id, bit in zip(ids, map(pair_bit.__getitem__, zip(tools, tasks))):
         mask = masks.get(binary_id, 0)
-        if variants.setdefault(binary_id, variant) is not variant or mask & bit:
+        if mask & bit:
             return None
         masks[binary_id] = mask | bit
     return (ids, tools, list(map(_TASKS.__getitem__, tasks)),
@@ -786,32 +857,37 @@ def _checked_columns(rows: list[list[str]], width: int, pick, variant_of: _Varia
             list(map(_TRISTATES.__getitem__, func)), runtime, mem, out)
 
 
-def _first_error(rows: list[list[str]], width: int, pick, variant_of: _VariantCache,
-                 results: Results) -> tuple[int, ValueError]:
-    """The index of the first of rows that fails a check, and its error,
-    taking the rows one at a time after the rows already in results."""
+def _first_error(chunk: list[list[str]], lines: range, width: int, pick,
+                 variant_of: _VariantCache, results: Results) -> ValueError:
+    """The error of the first of chunk's rows, which csv.reader read from
+    lines, that fails a check, taking the rows one at a time after the rows
+    already in results; its message names the row's line."""
     known = dict(results.variants)
     seen = set(zip(results.binary_ids, results.tools, (t.value for t in results.tasks)))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(filter(None, chunk)):
         try:
             if len(row) != width:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
             r = _record_from_cells(pick(row), variant_of)
             _admit(r.binary_id, r.variant, r.tool_name, r.task.value, known, seen)
         except ValueError as e:
-            return i, e
+            error = ValueError(f"line {_line_of(chunk, i, lines)}: {e}")
+            error.__cause__ = e
+            return error
     raise AssertionError("a chunk failed a column check that none of its rows fails")
 
 
-def _line_of(chunk: list[list[str]], i: int, first_line: int) -> int:
-    """The line on which the i-th non-blank row of chunk ends, when chunk's
-    first row starts on first_line: each row takes one line, plus one per
-    line break inside its quoted cells, as csv.reader's line_num counts."""
-    line = first_line - 1
+def _line_of(chunk: list[list[str]], i: int, lines: range) -> int:
+    """The line on which the i-th non-blank row of chunk ends, when csv.reader
+    read chunk from lines: each row takes one line, plus one per line break
+    inside its quoted cells, as csv.reader's line_num counts. A quoted cell
+    still open at the end of the file also holds the last line's break, so
+    no row ends after the last line."""
+    line = lines.start - 1
     for row in chunk:
         line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
         if row:
             if i == 0:
-                return line
+                return min(line, lines[-1])
             i -= 1
     raise AssertionError("row index past the chunk")

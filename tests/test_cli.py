@@ -775,8 +775,10 @@ class TestReportCommand:
     @pytest.mark.parametrize("argv,message", [
         (["--cohort", "relocation=pi"], "bad cohort value relocation='pi'"),
         (["--tools", "a,a"], "bad --tools value 'a,a': repeated a"),
+        (["--cohort", "compiler=gcc, compiler=clang"],
+         "bad --cohort value 'compiler=gcc, compiler=clang': repeated compiler"),
         (["--table", "size"], "--manifest is required for this table"),
-    ], ids=["cohort", "tools", "manifest"])
+    ], ids=["cohort", "tools", "cohort_key", "manifest"])
     def test_options_are_checked_before_the_results_load(self, capsys, argv, message):
         # /dev/null is no results CSV: loading it would exit 2
         code, out, err = run_cli(capsys, "report", "/dev/null", *argv)

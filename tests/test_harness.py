@@ -15,6 +15,8 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rweval
 from rweval import harness
@@ -614,7 +616,8 @@ class TestSerialization:
         assert {r.exe_ok for r in records} == {True, False}
         return records
 
-    @pytest.mark.parametrize("layout", ["plain", "reordered", "extra_column", "blank_lines"])
+    @pytest.mark.parametrize("layout", ["plain", "reordered", "extra_column", "blank_lines",
+                                        "crlf_rows"])
     def test_loader_matches_dictreader_conversion(self, tmp_path, layout):
         records = self.seeded_records(seed=len(layout))
         header = list(RESULTS_COLUMNS)
@@ -626,6 +629,8 @@ class TestSerialization:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
+        if layout == "crlf_rows":  # the header line ends in LF, each row in CRLF
+            w = csv.writer(buf, lineterminator="\r\n")
         for i, r in enumerate(records):
             row = dict(zip(RESULTS_COLUMNS, record_to_row(r)), note=f"n,{i}")
             w.writerow([row[c] for c in header])
@@ -705,24 +710,50 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_records_csv(str(path))
 
+    def test_repeated_results_columns_rejected(self, tmp_path):
+        # a repeated extra column is ignored like any other extra column
+        row = record_to_row(self.make_records()[0])
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join([*RESULTS_COLUMNS, "note", "tool", "note"]),
+                                   ",".join([*row, "n", "beta", "n"])]))
+        with pytest.raises(ValueError, match=r"^results CSV repeats columns \['tool'\]$"):
+            load_records_csv(str(path))
+
+
+def in_both_layouts(*cases):
+    """Parameters for TestColumnarLoader: each case, a value or a tuple, under
+    the "note" layout with the id pytest gives the case alone, then under the
+    "canonical" layout with "-canonical" added to that id."""
+    params = []
+    for layout in ("note", "canonical"):
+        for case in cases:
+            values = case if isinstance(case, tuple) else (case,)
+            case_id = "-".join(map(str, values))
+            params.append(pytest.param(*values, layout, id=case_id if layout == "note"
+                                       else f"{case_id}-canonical"))
+    return params
+
 
 class TestColumnarLoader:
     """load_records_csv reads CHUNK_ROWS rows at a time. These tests shrink
     the chunk, so that a dozen rows cross several chunk boundaries."""
 
     @staticmethod
-    def rows(n=12, note="note"):
-        """n valid rows, binary b{i // 2} under tools alpha and beta, and a
-        free-text note column after the standard ones."""
-        return [[f"b{i // 2}", "p", "gcc", "O0", "pie", "present", "u20",
-                 ("alpha", "beta")[i % 2], "NOP", "yes", "1", "yes", f"{i}.5", "100",
-                 "1000", f"{note} {i}"] for i in range(n)]
+    def rows(n=12, note="note", layout="note"):
+        """n valid rows, binary b{i // 2} under tools alpha and beta. The
+        "note" layout has a free-text note column after the standard ones;
+        the "canonical" one, RESULTS_COLUMNS alone, has the note, without i,
+        in every program cell."""
+        noted = layout == "note"
+        return [[f"b{i // 2}", "p" if noted else f"p {note}", "gcc", "O0", "pie", "present",
+                 "u20", ("alpha", "beta")[i % 2], "NOP", "yes", "1", "yes", f"{i}.5", "100",
+                 "1000", *([f"{note} {i}"] if noted else [])] for i in range(n)]
 
     @staticmethod
-    def write(tmp_path, rows):
+    def write(tmp_path, rows, layout="note"):
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow([*RESULTS_COLUMNS, "note"])
+        w.writerow([*RESULTS_COLUMNS, *(["note"] if layout == "note" else [])])
         w.writerows(rows)
         path = tmp_path / "results.csv"
         path.write_bytes(buf.getvalue().encode())
@@ -740,7 +771,7 @@ class TestColumnarLoader:
     BAD = {
         "exe": (lambda rows, k: rows[k].__setitem__(10, "yes"),
                 "exe must be 0 or 1, got 'yes'"),
-        "fields": (lambda rows, k: rows[k].pop(-2), "expected 16 fields, got 15"),
+        "fields": (lambda rows, k: rows[k].pop(-2), "expected {} fields, got {}"),
         "repeat": (lambda rows, k: rows.__setitem__(k, [*rows[0][:10], "0", "no",
                                                         *rows[0][12:]]),
                    "repeated row for 'b0', tool 'alpha', task NOP"),
@@ -750,49 +781,66 @@ class TestColumnarLoader:
                     "binary 'b0' has a second variant"),
     }
 
+    @staticmethod
+    def message(kind, layout):
+        """BAD[kind]'s message, for a row of the given layout."""
+        width = len(RESULTS_COLUMNS) + (layout == "note")
+        return TestColumnarLoader.BAD[kind][1].format(width, width - 1)
+
     @pytest.mark.parametrize("kind", sorted(BAD))
-    @pytest.mark.parametrize("where", ["last_of_chunk", "first_of_next",
-                                       "after_quoted_newline"])
-    def test_error_line_at_chunk_boundaries(self, tmp_path, monkeypatch, kind, where):
+    @pytest.mark.parametrize("where,layout", in_both_layouts(
+        "last_of_chunk", "first_of_next", "after_quoted_newline"))
+    def test_error_line_at_chunk_boundaries(self, tmp_path, monkeypatch, kind, where,
+                                            layout):
         monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
         if where == "after_quoted_newline":
-            rows, k = self.rows(note="two\nlines, \r\nthree"), 6
+            rows, k = self.rows(note="two\nlines, \r\nthree", layout=layout), 6
             rows.insert(5, [])  # a blank line: skipped, but counted
         else:
-            rows, k = self.rows(), {"last_of_chunk": 3, "first_of_next": 4}[where]
-        edit, message = self.BAD[kind]
+            rows, k = self.rows(layout=layout), {"last_of_chunk": 3, "first_of_next": 4}[where]
+        edit, message = self.BAD[kind][0], self.message(kind, layout)
         edit(rows, k + (where == "after_quoted_newline"))
-        path = self.write(tmp_path, rows)
+        path = self.write(tmp_path, rows, layout)
         line = {"last_of_chunk": 5, "first_of_next": 6, "after_quoted_newline": 23}[where]
         assert self.line_of(path, k) == line
         with pytest.raises(ValueError, match=f"^line {line}: {re.escape(message)}$"):
             load_records_csv(path)
 
-    @pytest.mark.parametrize("first,second", [
+    @pytest.mark.parametrize("first,second,layout", in_both_layouts(
         ("repeat", "exe"), ("exe", "fields"), ("fields", "variant"), ("variant", "exe"),
-    ])
-    def test_first_bad_row_of_a_chunk_wins(self, tmp_path, monkeypatch, first, second):
+    ))
+    def test_first_bad_row_of_a_chunk_wins(self, tmp_path, monkeypatch, first, second,
+                                           layout):
         monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
-        rows = self.rows()
+        rows = self.rows(layout=layout)
         self.BAD[second][0](rows, 6)
         self.BAD[first][0](rows, 5)
-        with pytest.raises(ValueError, match=f"^line 7: {re.escape(self.BAD[first][1])}$"):
-            load_records_csv(self.write(tmp_path, rows))
+        message = re.escape(self.message(first, layout))
+        with pytest.raises(ValueError, match=f"^line 7: {message}$"):
+            load_records_csv(self.write(tmp_path, rows, layout))
 
-    @pytest.mark.parametrize("bad_row,message", [
+    @pytest.mark.parametrize("bad_row,message,layout", in_both_layouts(
         (None, "line 9: field larger than field limit"),
         (6, "line 8: exe must be 0 or 1"),  # before the long field, same chunk
         (2, "line 4: exe must be 0 or 1"),  # an earlier chunk
-    ])
+    ))
     def test_a_reader_error_comes_after_the_rows_before_it(self, tmp_path, monkeypatch,
-                                                           bad_row, message):
+                                                           bad_row, message, layout):
         monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
-        rows = self.rows()
+        rows = self.rows(layout=layout)
         rows[7][-1] = "x" * (csv.field_size_limit() + 1)
         if bad_row is not None:
             self.BAD["exe"][0](rows, bad_row)
         with pytest.raises(ValueError, match=f"^{message}"):
-            load_records_csv(self.write(tmp_path, rows))
+            load_records_csv(self.write(tmp_path, rows, layout))
+
+    @pytest.mark.parametrize("ending,line", [("", 2), ("\n", 3), ("\r\n", 3)])
+    def test_a_quote_open_at_the_end_names_the_last_line(self, tmp_path, ending, line):
+        path = tmp_path / "results.csv"
+        path.write_bytes(f"{','.join(RESULTS_COLUMNS)}\n\"open,\n{ending}".encode())
+        assert self.line_of(path, 0) == line
+        with pytest.raises(ValueError, match=f"^line {line}: expected 15 fields, got 1$"):
+            load_records_csv(str(path))
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 4, 512])
     def test_every_chunk_size_loads_the_same_records(self, tmp_path, monkeypatch,
@@ -825,6 +873,110 @@ class TestColumnarLoader:
         assert len({id(v) for v in results.variants.values()}) == 1
         assert results.variants["b0"] == VariantConfig("p", "gcc", "O0", "pie", "present",
                                                        "u20")
+
+    @staticmethod
+    def rowwise_error(path):
+        """The error of the first bad row of a results CSV that csv.reader
+        alone reads row by row, with the line it names; None when no row is
+        bad."""
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            records = []
+            try:
+                header = next(reader)
+                for row in filter(None, reader):
+                    try:
+                        if len(row) != len(header):
+                            raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                        records.append(row_to_record(dict(zip(header, row))))
+                        Results.from_records(records)
+                    except ValueError as e:
+                        return f"line {reader.line_num}: {e}"
+            except csv.Error as e:
+                return f"line {reader.line_num}: {e}"
+        return None
+
+    VARIANTS = [("p", "gcc", "O0", "pie", "present", "u20"),
+                ("p", "clang", "O2", "nopie", "present", "u20"), ("",) * 6]
+    STATES = [("yes", "1", "yes"), ("na", "1", "no"), ("no", "0", "na"), ("yes", "0", "no")]
+
+    @staticmethod
+    @st.composite
+    def results_texts(draw):
+        """A results CSV with the header results_writer writes: rows of a few
+        binaries, tools and tasks, some of them repeated or bad, some quoted
+        and some not, with cells of ',', '"', CR, LF and NUL, and blank lines."""
+        cls, lines = TestColumnarLoader, [",".join(RESULTS_COLUMNS)]
+        variants = draw(st.lists(st.sampled_from(cls.VARIANTS), min_size=1, max_size=3))
+        for _ in range(draw(st.integers(0, 14))):
+            b = draw(st.integers(0, len(variants) - 1))
+            cells = [f"b{b % 2}", *variants[b],
+                     draw(st.sampled_from(["alpha", "beta", "a,b"])),
+                     draw(st.sampled_from(["NOP", "AFL"])), *draw(st.sampled_from(cls.STATES)),
+                     draw(st.sampled_from(["1.5", "0"])), "100",
+                     draw(st.sampled_from(["", "7"]))]
+            if draw(st.integers(0, 3)) == 0:
+                cells[draw(st.integers(0, 14))] = draw(st.text(',"\r\n\0a1', max_size=3))
+            if draw(st.booleans()):
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="").writerow(cells)
+                lines.append(buf.getvalue())
+            else:
+                lines.append(",".join(cells))
+            if draw(st.integers(0, 4)) == 0:
+                lines.append("")
+        return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=results_texts(), chunk_rows=st.sampled_from([1, 2, 3, 512]))
+    def test_split_and_csv_reader_load_alike(self, tmp_path_factory, text, chunk_rows):
+        path = tmp_path_factory.getbasetemp() / "split-or-reader.csv"
+        path.write_bytes(text.encode())
+        error = self.rowwise_error(path)
+        saved, harness.CHUNK_ROWS = harness.CHUNK_ROWS, chunk_rows
+        try:
+            if error is None:
+                with open(path, newline="") as f:
+                    want = Results.from_records(map(row_to_record, csv.DictReader(f)))
+                assert columns(load_records_csv(str(path))) == columns(want)
+            else:
+                with pytest.raises(ValueError) as raised:
+                    load_records_csv(str(path))
+                assert str(raised.value) == error
+        finally:
+            harness.CHUNK_ROWS = saved
+
+    def test_files_as_written_are_split_without_csv_reader(self, tmp_path, monkeypatch):
+        yielded = []
+
+        class CountingReader:
+            def __init__(self, *args, **kwargs):
+                self.reader = real_reader(*args, **kwargs)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                yielded.append(next(self.reader))
+                return yielded[-1]
+
+            @property
+            def line_num(self):
+                return self.reader.line_num
+
+        real_reader = csv.reader
+        monkeypatch.setattr(harness.csv, "reader", CountingReader)
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 5)
+        records = TestSerialization.seeded_records(seed=8)
+        path = str(tmp_path / "results.csv")
+        write_records_csv(records, path)
+        assert columns(load_records_csv(path)) == columns(Results.from_records(records))
+        assert len(yielded) <= 1  # at most the header
+        # a quoted cell in the fourth chunk: csv.reader reads from there on
+        records[17] = replace(records[17], tool_name="a,b")
+        write_records_csv(records, path)
+        assert columns(load_records_csv(path)) == columns(Results.from_records(records))
+        assert len(yielded) == len(records) - 3 * 5
 
     def test_from_records_round_trips_and_checks_rows(self):
         records = TestSerialization.seeded_records(seed=3)
