@@ -115,8 +115,15 @@ def cmd_size(args) -> int:
     else:
         delta = size_delta(profile, _profile_path(args.path2))
         table = report.MapTable("bucket", "pct", delta)
-    print(report.render(table, args.format), end="" if args.format == "csv" else "\n")
+    _print_table(table, args.format)
     return EXIT_OK
+
+
+def _print_table(table, fmt: str) -> None:
+    from . import report
+
+    # rendered CSV already ends in a line break; text and JSON do not
+    print(report.render(table, fmt), end="" if fmt == "csv" else "\n")
 
 
 def _load_manifest(path: str):
@@ -206,7 +213,7 @@ def _load_results(path: str):
 
 
 def cmd_train(args) -> int:
-    from .variant import TriState
+    from . import report
 
     try:
         dtree.check_train_settings(
@@ -218,14 +225,7 @@ def cmd_train(args) -> int:
     manifest = _load_manifest(args.manifest)
     task = Task(args.task)
 
-    # Results holds one row per (binary, tool, task): one label per binary.
-    label_by_id = {
-        binary_id: features.Label.PASS if func is TriState.YES
-        else features.Label.FAIL
-        for binary_id, tool, row_task, func in zip(
-            results.binary_ids, results.tools, results.tasks, results.func)
-        if row_task is task and tool == args.tool
-    }
+    label_by_id = report.labels(results, args.tool, task)
     if not label_by_id:
         raise CliInputError(
             f"no records for tool {args.tool!r} task {task.value} in {args.results!r}"
@@ -320,7 +320,7 @@ def cmd_report(args) -> int:
                     _section_pairs(rows, paths, args.outputs))
     except UnknownTool as e:
         raise CliInputError(str(e)) from e
-    print(report.render(table, args.format))
+    _print_table(table, args.format)
     return EXIT_OK
 
 
@@ -354,7 +354,7 @@ def _handled_originals(rows, paths: dict[str, str], measure):
 def _size_pairs(rows, paths: dict[str, str]):
     """(tool, original size, output size) for relative_size."""
     for tool, _, out_size, size in _handled_originals(rows, paths, _file_size):
-        if out_size is not None:
+        if out_size >= 0:  # -1: unknown
             yield tool, size, out_size
 
 

@@ -67,15 +67,6 @@ def _walk(node: TreeNode, path: str = "root"):
         yield from _walk(node.when_true, path + ".true")
 
 
-def leaf_count_total(model: DecisionTreeModel) -> float:
-    """Sum of FAIL+PASS counts over all leaves (the training-sample total)."""
-    return sum(
-        node.fail_count + node.pass_count
-        for node, _ in _walk(model.root)
-        if isinstance(node, Leaf)
-    )
-
-
 @dataclass(frozen=True)
 class Prediction:
     outcome: Label

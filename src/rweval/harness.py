@@ -30,6 +30,7 @@ import sys
 import tempfile
 import threading
 import time
+from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -95,6 +96,8 @@ class RunRecord:
         if (self.runtime_seconds < 0 or self.memory_kbytes < 0
                 or (self.output_size_bytes or 0) < 0):
             raise ValueError("resource fields must be non-negative")
+        if max(self.memory_kbytes, self.output_size_bytes or 0) >= 1 << 63:
+            raise ValueError("mem_kb and out_size_bytes must be below 2**63")
         if self.func_ok is TriState.YES and not self.exe_ok:
             raise ValueError("func_ok=yes requires exe_ok")
         if self.exe_ok and self.ir_ok is TriState.NO:
@@ -604,62 +607,58 @@ def _admit(binary_id: str, variant: VariantConfig | None, tool: str, task: str,
     seen.add(triple)
 
 
-def _valid_state(cells: tuple[str, str, str, str]) -> bool:
-    task, ir, exe, func = cells
+def _valid_state(state: tuple[Task, TriState, bool, TriState]) -> bool:
     try:
-        RunRecord("", None, "", _TASKS[task], _TRISTATES[ir], _EXE_CELLS[exe],
-                  _TRISTATES[func], 0.0, 0)
+        RunRecord("", None, "", *state, 0.0, 0)
     except ValueError:
         return False
     return True
 
 
-# The (task, ir, exe, func) cells of a row that RunRecord accepts. Checked as
-# strings, whose hashes are cached; an Enum member hashes in Python.
-_STATE_CELLS = frozenset(filter(_valid_state, itertools.product(
-    _TASKS, _TRISTATES, _EXE_CELLS, _TRISTATES)))
+# The (task, ir, exe, func) outcomes that RunRecord accepts; Results.states
+# holds each row's index here.
+STATES = tuple(filter(_valid_state, itertools.product(Task, TriState, (False, True), TriState)))
+_CODE_OF_STATE = {state: code for code, state in enumerate(STATES)}
+# A row's cells -> its code: a string's hash is cached, an Enum member's is not
+_CODE_OF_CELLS = {(task.value, ir.value, "1" if exe else "0", func.value): code
+                  for (task, ir, exe, func), code in _CODE_OF_STATE.items()}
 
 
 class Results:
-    """Run results as columns: entry i of every list describes one run.
+    """Run results as columns: entry i of every column describes one run.
 
-    Binary ids and tool names share one string object per distinct value;
-    tasks, ir and func hold Task and TriState members, exe bools, runtime_s
-    floats, and mem_kb and out_size ints (out_size None when unknown).
-    variants maps each binary id to its VariantConfig, or None.
+    Binary ids and tool names share one string object per distinct value.
+    states holds one byte per run, its (task, ir, exe, func) outcome as an
+    index into STATES. runtime_s is an array('d'); mem_kb and out_size are
+    array('q')s, with out_size -1 when unknown. variants maps each binary id
+    to its VariantConfig, or None.
     load_records_csv and from_records check what RunRecord checks, and that
     no (binary_id, tool, task) triple repeats and no binary has two
     variants: so the rows of one (tool, task) pair are of distinct binaries.
     """
 
-    __slots__ = ("binary_ids", "tools", "tasks", "ir", "exe", "func",
-                 "runtime_s", "mem_kb", "out_size", "variants")
+    __slots__ = ("binary_ids", "tools", "states", "runtime_s", "mem_kb", "out_size",
+                 "variants")
 
     def __init__(self):
         self.binary_ids: list[str] = []
         self.tools: list[str] = []
-        self.tasks: list[Task] = []
-        self.ir: list[TriState] = []
-        self.exe: list[bool] = []
-        self.func: list[TriState] = []
-        self.runtime_s: list[float] = []
-        self.mem_kb: list[int] = []
-        self.out_size: list[int | None] = []
+        self.states = bytearray()
+        self.runtime_s = array("d")
+        self.mem_kb = array("q")
+        self.out_size = array("q")
         self.variants: dict[str, VariantConfig | None] = {}
 
     def __len__(self) -> int:
         return len(self.binary_ids)
 
-    def _extend(self, ids, tools, tasks, ir, exe, func, runtime_s, mem_kb, out_size):
+    def _extend(self, ids, tools, states, runtime_s, mem_kb, out_size):
         self.binary_ids += ids
         self.tools += tools
-        self.tasks += tasks
-        self.ir += ir
-        self.exe += exe
-        self.func += func
-        self.runtime_s += runtime_s
-        self.mem_kb += mem_kb
-        self.out_size += out_size
+        self.states.extend(states)
+        self.runtime_s.extend(runtime_s)
+        self.mem_kb.extend(mem_kb)
+        self.out_size.extend(out_size)
 
     @classmethod
     def from_records(cls, records: Iterable[RunRecord]) -> Results:
@@ -671,8 +670,9 @@ class Results:
             binary_id, tool = sys.intern(r.binary_id), sys.intern(r.tool_name)
             _admit(binary_id, canonical.setdefault(r.variant, r.variant), tool,
                    r.task.value, results.variants, seen)
-            rows.append((binary_id, tool, r.task, r.ir_ok, r.exe_ok, r.func_ok,
-                         r.runtime_seconds, r.memory_kbytes, r.output_size_bytes))
+            rows.append((binary_id, tool, _CODE_OF_STATE[r.task, r.ir_ok, r.exe_ok, r.func_ok],
+                         r.runtime_seconds, r.memory_kbytes,
+                         -1 if r.output_size_bytes is None else r.output_size_bytes))
         if rows:
             results._extend(*zip(*rows))
         return results
@@ -832,17 +832,17 @@ def _checked_columns(columns: Iterable[Sequence], binary_of: _BinaryIds,
     None when a row fails a check of _record_from_cells or _admit; variants
     and masks may then hold rows of the chunk."""
     keys, tools, tasks, ir, exe, func, runtime, mem, out = columns
-    if not _STATE_CELLS.issuperset(zip(tasks, ir, exe, func)):
-        return None
-    try:
+    try:  # KeyError: an outcome RunRecord rejects; OverflowError: 2**63 or more
+        states = bytes(map(_CODE_OF_CELLS.__getitem__, zip(tasks, ir, exe, func)))
         ids = list(map(binary_of.__getitem__, keys))
-        runtime = list(map(float, runtime))
-        mem = list(map(int, mem))
-        out = [int(cell) if cell else None for cell in out]
-    except ValueError:
+        runtime = array("d", map(float, runtime))
+        mem = array("q", map(int, mem))
+        sizes = array("q", [int(cell) if cell else -1 for cell in out])
+    except (KeyError, ValueError, OverflowError):
         return None
+    # -1 stands for an empty cell only: a "-1" cell is negative
     if (not all(map(math.isfinite, runtime)) or min(runtime) < 0 or min(mem) < 0
-            or min(filter(None, out), default=0) < 0):
+            or min(sizes) < -1 or sizes.count(-1) != out.count("")):
         return None
     tools = list(map(sys.intern, tools))
     # Not a set of every (binary_id, tool, task): that holds a tuple per row,
@@ -852,9 +852,7 @@ def _checked_columns(columns: Iterable[Sequence], binary_of: _BinaryIds,
         if mask & bit:
             return None
         masks[binary_id] = mask | bit
-    return (ids, tools, list(map(_TASKS.__getitem__, tasks)),
-            list(map(_TRISTATES.__getitem__, ir)), list(map(_EXE_CELLS.__getitem__, exe)),
-            list(map(_TRISTATES.__getitem__, func)), runtime, mem, out)
+    return ids, tools, states, runtime, mem, sizes
 
 
 def _first_error(chunk: list[list[str]], lines: range, width: int, pick,
@@ -863,7 +861,8 @@ def _first_error(chunk: list[list[str]], lines: range, width: int, pick,
     lines, that fails a check, taking the rows one at a time after the rows
     already in results; its message names the row's line."""
     known = dict(results.variants)
-    seen = set(zip(results.binary_ids, results.tools, (t.value for t in results.tasks)))
+    seen = set(zip(results.binary_ids, results.tools,
+                   (STATES[code][0].value for code in results.states)))
     for i, row in enumerate(filter(None, chunk)):
         try:
             if len(row) != width:

@@ -3,9 +3,9 @@
 Percentages are computed against fixed cohort denominators (a tool that was
 never attempted on a variant counts as failing it) and truncated to two
 decimals for display -- the convention the published tables use -- with the
-raw values kept alongside. Missing cells render as "NA". Comparative tables default to ratio-of-means over the
-intersection of binaries both tools handled; mean-of-ratios is available
-behind a flag.
+raw values kept alongside. Missing cells render as "NA". Comparative tables
+default to ratio-of-means over the intersection of binaries both tools
+handled; mean-of-ratios is available behind a flag.
 """
 
 from __future__ import annotations
@@ -13,15 +13,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .dtree import Task
 from .elf import size_delta
 from .errors import UnknownTool
+from .features import Label
 from .util import fmt_pct, trunc_pct
 from .variant import CLOSED_VALUES, VARIANT_COLUMNS, TriState, VariantConfig
 
@@ -45,9 +45,6 @@ class Cohort:
     name: str
     predicate: dict[str, str]  # equality conjunctions over variant fields
     denominator: int
-
-    def matches(self, variant: VariantConfig | None) -> bool:
-        return _variant_matches(variant, self.predicate)
 
 
 _VARIANT_INDEX = {name: i for i, name in enumerate(VARIANT_COLUMNS)}
@@ -139,24 +136,27 @@ def success_table(
     else:
         _check_tools(tool_order, results)
 
-    # How many of the cohort's rows share each (tool, NOP?, ir na?, ir yes?,
-    # exe, func yes?) state. Results holds one row per (binary, tool, task),
-    # so each count is a count of distinct binaries.
-    states = zip(results.tools, _is(results.tasks, Task.NOP), _is(results.ir, TriState.NA),
-                 _is(results.ir, TriState.YES), results.exe,
-                 _is(results.func, TriState.YES))
+    # Loaded with any Results; `size` and `scope` load this module without it
+    from .harness import STATES
+
+    # How many of the cohort's rows share each (tool, state code). Results
+    # holds one row per (binary, tool, task), so each count is a count of
+    # distinct binaries.
+    states = zip(results.tools, results.states)
     if cohort.predicate:
-        members = {b for b, v in results.variants.items() if cohort.matches(v)}
+        members = {b for b, v in results.variants.items() if _variant_matches(v, cohort.predicate)}
         states = compress(states, map(members.__contains__, results.binary_ids))
     counts: Counter[tuple[str, str]] = Counter()
     ir_judged: set[str] = set()  # tools with an IR verdict on some NOP row
-    for (tool, nop, ir_na, ir_yes, exe, func_yes), n in Counter(states).items():
-        if nop:
-            if not ir_na:
+    for (tool, code), n in Counter(states).items():
+        task, ir, exe, func = STATES[code]
+        if task is Task.NOP:
+            if ir is not TriState.NA:
                 ir_judged.add(tool)
-            hits = (("IR", ir_yes), ("EXE", exe), ("NullFunc", func_yes))
+            hits = (("IR", ir is TriState.YES), ("EXE", exe),
+                    ("NullFunc", func is TriState.YES))
         else:
-            hits = (("AFL_EXE", exe), ("AFL_Func", func_yes))
+            hits = (("AFL_EXE", exe), ("AFL_Func", func is TriState.YES))
         for column, hit in hits:
             if hit:
                 counts[tool, column] += n
@@ -171,13 +171,23 @@ def success_table(
     return SuccessTable(cohort=cohort, tool_order=tuple(tool_order), cells=cells)
 
 
-def _is(column: list, member) -> Iterable[bool]:
-    return map(operator.is_, column, repeat(member))
-
-
 def handled(results: Results) -> Iterable[bool]:
     """The mask of results' rows that a tool handled: NOP runs that passed EXE."""
-    return map(operator.and_, _is(results.tasks, Task.NOP), results.exe)
+    from .harness import STATES
+
+    handled_of = [task is Task.NOP and exe for task, _, exe, _ in STATES]
+    return map(handled_of.__getitem__, results.states)
+
+
+def labels(results: Results, tool: str, task: Task) -> dict[str, Label]:
+    """Each binary's label for tool on task: PASS when its functional test
+    passed, FAIL otherwise. Results holds one row per (binary, tool, task)."""
+    from .harness import STATES
+
+    label_of = [t is task and (Label.PASS if func is TriState.YES else Label.FAIL)
+                for t, _, _, func in STATES]
+    rows = zip(results.binary_ids, results.tools, map(label_of.__getitem__, results.states))
+    return {binary_id: label for binary_id, row_tool, label in rows if label and row_tool == tool}
 
 
 def _check_tools(tool_order: Sequence[str], results: Results) -> None:
@@ -199,7 +209,7 @@ def _metric_column(results: Results, metric: str) -> Iterable[float | None]:
         return results.runtime_s
     if metric == "mem_kb":
         return map(float, results.mem_kb)
-    return (None if v is None else float(v) for v in results.out_size)
+    return (None if v < 0 else float(v) for v in results.out_size)
 
 
 @dataclass(frozen=True)

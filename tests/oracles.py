@@ -6,6 +6,7 @@
 - numpy_select_features: dtree.select_features's descent over a dense numpy
   matrix; callers skip when numpy is not installed.
 - columns: every column of a loaded results object, for equality checks.
+- leaf_count_total: the FAIL+PASS counts summed over a tree's leaves.
 """
 
 from __future__ import annotations
@@ -124,3 +125,16 @@ def columns(results) -> dict:
     """Each of results' __slots__ and its value: two loads are equal when
     these are, column by column and in the binary-to-variant map."""
     return {name: getattr(results, name) for name in type(results).__slots__}
+
+
+def leaf_count_total(model) -> float:
+    """Sum of FAIL+PASS counts over all leaves of a DecisionTreeModel (the
+    training-sample total)."""
+    total, stack = 0.0, [model.root]
+    while stack:
+        node = stack.pop()
+        if hasattr(node, "feature"):
+            stack += (node.when_false, node.when_true)
+        else:
+            total += node.fail_count + node.pass_count
+    return total

@@ -794,6 +794,8 @@ class TestReportCommand:
         ("func", None),  # the row ends after func, as in a partly written --out
         ("exe", "yes"),
         ("runtime_s", "nan"),
+        ("mem_kb", str(1 << 63)),  # Results holds it as a signed 64-bit integer
+        ("out_size_bytes", str(1 << 63)),
     ])
     def test_malformed_row_exits_2_and_names_its_line(self, capsys, results_csv,
                                                       column, cell):
@@ -829,6 +831,7 @@ class TestReportCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header.startswith("tool,IR,EXE,NullFunc,AFL_EXE,AFL_Func")
+        assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 # options each command adds to its parser, besides its -h

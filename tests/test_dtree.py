@@ -14,7 +14,6 @@ from rweval.dtree import (
     Leaf,
     Task,
     accuracy,
-    leaf_count_total,
     parse_tree,
     predict,
     select_features,
@@ -26,7 +25,7 @@ from rweval.errors import DegenerateSplit, EmptyMatrix, SchemaError
 from rweval.features import FeatureMatrix, FeatureVector, Label, MatrixRow
 from rweval.scope import builtin_models
 
-from oracles import correlation_ranking, numpy_select_features
+from oracles import correlation_ranking, leaf_count_total, numpy_select_features
 
 
 def matrix(names, rows):

@@ -12,6 +12,8 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -191,6 +193,13 @@ class TestRunRecordInvariants:
             self.base(memory_kbytes=-1)
         with pytest.raises(ValueError):
             self.base(output_size_bytes=-1)
+
+    @pytest.mark.parametrize("field", ["memory_kbytes", "output_size_bytes"])
+    def test_integers_of_2_63_or_more_rejected(self, field):
+        # Results holds them in signed 64-bit arrays
+        assert getattr(self.base(**{field: (1 << 63) - 1}), field) == (1 << 63) - 1
+        with pytest.raises(ValueError, match=r"^mem_kb and out_size_bytes must be below 2\*\*63$"):
+            self.base(**{field: 1 << 63})
 
     @pytest.mark.parametrize("runtime", [float("nan"), float("inf")])
     def test_non_finite_runtime_rejected(self, runtime):
@@ -677,6 +686,7 @@ class TestSerialization:
         ("runtime_s", "inf", "runtime inf is not finite"),
         ("runtime_s", "-1.0", "resource fields must be non-negative"),
         ("out_size_bytes", "-5", "resource fields must be non-negative"),
+        ("out_size_bytes", "-1", "resource fields must be non-negative"),
         ("mem_kb", "lots", "invalid literal"),
     ])
     def test_malformed_cell_names_its_line(self, tmp_path, column, cell, message):
@@ -859,20 +869,60 @@ class TestColumnarLoader:
         monkeypatch.setattr(harness, "CHUNK_ROWS", 3)
         rows = self.rows()
         rows[1][-2] = ""
+        rows[5][8:12] = ["AFL", "na", "0", "no"]
         results = load_records_csv(self.write(tmp_path, rows))
         assert len(results) == 12
         assert results.binary_ids[0] is results.binary_ids[1]
         assert results.tools[0] is results.tools[10]
-        assert results.tasks == [Task.NOP] * 12
-        assert results.ir == results.func == [TriState.YES] * 12
-        assert results.exe == [True] * 12
-        assert results.runtime_s == [i + 0.5 for i in range(12)]
-        assert results.mem_kb == [100] * 12
-        assert results.out_size == [1000, None, *[1000] * 10]
+        assert type(results.states) is bytearray
+        assert [harness.STATES[code] for code in results.states] == [
+            (Task.AFL, TriState.NA, False, TriState.NO) if i == 5
+            else (Task.NOP, TriState.YES, True, TriState.YES) for i in range(12)]
+        assert results.runtime_s == array("d", [i + 0.5 for i in range(12)])
+        assert results.mem_kb == array("q", [100] * 12)
+        assert results.out_size == array("q", [1000, -1, *[1000] * 10])
         assert list(results.variants) == [f"b{i}" for i in range(6)]
         assert len({id(v) for v in results.variants.values()}) == 1
         assert results.variants["b0"] == VariantConfig("p", "gcc", "O0", "pie", "present",
                                                        "u20")
+
+    @pytest.mark.parametrize("column,layout", in_both_layouts("mem_kb", "out_size_bytes"))
+    def test_integers_of_2_63_or_more_name_their_line(self, tmp_path, column, layout):
+        rows = self.rows(layout=layout)
+        index = RESULTS_COLUMNS.index(column)
+        rows[4][index] = str((1 << 63) - 1)
+        results = load_records_csv(self.write(tmp_path, rows, layout))
+        assert (1 << 63) - 1 in (*results.mem_kb, *results.out_size)
+        rows[4][index] = str(1 << 63)
+        with pytest.raises(ValueError, match=(
+                r"^line 6: mem_kb and out_size_bytes must be below 2\*\*63$")):
+            load_records_csv(self.write(tmp_path, rows, layout))
+
+    def test_results_hold_at_most_64_bytes_per_row(self, tmp_path):
+        # paper-like shape: 20 rows (10 tools x 2 tasks) per binary
+        rng = random.Random(17)
+        lines = [",".join(RESULTS_COLUMNS)]
+        for b in range(150):
+            for tool in range(10):
+                for task in ("NOP", "AFL"):
+                    exe = rng.random() < 0.7
+                    lines.append(",".join([
+                        f"bin{b}", f"p{b % 7}", "gcc", "O2", "pie", "present", "u20",
+                        f"tool{tool}", task, "yes" if exe else "na", "1" if exe else "0",
+                        rng.choice(["yes", "no"]) if exe else "na",
+                        f"{rng.uniform(0, 9):.6f}", str(rng.randrange(10**6)),
+                        str(rng.randrange(10**6)) if exe else ""]))
+        path = tmp_path / "results.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            results = load_records_csv(str(path))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 3000
+        assert held / len(results) <= 64
 
     @staticmethod
     def rowwise_error(path):
@@ -905,7 +955,8 @@ class TestColumnarLoader:
     def results_texts(draw):
         """A results CSV with the header results_writer writes: rows of a few
         binaries, tools and tasks, some of them repeated or bad, some quoted
-        and some not, with cells of ',', '"', CR, LF and NUL, and blank lines."""
+        and some not, with cells of ',', '"', CR, LF and NUL, sizes of -1 or
+        2**63, and blank lines."""
         cls, lines = TestColumnarLoader, [",".join(RESULTS_COLUMNS)]
         variants = draw(st.lists(st.sampled_from(cls.VARIANTS), min_size=1, max_size=3))
         for _ in range(draw(st.integers(0, 14))):
@@ -914,9 +965,12 @@ class TestColumnarLoader:
                      draw(st.sampled_from(["alpha", "beta", "a,b"])),
                      draw(st.sampled_from(["NOP", "AFL"])), *draw(st.sampled_from(cls.STATES)),
                      draw(st.sampled_from(["1.5", "0"])), "100",
-                     draw(st.sampled_from(["", "7"]))]
+                     draw(st.sampled_from(["", "7", str((1 << 63) - 1)]))]
             if draw(st.integers(0, 3)) == 0:
                 cells[draw(st.integers(0, 14))] = draw(st.text(',"\r\n\0a1', max_size=3))
+            elif draw(st.integers(0, 7)) == 0:  # mem_kb or out_size_bytes
+                cells[draw(st.sampled_from([13, 14]))] = draw(
+                    st.sampled_from(["-1", str(1 << 63)]))
             if draw(st.booleans()):
                 buf = io.StringIO()
                 csv.writer(buf, lineterminator="").writerow(cells)
@@ -982,9 +1036,11 @@ class TestColumnarLoader:
         records = TestSerialization.seeded_records(seed=3)
         results = Results.from_records(records)
         rows = zip(results.binary_ids, map(results.variants.__getitem__, results.binary_ids),
-                   results.tools, results.tasks, results.ir, results.exe, results.func,
+                   results.tools, map(harness.STATES.__getitem__, results.states),
                    results.runtime_s, results.mem_kb, results.out_size)
-        assert [RunRecord(*row) for row in rows] == records
+        assert [RunRecord(b, v, tool, *state, runtime, mem, None if size < 0 else size)
+                for b, v, tool, state, runtime, mem, size in rows] == records
+        assert -1 in results.out_size  # some records have no output size
         assert columns(Results.from_records([])) == columns(Results())
         repeat = replace(records[0], exe_ok=False, func_ok=TriState.NO)
         with pytest.raises(ValueError, match=(

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rweval.dtree import Task, leaf_count_total, predict
+from rweval.dtree import Task, predict
 from rweval.elf import ElfFile, parse_elf
 from rweval.errors import MalformedElf
 from rweval.features import FeatureVector, Label
 from rweval.scope import TOOLS_WITHOUT_MODELS, ScopeReport, builtin_models, scope_binary
 
+from oracles import leaf_count_total
 from transliterations import TRANSLITERATIONS
 
 MODELS = {m.tool_name: m for m in builtin_models()}
