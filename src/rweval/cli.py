@@ -152,7 +152,7 @@ def cmd_run(args) -> int:
     tasks = _parse_tasks(args.tasks)
     try:
         harness.check_run_settings(manifest, adapters, tasks, args.parallelism,
-                                   args.timeout_s)
+                                   args.timeout_s, args.afl_driver)
     except ValueError as e:
         raise CliConfigError(f"bad run settings: {e}") from e
     if args.keep_outputs is not None:

@@ -61,11 +61,8 @@ class ToolAdapter:
         for label, tpl in (("nop_command", self.nop_command),
                            ("afl_command", self.afl_command)):
             _check_text(label, tpl, optional=label == "afl_command")
-            if tpl is not None and ("{input}" not in tpl or "{output}" not in tpl):
-                raise ValueError(
-                    f"{label} of {self.tool_name!r} must contain "
-                    "{input} and {output} placeholders"
-                )
+            if tpl is not None:
+                _check_command(label, tpl, "{input}", "{output}")
 
     @property
     def emits_ir(self) -> bool:
@@ -116,7 +113,7 @@ class ManifestEntry:
     binary_id: str
     path: str
     variant: VariantConfig
-    null_invocation: tuple[str, ...] | None = None
+    null_invocation: tuple[str, ...] = DEFAULT_NULL_INVOCATION
 
     def __post_init__(self):
         _check_name("id", self.binary_id)
@@ -128,6 +125,21 @@ def _check_text(key: str, value, optional: bool = False) -> None:
     non-empty string, or None where it is optional."""
     if not (optional and value is None) and not (isinstance(value, str) and value):
         raise ValueError(f"{key!r} must be a non-empty string, got {value!r}")
+
+
+def _check_command(key: str, template: str, *placeholders: str) -> None:
+    """A command template holds each of placeholders and splits, as
+    _substitute splits it, into at least one token."""
+    if not all(p in template for p in placeholders):
+        raise ValueError(f"{key!r} must contain {' and '.join(placeholders)}, "
+                         f"got {template!r}")
+    try:
+        problem = "" if shlex.split(template) else "no command"
+    except ValueError as e:  # an open quote or a trailing backslash
+        problem = str(e)
+    if problem:
+        raise ValueError(f"{key!r} must be a command line shlex can split, "
+                         f"got {template!r}: {problem}")
 
 
 def _check_name(key: str, name) -> None:
@@ -376,7 +388,7 @@ def run_campaign(
     (binary_id, tool, task) so the output is independent of the parallelism
     degree; on_record streams records in completion order.
     """
-    check_run_settings(manifest, adapters, tasks, parallelism, timeout_s)
+    check_run_settings(manifest, adapters, tasks, parallelism, timeout_s, afl_driver)
     if keep_outputs is not None:
         os.makedirs(keep_outputs, exist_ok=True)
     emit_lock = threading.Lock()
@@ -423,13 +435,16 @@ def check_run_settings(
     tasks: Sequence[Task],
     parallelism: int,
     timeout_s: float,
+    afl_driver: str | None = None,
 ) -> None:
-    """Raise ValueError for a campaign no run could honour, including one
-    where two jobs would share a job name and so a workdir."""
+    """Raise ValueError for settings no run could honour, such as two jobs that
+    would share a job name and so a workdir, or an AFL driver shlex cannot split."""
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     if not timeout_s > 0:  # also rejects NaN
         raise ValueError("timeout_s must be positive")
+    if afl_driver is not None:
+        _check_command("afl_driver", afl_driver)
     names = Counter(job_name(e.binary_id, a.tool_name, t)
                     for e in manifest for a in adapters for t in tasks)
     repeated = sorted(n for n, c in names.items() if c > 1)
@@ -447,14 +462,13 @@ def _apply_functional(
     output = str(task_output_path(workdir, entry.path))
     try:
         if record.task is Task.NOP:
-            invocation = entry.null_invocation or DEFAULT_NULL_INVOCATION
             os.chmod(output, os.stat(output).st_mode | 0o111)
-            outcome = null_function_test(entry.path, output, invocation, timeout_s)
+            outcome = null_function_test(entry.path, output, entry.null_invocation, timeout_s)
         else:
             if afl_driver is None:
                 return record
             outcome = afl_function_test(output, afl_driver, timeout_s)
-    except (ValueError, SpawnError, OSError) as e:  # ValueError: unsplittable driver
+    except (SpawnError, OSError) as e:
         return replace(record, annotation=_join(record.annotation, f"FuncError: {e}"))
     return replace(
         record,
@@ -479,11 +493,15 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         if invocation is not None and not (
                 isinstance(invocation, list) and all(isinstance(a, str) for a in invocation)):
             raise ValueError(f"'null_invocation' must be a list of strings, got {invocation!r}")
+        cells = _variant_cells(obj)
+        for key, cell in zip(VARIANT_COLUMNS, cells):
+            if not isinstance(cell, str):
+                raise ValueError(f"{key!r} must be a string, got {cell!r}")
         return ManifestEntry(
             binary_id=obj["id"],
             path=obj["path"],
-            variant=VariantConfig.from_cells(_variant_cells(obj)),
-            null_invocation=tuple(invocation) if invocation else None,
+            variant=VariantConfig.from_cells(cells),
+            null_invocation=DEFAULT_NULL_INVOCATION if invocation is None else tuple(invocation),
         )
 
     return _load_json_list(path, "manifest", entry, lambda e: e.binary_id)
@@ -511,9 +529,9 @@ def load_adapters(path: str) -> list[ToolAdapter]:
 
 
 def _load_json_list(path: str, kind: str, build: Callable, name: Callable) -> list:
-    """Build one item per element of the JSON array in path. ValueError
-    names the first bad element, or a name that two items share: names
-    become job names, and two jobs must never share a workdir."""
+    """Build one item per element of the JSON array in path, each a JSON
+    object. ValueError names the first bad element, or a name that two items
+    share: names become job names, and two jobs must never share a workdir."""
     with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
     if not isinstance(raw, list):
@@ -521,9 +539,12 @@ def _load_json_list(path: str, kind: str, build: Callable, name: Callable) -> li
     items = []
     for i, obj in enumerate(raw):
         try:
+            if not isinstance(obj, dict):
+                raise ValueError(f"must be a JSON object, got {obj!r}")
             items.append(build(obj))
-        except (KeyError, ValueError, TypeError) as e:
-            raise ValueError(f"{kind} entry {i}: {e}") from e
+        except (KeyError, ValueError) as e:
+            problem = f"missing key {e}" if isinstance(e, KeyError) else e
+            raise ValueError(f"{kind} entry {i}: {problem}") from e
     repeated = sorted(n for n, c in Counter(map(name, items)).items() if c > 1)
     if repeated:
         raise ValueError(f"{kind} contains duplicate names {repeated}")
@@ -718,66 +739,58 @@ def load_records_csv(path: str) -> Results:
     are the same."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         head = f.readline()
-        # offset: the lines read before the split loop's chunk, or before
-        # the first line reader reads
+        # offset: the lines before the split chunk, or before reader's first line
         if head.rstrip("\n") == _HEADER_LINE:
             header, reader, offset = RESULTS_COLUMNS, None, 1
         else:
             reader, offset = csv.reader(itertools.chain([head], f)), 0
             header = next(reader, [])
         pick, width = _results_picker(header), len(header)
+        cuts = width - _BINARY_CELLS
         results = Results()
         binary_of, pair_bit = _BinaryIds(results.variants), _PairBits()
         masks: dict[str, int] = {}  # binary id -> the bits of its rows' pairs
-        while reader is None:
-            lines = list(itertools.islice(f, CHUNK_ROWS))
-            text = "".join(lines)
-            # csv.reader might read these otherwise: a quoted cell, a CR line
-            # break, a NUL (rejected before Python 3.11), a field past its limit
-            if ('"' in text or "\r" in text or "\0" in text
-                    or max(map(len, lines), default=0) >= csv.field_size_limit()):
-                reader = csv.reader(itertools.chain(lines, f))
-                break
-            # csv.reader reads each line as line.split(","); the binary's
-            # cells stay one string, the row's key in binary_of
-            cuts = width - _BINARY_CELLS
-            rows = [line.rsplit(",", cuts) for line in text.split("\n") if line]
-            if rows:
-                columns = (_checked_columns(zip(*rows), binary_of, pair_bit, masks)
-                           if set(map(len, rows)) == {1 + cuts} else None)
-                if columns is None:
-                    raise _first_error(list(csv.reader(lines)),
-                                       range(offset + 1, offset + len(lines) + 1),
-                                       width, pick, binary_of.variant_of, results)
-                results._extend(*columns)
-            offset += len(lines)
-            if len(lines) < CHUNK_ROWS:
-                return results
-        while True:
-            first_line = offset + reader.line_num + 1
-            chunk: list[list[str]] = []
-            try:
-                chunk.extend(itertools.islice(reader, CHUNK_ROWS))
-                read_error = None
-            except csv.Error as e:  # the rows before it are checked first
-                read_error = e
-            rows = chunk if all(chunk) else list(filter(None, chunk))
-            if rows:
+        more, read_error = True, None
+        while more:
+            # each pass reads a chunk into rows, columns if widths agree, and numbered
+            if reader is None:
+                lines = list(itertools.islice(f, CHUNK_ROWS))
+                text = "".join(lines)
+                # csv.reader might read these otherwise: a quoted cell, a CR line
+                # break, a NUL (rejected before Python 3.11), a field past its limit
+                if ('"' in text or "\r" in text or "\0" in text
+                        or max(map(len, lines), default=0) >= csv.field_size_limit()):
+                    reader = csv.reader(itertools.chain(lines, f))
+                    continue
+                # csv.reader reads each line as line.split(","); the binary's
+                # cells stay one string, the row's key in binary_of
+                rows = [line.rsplit(",", cuts) for line in text.split("\n") if line]
+                columns = zip(*rows) if set(map(len, rows)) == {1 + cuts} else None
+                numbered = enumerate(csv.reader(lines), offset + 1)
+                offset += len(lines)
+                more = len(lines) == CHUNK_ROWS
+            else:
+                numbered = []
+                try:
+                    for row in itertools.islice(reader, CHUNK_ROWS):
+                        numbered.append((offset + reader.line_num, row))
+                except csv.Error as e:  # the rows before it are checked first
+                    read_error = e
+                more = len(numbered) == CHUNK_ROWS
+                rows = [row for _, row in numbered if row]
                 columns = None
                 if set(map(len, rows)) == {width}:
                     picked = pick(list(zip(*rows)))
-                    columns = _checked_columns(
-                        (zip(*picked[:_BINARY_CELLS]), *picked[_BINARY_CELLS:]),
-                        binary_of, pair_bit, masks)
+                    columns = (zip(*picked[:_BINARY_CELLS]), *picked[_BINARY_CELLS:])
+            if rows:
+                if columns is not None:
+                    columns = _checked_columns(columns, binary_of, pair_bit, masks)
                 if columns is None:
-                    raise _first_error(chunk, range(first_line, offset + reader.line_num + 1),
-                                       width, pick, binary_of.variant_of, results)
+                    raise _first_error(numbered, width, pick, binary_of.variant_of, results)
                 results._extend(*columns)
             if read_error is not None:
-                raise ValueError(
-                    f"line {offset + reader.line_num}: {read_error}") from read_error
-            if len(chunk) < CHUNK_ROWS:
-                return results
+                raise ValueError(f"line {offset + reader.line_num}: {read_error}") from read_error
+        return results
 
 
 def _results_picker(header: Sequence[str]):
@@ -855,38 +868,23 @@ def _checked_columns(columns: Iterable[Sequence], binary_of: _BinaryIds,
     return ids, tools, states, runtime, mem, sizes
 
 
-def _first_error(chunk: list[list[str]], lines: range, width: int, pick,
+def _first_error(numbered: Iterable[tuple[int, list[str]]], width: int, pick,
                  variant_of: _VariantCache, results: Results) -> ValueError:
-    """The error of the first of chunk's rows, which csv.reader read from
-    lines, that fails a check, taking the rows one at a time after the rows
-    already in results; its message names the row's line."""
+    """The error of the first of a chunk's non-blank rows that fails a check,
+    taking the rows one at a time after the rows already in results. numbered
+    holds (line, row) pairs, each row with the line csv.reader read it to;
+    the message names that line."""
     known = dict(results.variants)
     seen = set(zip(results.binary_ids, results.tools,
                    (STATES[code][0].value for code in results.states)))
-    for i, row in enumerate(filter(None, chunk)):
+    for line, row in filter(operator.itemgetter(1), numbered):  # the non-blank rows
         try:
             if len(row) != width:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
             r = _record_from_cells(pick(row), variant_of)
             _admit(r.binary_id, r.variant, r.tool_name, r.task.value, known, seen)
         except ValueError as e:
-            error = ValueError(f"line {_line_of(chunk, i, lines)}: {e}")
+            error = ValueError(f"line {line}: {e}")
             error.__cause__ = e
             return error
     raise AssertionError("a chunk failed a column check that none of its rows fails")
-
-
-def _line_of(chunk: list[list[str]], i: int, lines: range) -> int:
-    """The line on which the i-th non-blank row of chunk ends, when csv.reader
-    read chunk from lines: each row takes one line, plus one per line break
-    inside its quoted cells, as csv.reader's line_num counts. A quoted cell
-    still open at the end of the file also holds the last line's break, so
-    no row ends after the last line."""
-    line = lines.start - 1
-    for row in chunk:
-        line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
-        if row:
-            if i == 0:
-                return min(line, lines[-1])
-            i -= 1
-    raise AssertionError("row index past the chunk")

@@ -303,6 +303,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--parallelism", "0"), ("--timeout-s", "0"), ("--timeout-s", "-1"),
+        ("--afl-driver", "x 'unclosed {target}"), ("--afl-driver", ""),
     ])
     def test_bad_settings_exit_3_before_anything_runs(self, capsys, campaign_files,
                                                       tmp_path, flag, value):

@@ -448,6 +448,35 @@ class TestCampaignStubs:
                          tasks=tasks, timeout_s=30)
         assert not marker.exists()
 
+    @pytest.mark.parametrize("driver", ["x 'unclosed {target}", "", " "])
+    def test_a_driver_that_does_not_split_is_rejected_before_any_process_starts(
+            self, elf_input, tmp_path, driver):
+        marker = tmp_path / "ran"
+        tool = script(tmp_path / "tool", f'touch "{marker}"; cp "$1" "$2"')
+        adapter = ToolAdapter("t", nop_command=f"{tool} {{input}} {{output}}",
+                              afl_command=f"{tool} {{input}} {{output}}")
+        with pytest.raises(ValueError, match="^'afl_driver' must be a command line"):
+            run_campaign([ManifestEntry("bin", elf_input, variant())], [adapter],
+                         tasks=(Task.AFL,), timeout_s=30, afl_driver=driver)
+        assert not marker.exists()
+
+    def test_an_empty_null_invocation_runs_both_binaries_without_arguments(self, tmp_path):
+        # the original exits with its argument count; the rewriter puts true in its place
+        argc = tmp_path / "argc"
+        original = script(tmp_path / "original", f'echo $# > "{argc}"; exit $#')
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"id": "bin", "path": original, "program": "p", "compiler": "gcc",
+             "flags": "O0", "relocation": "pie", "symbols": "present", "os": "u20",
+             "null_invocation": []}]))
+        (entry,) = load_manifest(str(manifest))
+        assert entry.null_invocation == ()
+        swap = ToolAdapter("swap", nop_command=(
+            f"sh -c 'cp {shutil.which('true')} \"$1\"' x {{output}} {{input}}"))
+        (record,) = run_campaign([entry], [swap], tasks=(Task.NOP,), timeout_s=30)
+        assert (record.exe_ok, record.func_ok) == (True, TriState.YES), record.annotation
+        assert argc.read_text() == "0\n"
+
     def test_sigint_at_parallelism_1_leaves_no_tool_behind(self, elf_input, tmp_path,
                                                            bg_pidfile):
         tool = script(tmp_path / "tool", f'sleep 30 & echo $! > "{bg_pidfile}"; wait')
@@ -1067,7 +1096,7 @@ class TestConfigLoaders:
         loaded = load_manifest(str(path))
         assert loaded[0].null_invocation == ("--version",)
         assert loaded[1].variant.relocation == "nopie"
-        assert loaded[1].null_invocation is None
+        assert loaded[1].null_invocation == ("--help",)
 
     @pytest.mark.parametrize("field,bad", [("relocation", "partially"),
                                            ("symbols", "some"), ("program", 5)])
@@ -1132,7 +1161,12 @@ class TestConfigLoaders:
         ("adapters", "ir_artifact_glob", 5, 3),
         # emits_ir restates whether there is an ir_artifact_glob: both must agree
         ("adapters", "emits_ir", True, 3),
-        ("adapters", "ir_artifact_glob", "*.ir", 3)])
+        ("adapters", "ir_artifact_glob", "*.ir", 3),
+        ("manifest", "program", 5, 2),
+        ("manifest", "os", ["u20"], 2),
+        # a template must split as shlex splits a command line
+        ("adapters", "nop_command", "cp '{input} {output}", 3),
+        ("adapters", "afl_command", "cp {input} {output} \\", 3)])
     def test_field_of_the_wrong_json_type(self, tmp_path, capsys, config, field, bad, code):
         from rweval.cli import main
 
@@ -1149,6 +1183,30 @@ class TestConfigLoaders:
                      "--adapters", str(tmp_path / "adapters.json"),
                      "--out", str(tmp_path / "out.csv")]) == code
         assert f"entry 0: '{field}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,entry,message,code", [
+        ("manifest", 5, "must be a JSON object, got 5", 2),
+        ("adapters", ["t"], "must be a JSON object, got ['t']", 3),
+        ("manifest", {"id": "a", "path": "/bin/a", "program": "p", "compiler": "gcc",
+                      "flags": "O0", "relocation": "pie", "symbols": "present"},
+         "missing key 'os'", 2),
+        ("adapters", {"tool_name": "t"}, "missing key 'nop_command'", 3)])
+    def test_entry_that_is_not_an_object_or_lacks_a_key(self, tmp_path, capsys, config,
+                                                        entry, message, code):
+        from rweval.cli import main
+
+        configs = {"manifest": {"id": "a", "path": "/bin/a", "program": "p",
+                                "compiler": "gcc", "flags": "O0", "relocation": "pie",
+                                "symbols": "present", "os": "u20"},
+                   "adapters": {"tool_name": "t", "nop_command": "t {input} {output}"},
+                   config: entry}
+        for name, obj in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps([obj]))
+        assert main(["run", "--manifest", str(tmp_path / "manifest.json"),
+                     "--adapters", str(tmp_path / "adapters.json"),
+                     "--out", str(tmp_path / "out.csv")]) == code
+        assert f"entry 0: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_adapters_missing_placeholder(self, tmp_path):
         path = tmp_path / "adapters.json"
