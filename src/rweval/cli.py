@@ -221,6 +221,7 @@ def cmd_train(args) -> int:
             min_leaf=args.min_leaf, max_support_fraction=args.max_support_fraction)
     except ValueError as e:
         raise CliConfigError(f"bad train settings: {e}") from e
+    _check_writable(args.out_model)
     results = _load_results(args.results)
     manifest = _load_manifest(args.manifest)
     task = Task(args.task)
@@ -248,10 +249,22 @@ def cmd_train(args) -> int:
         raise CliInputError(str(e)) from e
 
     model = replace(model, reported_accuracy=score.percent)
-    Path(args.out_model).write_text(dtree.serialize_tree(model) + "\n", encoding="utf-8")
+    try:
+        Path(args.out_model).write_text(dtree.serialize_tree(model) + "\n", encoding="utf-8")
+    except OSError as e:
+        raise CliInputError(f"cannot write {args.out_model!r}: {e}") from e
     print(f"test accuracy: {score.percent:.2f}% ({len(train.rows)} train / {len(test.rows)} test rows)")
     print(f"model -> {args.out_model}")
     return EXIT_OK
+
+
+def _check_writable(path: str) -> None:
+    """Fail now, before a long load, where path cannot be written as a file."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise CliInputError(f"cannot write {path!r}: is a directory")
+    if not os.path.isdir(folder):
+        raise CliInputError(f"cannot write {path!r}: {folder!r} is not a directory")
 
 
 def _cohort_predicate(spec: str) -> dict[str, str]:
@@ -292,6 +305,8 @@ def cmd_report(args) -> int:
         raise CliConfigError("--outputs DIR (from run --keep-outputs) is required")
     if args.table in ("size", "sections") and not args.manifest:
         raise CliConfigError("--manifest is required for this table")
+    if args.table == "sections" and not os.path.isdir(args.outputs):
+        raise CliInputError(f"cannot read outputs {args.outputs!r}: not a directory")
     results = _load_results(args.results)
     try:
         if args.table == "success":
@@ -466,14 +481,22 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None) -> _Parser:
-    """The rweval parser, with every command registered by name and help but
-    only `command`'s options and handler built. A parse only ever enters the
-    command its argv names, and the top-level help lists no command's
-    options, so building the others would be wasted work on every call."""
+def build_parser(argv: list[str]) -> _Parser:
+    """The rweval parser for argv. When argv[0] is a command, argparse enters
+    it at once and the top-level parser can only report unrecognized
+    arguments, so that command is the only one registered. Otherwise (no
+    arguments, --help, an option before the command, an unknown command)
+    every command is registered by name and help, which is all the top-level
+    help and usage show, and only the command argv names has its options and
+    handler built."""
+    # argparse enters the command named by the first argument that is not an
+    # option; the top-level parser has no option that takes a value
+    command = next((a for a in argv if not a.startswith("-")), None)
+    names = (command,) if argv and argv[0] in _COMMANDS else _COMMANDS
     parser = _Parser(prog="rweval", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, add_options) in _COMMANDS.items():
+    for name in names:
+        help_text, func, add_options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name == command:
             add_options(p)
@@ -483,11 +506,8 @@ def build_parser(command: str | None) -> _Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse enters the command named by the first argument that is not an
-    # option; the top-level parser has no option that takes a value
-    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except CliConfigError as e:
         print(f"rweval: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG

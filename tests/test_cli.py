@@ -465,6 +465,37 @@ class TestTrainCommand:
         assert "3 rows at train_fraction=0.1 leave 1 to train" in err
         assert not out_model.exists()
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_model_exits_2_before_anything_loads(
+            self, capsys, monkeypatch, trainable_corpus, tmp_path, where):
+        manifest, results = trainable_corpus
+        loads = []
+        for name in ("_load_results", "_load_manifest"):
+            monkeypatch.setattr(cli, name, lambda path, name=name: loads.append(name))
+        out_model = {"missing_dir": tmp_path / "missing" / "m.json",
+                     "directory": tmp_path}[where]
+        code, out, err = run_cli(capsys, "train", "--results", str(results),
+                                 "--manifest", str(manifest), "--tool", "toolx",
+                                 "--out-model", str(out_model))
+        assert (code, out, loads) == (2, "", [])
+        assert err.startswith(f"rweval: cannot write {str(out_model)!r}: ")
+
+    def test_failed_model_write_exits_2(self, capsys, monkeypatch, trainable_corpus,
+                                        tmp_path):
+        manifest, results = trainable_corpus
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.Path, "write_text", refuse)
+        out_model = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "train", "--results", str(results),
+                                 "--manifest", str(manifest), "--tool", "toolx",
+                                 "--out-model", str(out_model))
+        assert (code, out) == (2, "")
+        assert err == (f"rweval: cannot write {str(out_model)!r}: "
+                       "[Errno 13] Permission denied\n")
+
     def test_tool_absent_exits_2(self, capsys, trainable_corpus, tmp_path):
         manifest, results = trainable_corpus
         code, _, _ = run_cli(capsys, "train", "--results", str(results),
@@ -624,6 +655,17 @@ class TestSizeReportPipeline:
         assert sorted(originals) == sorted(
             (name, f"{b}.elf") for name in ("isfile", "getsize") for b in ("b0", "b1", "b2"))
         assert json.loads(out)["t0"] > 0
+
+    def test_empty_outputs_dir_gives_an_empty_sections_table(self, capsys, tmp_path,
+                                                            three_binaries):
+        results, manifest, _ = three_binaries
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, err = run_cli(capsys, "report", str(results), "--table", "sections",
+                                 "--manifest", str(manifest), "--outputs", str(empty),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sections"] == {}
 
     def test_size_table_skips_rows_without_an_output_size(self, capsys, three_binaries):
         results, manifest, _ = three_binaries
@@ -786,6 +828,18 @@ class TestReportCommand:
         assert (code, out) == (3, "")
         assert message in err and "cannot load" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_outputs_that_is_no_directory_exits_2_before_the_results_load(
+            self, capsys, tmp_path, kind):
+        outputs = tmp_path / "outputs"
+        if kind == "file":
+            outputs.write_text("")
+        code, out, err = run_cli(capsys, "report", "/dev/null", "--table", "sections",
+                                 "--manifest", str(tmp_path / "m.json"),
+                                 "--outputs", str(outputs))
+        assert (code, out) == (2, "")
+        assert err == f"rweval: cannot read outputs {str(outputs)!r}: not a directory\n"
+
     def test_unknown_tool_in_comparative_exits_2(self, capsys, results_csv):
         code, out, err = run_cli(capsys, "report", results_csv, "--table",
                                  "comparative", "--tools", "alpha,nosuch")
@@ -839,15 +893,20 @@ class TestReportCommand:
 COMMAND_OPTIONS = {"scope": 3, "features": 2, "size": 3, "run": 8, "train": 12, "report": 9}
 
 
-@pytest.mark.parametrize("command", COMMAND_OPTIONS)
-def test_main_builds_only_the_invoked_commands_options(capsys, monkeypatch, tmp_path,
-                                                       command):
-    # an in-process caller pays for the parser on every call
+@pytest.fixture
+def added(monkeypatch):
+    """The positional arguments of every add_argument call, in order."""
     added = []
     real_add_argument = argparse._ActionsContainer.add_argument
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
                         lambda self, *args, **kwargs: (
                             added.append(args), real_add_argument(self, *args, **kwargs))[1])
+    return added
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_main_builds_only_the_invoked_commands_options(capsys, added, tmp_path, command):
+    # an in-process caller pays for the parser on every call
     missing = str(tmp_path / "missing")
     argv = {
         "scope": [missing],
@@ -860,9 +919,18 @@ def test_main_builds_only_the_invoked_commands_options(capsys, monkeypatch, tmp_
     }[command]
     code, _, err = run_cli(capsys, command, *argv)
     assert code == 2 and "missing" in err  # parsed, and the command's handler ran
+    # the top-level parser and the one command that argv[0] names
+    assert added.count(("-h", "--help")) == 2
+    assert len(added) == 2 + COMMAND_OPTIONS[command]
+
+
+def test_an_option_before_the_command_registers_every_command(capsys, added, tmp_path):
+    code, _, err = run_cli(capsys, "--bogus", "scope", str(tmp_path / "missing"))
+    assert (code, err) == (3, "rweval: unrecognized arguments: --bogus\n")
+    # every command by name and help, for the top-level usage; scope's options only
     parsers = len(COMMAND_OPTIONS) + 1
     assert added.count(("-h", "--help")) == parsers
-    assert len(added) == parsers + COMMAND_OPTIONS[command]
+    assert len(added) == parsers + COMMAND_OPTIONS["scope"]
 
 
 def test_import_leaves_numpy_unloaded():

@@ -336,6 +336,8 @@ USAGE_CASES = {
     "unknown-option": ["scope", "x", "--bogus"],
     "unknown-top-option": ["--bogus"],
     "option-before-command": ["--bogus", "scope"],
+    "extra-positional": ["scope", "x", "y"],
+    "extra-after-size": ["size", "a", "b", "c"],
 }
 
 
@@ -491,6 +493,10 @@ GOLDEN = {
         "bdf91a0cfbe5109e7a20440d33cef741bb8c14fa02b4b0a39d30aae4adb11332",
     "usage-double-dash":
         "d8ddfdca712ad0aa0b99572d46dd605dc793c1cf73197aeab86b31baca94158a",
+    "usage-extra-after-size":
+        "3bf6895ca2b652d2e8b2e64fc30a94321dde49a054526d0c1785a1d5dba7d0ed",
+    "usage-extra-positional":
+        "4b9b65973ce053a282ada7c3ce29973b455c53f3655ae850fa55fd5b48390d2d",
     "usage-help":
         "e4aab85f72015286d537e65f0dcaa589d4cbae1a4b464555300ea2b60b066f27",
     "usage-help-features":
