@@ -482,32 +482,32 @@ _COMMANDS = {
 
 
 def build_parser(argv: list[str]) -> _Parser:
-    """The rweval parser for argv. When argv[0] is a command, argparse enters
-    it at once and the top-level parser can only report unrecognized
-    arguments, so that command is the only one registered. Otherwise (no
-    arguments, --help, an option before the command, an unknown command)
-    every command is registered by name and help, which is all the top-level
-    help and usage show, and only the command argv names has its options and
-    handler built."""
-    # argparse enters the command named by the first argument that is not an
-    # option; the top-level parser has no option that takes a value
+    """The parser main runs: when argv[0] is a command, that command's parser
+    alone, for argv[1:], as argparse would enter the command at once. For any
+    other argv (no arguments, --help, an option or -- before the command, an
+    unknown command), the top-level parser, for argv, with every command by
+    name and help and only the command argv names given its options."""
+    # argparse enters the first argument that is not an option: no top-level option takes a value
     command = next((a for a in argv if not a.startswith("-")), None)
-    names = (command,) if argv and argv[0] in _COMMANDS else _COMMANDS
-    parser = _Parser(prog="rweval", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, func, add_options = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        if name == command:
-            add_options(p)
-            p.set_defaults(func=func)
+    if argv and argv[0] in _COMMANDS:
+        parser = p = _Parser(prog=f"rweval {command}")
+    else:
+        parser = _Parser(prog="rweval", description=__doc__)
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (help_text, _, _) in _COMMANDS.items():
+            sub.add_parser(name, help=help_text)
+        p = sub.choices.get(command)
+    if p is not None:
+        _, func, add_options = _COMMANDS[command]
+        add_options(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser(argv).parse_args(argv[1:] if argv and argv[0] in _COMMANDS else argv)
     except CliConfigError as e:
         print(f"rweval: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -272,7 +272,7 @@ def split_train_test(
 @dataclass(frozen=True)
 class Accuracy:
     ratio: float  # raw fraction correct in [0, 1]
-    percent: float  # ratio * 100 rounded half-up to 2 decimals
+    percent: float  # hits * 100 / rows, rounded half-up to 2 decimals
 
 
 def accuracy(model: DecisionTreeModel, matrix: FeatureMatrix) -> Accuracy:
@@ -284,7 +284,7 @@ def accuracy(model: DecisionTreeModel, matrix: FeatureMatrix) -> Accuracy:
         if predict(model, fv).outcome is row.label:
             hits += 1
     ratio = hits / len(matrix.rows)
-    return Accuracy(ratio=ratio, percent=round_half_up(ratio * 100.0))
+    return Accuracy(ratio=ratio, percent=round_half_up(hits * 100 / len(matrix.rows)))
 
 
 # --- serialization ---------------------------------------------------------

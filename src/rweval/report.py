@@ -198,7 +198,7 @@ def _check_tools(tool_order: Sequence[str], results: Results) -> None:
 
 
 def _cell(count: int, denom: int) -> Cell:
-    return Cell(count=count, raw_pct=(count / denom * 100.0) if denom else None)
+    return Cell(count=count, raw_pct=(count * 100 / denom) if denom else None)
 
 
 METRICS = ("runtime_s", "mem_kb", "out_size_bytes")

@@ -7,6 +7,8 @@
   matrix; callers skip when numpy is not installed.
 - columns: every column of a loaded results object, for equality checks.
 - leaf_count_total: the FAIL+PASS counts summed over a tree's leaves.
+- two_level_cli: the CLI with every command a subparser of one top-level
+  parser, which parses the whole argv.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import math
 import re
 import subprocess
+import sys
 from dataclasses import dataclass
 
 
@@ -70,7 +73,7 @@ def tally_success(csv_text: str, predicate: dict[str, str]) -> dict:
             "AFL_Func": len({r["binary_id"] for r in afl if r["func"] == "yes"}),
         }
         out[tool] = {
-            col: (None if c is None else (c, c / denom * 100.0))
+            col: (None if c is None else (c, c * 100 / denom))
             for col, c in counts.items()
         }
     out["__denominator__"] = denom
@@ -138,3 +141,26 @@ def leaf_count_total(model) -> float:
         else:
             total += node.fail_count + node.pass_count
     return total
+
+
+def two_level_cli(cli, argv: list[str]) -> int:
+    """The exit code of the rweval CLI for argv, printing what it prints, with
+    argv parsed the two-level way: a top-level "rweval" parser that has each
+    command of cli._COMMANDS as a subparser, with its options and handler.
+    The two errors a handler raises for bad input or configuration exit 2
+    and 3, as in cli.main; any other error propagates."""
+    parser = cli._Parser(prog="rweval", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_options) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=func)
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except cli.CliConfigError as e:
+        print(f"rweval: {e}", file=sys.stderr)
+        return 3
+    except cli.CliInputError as e:
+        print(f"rweval: {e}", file=sys.stderr)
+        return 2

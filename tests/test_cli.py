@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -8,12 +9,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rweval
 from rweval import cli, harness
 from rweval.cli import main
 
 from elfbuild import Sec, build_elf
+from oracles import two_level_cli
 
 
 def run_cli(capsys, *argv):
@@ -919,9 +923,9 @@ def test_main_builds_only_the_invoked_commands_options(capsys, added, tmp_path, 
     }[command]
     code, _, err = run_cli(capsys, command, *argv)
     assert code == 2 and "missing" in err  # parsed, and the command's handler ran
-    # the top-level parser and the one command that argv[0] names
-    assert added.count(("-h", "--help")) == 2
-    assert len(added) == 2 + COMMAND_OPTIONS[command]
+    # one parser: the command that argv[0] names, with nothing above it
+    assert added.count(("-h", "--help")) == 1
+    assert len(added) == 1 + COMMAND_OPTIONS[command]
 
 
 def test_an_option_before_the_command_registers_every_command(capsys, added, tmp_path):
@@ -931,6 +935,54 @@ def test_an_option_before_the_command_registers_every_command(capsys, added, tmp
     parsers = len(COMMAND_OPTIONS) + 1
     assert added.count(("-h", "--help")) == parsers
     assert len(added) == parsers + COMMAND_OPTIONS["scope"]
+
+
+def _tokens(command):
+    """Tokens that may follow command: its option strings, whole, abbreviated
+    and as --opt=value; -- and -h; values, including each option's choices;
+    and names of files that do not exist, as paths or extra positionals."""
+    p = cli._Parser()
+    cli._COMMANDS[command][2](p)
+    values = ["json", "text", "1", "-1", "0.5", "x", "no/such/file"]
+    options = []
+    for action in p._actions:
+        values += action.choices or ()
+        for opt in action.option_strings:
+            forms = [opt[:n] for n in range(3, len(opt) + 1)] if opt.startswith("--") else [opt]
+            options += forms
+            options += [f"{form}={value}" for form in forms[-1:] for value in ("json", "x")]
+    return st.sampled_from(sorted(set(options + values + ["--", "-h"])))
+
+
+def _argv():
+    return st.sampled_from(sorted(cli._COMMANDS)).flatmap(
+        lambda command: st.lists(_tokens(command), max_size=6).map(
+            lambda rest: [command, *rest]))
+
+
+def _outcome(call, argv):
+    """(exit code or SystemExit code, stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as e:  # argparse exits after printing help
+            code = ("exit", e.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("empty")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_a_direct_command_parses_as_the_two_level_parser_would(empty_dir, argv):
+    # every path named is missing, so each handler stops at its first read
+    with contextlib.chdir(empty_dir), pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        assert _outcome(main, argv) == _outcome(lambda a: two_level_cli(cli, a), argv)
 
 
 def test_import_leaves_numpy_unloaded():

@@ -339,6 +339,12 @@ class TestAccuracy:
         majority = max(fails, len(labels) - fails) / len(labels)
         assert accuracy(model, m).ratio == pytest.approx(majority)
 
+    def test_percent_rounds_the_exact_share_half_up(self):
+        # 23 / 160 * 100.0 is 14.374999999999998, which rounds to 14.37
+        m = matrix(["f"], [((False,), Label.PASS if i < 23 else Label.FAIL) for i in range(160)])
+        model = DecisionTreeModel("t", Task.NOP, ("f",), Leaf(0.0, 1.0))
+        assert accuracy(model, m).percent == 14.38
+
     def test_empty_matrix_rejected(self):
         model = DecisionTreeModel("t", Task.NOP, ("f",), Leaf(1.0, 0.0))
         with pytest.raises(EmptyMatrix):

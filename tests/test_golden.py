@@ -338,13 +338,19 @@ USAGE_CASES = {
     "option-before-command": ["--bogus", "scope"],
     "extra-positional": ["scope", "x", "y"],
     "extra-after-size": ["size", "a", "b", "c"],
+    "dash-before-path": ["scope", "--", "x"],
+    "abbreviated-option": ["scope", "x", "--form", "json"],
+    "option-without-value": ["scope", "x", "--format"],
+    "dash-before-size-path": ["size", "--", "a"],
+    "extra-features-path": ["features", "a", "b"],
 }
 
 
 @pytest.mark.parametrize("case", USAGE_CASES)
-def test_help_and_usage_errors(monkeypatch, case):
+def test_help_and_usage_errors(monkeypatch, tmp_path, case):
     # argparse's wording is the interpreter's; these digests are Python 3.11's
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)  # so that no input name is an existing file
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -489,12 +495,20 @@ GOLDEN = {
         "46bda492b79413c280d7e66940a329cf0f695519b7f0c2a7c1f72e73fce9a231",
     "train-beta-NOP":
         "00776a3a95300523a91b8b216b7a26b57e9ac4e516e0ebbeae0eeef0707eaa26",
+    "usage-abbreviated-option":
+        "58c16e9e7ea1ae651fc8f42ad12edb9c488fa03bea7a872985945e453be0efde",
     "usage-bad-choice":
         "bdf91a0cfbe5109e7a20440d33cef741bb8c14fa02b4b0a39d30aae4adb11332",
+    "usage-dash-before-path":
+        "58c16e9e7ea1ae651fc8f42ad12edb9c488fa03bea7a872985945e453be0efde",
+    "usage-dash-before-size-path":
+        "8a5a63812411b15e04472a3d4fb451b2ae62ce4102e777176cf5826244449a98",
     "usage-double-dash":
         "d8ddfdca712ad0aa0b99572d46dd605dc793c1cf73197aeab86b31baca94158a",
     "usage-extra-after-size":
         "3bf6895ca2b652d2e8b2e64fc30a94321dde49a054526d0c1785a1d5dba7d0ed",
+    "usage-extra-features-path":
+        "e2b2e73376de0160d6d741cd566d14306ee248547947df10d41ea5a14276cb2b",
     "usage-extra-positional":
         "4b9b65973ce053a282ada7c3ce29973b455c53f3655ae850fa55fd5b48390d2d",
     "usage-help":
@@ -519,6 +533,8 @@ GOLDEN = {
         "62e8545babddb3d7acc6e2560b34715fff476ca4de34d25e4a11e5d2eec1c8ee",
     "usage-option-before-command":
         "be2240ccd38ea8898bad84b3a9d5d53abe01d53df84594481bd2a0bdbeaa334a",
+    "usage-option-without-value":
+        "50c6996c8947553c0b2f6fd40dd69205ecc05c1573212f8869b191f0df149c69",
     "usage-unknown-command":
         "32c0f52010338c9342f7b5c57add6c9fb12d002c2db1639a7b01819d73b6f355",
     "usage-unknown-option":

@@ -147,6 +147,17 @@ class TestSuccessTable:
         assert cell.count == 3282
         assert cell.pct == 98.14
 
+    def test_percentages_are_exact_before_they_are_truncated(self):
+        # 29 / 100 * 100.0 is 28.999999999999996, which truncates to 28.99
+        results = Results.from_records(
+            [record(f"b{i}", "alpha", Task.NOP, TriState.NA, i < 29, TriState.NA)
+             for i in range(100)])
+        table = success_table(results, make_cohort("full", {}, results))
+        assert table.cells[("alpha", "EXE")].pct == 29.0
+        assert table.to_json_obj()["tools"]["alpha"]["EXE"] == {"count": 29, "pct": 29.0}
+        header, row = table.to_rows()
+        assert row[header.index("EXE_pct")] == "29.00%"
+
     def test_zero_successes(self):
         results = Results.from_records(
             [record("b0", "alpha", Task.NOP, TriState.NO, False, TriState.NA)])
