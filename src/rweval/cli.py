@@ -11,6 +11,7 @@ import glob
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import compress
 from pathlib import Path
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_BAD_INPUT = 2
 EXIT_BAD_CONFIG = 3
+EXIT_INTERRUPTED = 130
 
 
 class CliConfigError(Exception):
@@ -50,19 +52,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(message)
 
 
-def _read_binary(path: str) -> ElfFile:
+@contextmanager
+def _failing_as(error: type[Exception], prefix: str):
+    """Raise error(prefix + message) for an OSError or ValueError raised
+    inside: a path or value that cannot be read, written or parsed."""
     try:
-        return ElfFile(path)
-    except OSError as e:
-        raise CliInputError(f"cannot read {path!r}: {e}") from e
+        yield
+    except (OSError, ValueError) as e:
+        raise error(f"{prefix}{e}") from e
+
+
+def _read_binary(path: str) -> ElfFile:
+    return ElfFile(path)
 
 
 def _parse_path(path: str) -> ElfSummary:
-    with _read_binary(path) as binary:
-        try:
-            return parse_elf(binary)
-        except OSError as e:
-            raise CliInputError(f"cannot read {path!r}: {e}") from e
+    with _failing_as(CliInputError, f"cannot read {path!r}: "), _read_binary(path) as binary:
+        return parse_elf(binary)
 
 
 def _load_models(model_dir: str | None):
@@ -70,7 +76,7 @@ def _load_models(model_dir: str | None):
     Verdicts are keyed by tool, so two trees for one tool are an error."""
     if model_dir is None:
         return None
-    try:
+    with _failing_as(CliConfigError, f"cannot load models from {model_dir!r}: "):
         paths = sorted(glob.glob(os.path.join(glob.escape(model_dir), "*.json")))
         if not paths:
             raise CliConfigError(f"no *.json models under {model_dir!r}")
@@ -83,8 +89,6 @@ def _load_models(model_dir: str | None):
                 raise ValueError(f"two models for tool {model.tool_name!r}: "
                                  f"{os.path.basename(first)} and {os.path.basename(p)}")
         return [model for _, model in models.values()]
-    except (OSError, ValueError) as e:
-        raise CliConfigError(f"cannot load models from {model_dir!r}: {e}") from e
 
 
 def cmd_scope(args) -> int:
@@ -129,19 +133,15 @@ def _print_table(table, fmt: str) -> None:
 def _load_manifest(path: str):
     from . import harness
 
-    try:
+    with _failing_as(CliInputError, f"cannot load manifest {path!r}: "):
         return harness.load_manifest(path)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        raise CliInputError(f"cannot load manifest {path!r}: {e}") from e
 
 
 def _load_adapters(path: str):
     from . import harness
 
-    try:
+    with _failing_as(CliConfigError, f"cannot load adapters {path!r}: "):
         return harness.load_adapters(path)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        raise CliConfigError(f"cannot load adapters {path!r}: {e}") from e
 
 
 def cmd_run(args) -> int:
@@ -150,20 +150,14 @@ def cmd_run(args) -> int:
     manifest = _load_manifest(args.manifest)
     adapters = _load_adapters(args.adapters)
     tasks = _parse_tasks(args.tasks)
-    try:
+    with _failing_as(CliConfigError, "bad run settings: "):
         harness.check_run_settings(manifest, adapters, tasks, args.parallelism,
                                    args.timeout_s, args.afl_driver)
-    except ValueError as e:
-        raise CliConfigError(f"bad run settings: {e}") from e
     if args.keep_outputs is not None:
-        try:
+        with _failing_as(CliInputError, f"cannot write {args.keep_outputs!r}: "):
             os.makedirs(args.keep_outputs, exist_ok=True)
-        except OSError as e:
-            raise CliInputError(f"cannot write {args.keep_outputs!r}: {e}") from e
-    try:
+    with _failing_as(CliInputError, f"cannot write {args.out!r}: "):
         stream = open(args.out, "w", encoding="utf-8", newline="")
-    except OSError as e:
-        raise CliInputError(f"cannot write {args.out!r}: {e}") from e
 
     with stream:
         write_row = harness.results_writer(stream)
@@ -189,10 +183,8 @@ def cmd_run(args) -> int:
 
 
 def _parse_tasks(spec: str) -> list[Task]:
-    try:
+    with _failing_as(CliConfigError, f"bad --tasks value {spec!r}: "):
         tasks = [Task(t) for t in _names(spec)]
-    except ValueError as e:
-        raise CliConfigError(f"bad --tasks value {spec!r}: {e}") from e
     if not tasks:
         raise CliConfigError(f"bad --tasks value {spec!r}: no task names")
     return tasks
@@ -206,21 +198,17 @@ def _names(spec: str) -> list[str]:
 def _load_results(path: str):
     from . import harness
 
-    try:
+    with _failing_as(CliInputError, f"cannot load results {path!r}: "):
         return harness.load_records_csv(path)
-    except (OSError, ValueError) as e:
-        raise CliInputError(f"cannot load results {path!r}: {e}") from e
 
 
 def cmd_train(args) -> int:
     from . import report
 
-    try:
+    with _failing_as(CliConfigError, "bad train settings: "):
         dtree.check_train_settings(
             k=args.k, train_fraction=args.train_fraction, max_depth=args.max_depth,
             min_leaf=args.min_leaf, max_support_fraction=args.max_support_fraction)
-    except ValueError as e:
-        raise CliConfigError(f"bad train settings: {e}") from e
     _check_writable(args.out_model)
     results = _load_results(args.results)
     manifest = _load_manifest(args.manifest)
@@ -237,22 +225,17 @@ def cmd_train(args) -> int:
     if len(vectors) < 2:
         raise CliInputError("fewer than 2 manifest binaries have records to train on")
 
-    try:
-        matrix = features.build_matrix(vectors, min_support=args.min_support,
-                                       max_support_fraction=args.max_support_fraction)
-        projected = features.select_columns(matrix, dtree.select_features(matrix, k=args.k))
-        train, test = dtree.split_train_test(projected, args.train_fraction, seed=args.seed)
-        model = dtree.train_cart(train, max_depth=args.max_depth, min_leaf=args.min_leaf,
-                                 tool_name=args.tool, task=task)
-        score = dtree.accuracy(model, test)
-    except (EmptyMatrix, DegenerateSplit) as e:
-        raise CliInputError(str(e)) from e
+    matrix = features.build_matrix(vectors, min_support=args.min_support,
+                                   max_support_fraction=args.max_support_fraction)
+    projected = features.select_columns(matrix, dtree.select_features(matrix, k=args.k))
+    train, test = dtree.split_train_test(projected, args.train_fraction, seed=args.seed)
+    model = dtree.train_cart(train, max_depth=args.max_depth, min_leaf=args.min_leaf,
+                             tool_name=args.tool, task=task)
+    score = dtree.accuracy(model, test)
 
     model = replace(model, reported_accuracy=score.percent)
-    try:
+    with _failing_as(CliInputError, f"cannot write {args.out_model!r}: "):
         Path(args.out_model).write_text(dtree.serialize_tree(model) + "\n", encoding="utf-8")
-    except OSError as e:
-        raise CliInputError(f"cannot write {args.out_model!r}: {e}") from e
     print(f"test accuracy: {score.percent:.2f}% ({len(train.rows)} train / {len(test.rows)} test rows)")
     print(f"model -> {args.out_model}")
     return EXIT_OK
@@ -287,10 +270,8 @@ def _cohort_predicate(spec: str) -> dict[str, str]:
         if key in predicate:
             raise CliConfigError(f"bad --cohort value {spec!r}: repeated {key}")
         predicate[key] = value.strip()
-    try:
+    with _failing_as(CliConfigError, ""):
         report.check_cohort_fields(predicate)
-    except ValueError as e:
-        raise CliConfigError(str(e)) from e
     return predicate
 
 
@@ -308,33 +289,30 @@ def cmd_report(args) -> int:
     if args.table == "sections" and not os.path.isdir(args.outputs):
         raise CliInputError(f"cannot read outputs {args.outputs!r}: not a directory")
     results = _load_results(args.results)
-    try:
-        if args.table == "success":
-            cohort = report.make_cohort(args.cohort, predicate, results)
-            table = report.success_table(results, cohort, tool_order)
-        elif args.table == "comparative":
-            table = report.comparative_average(
-                results,
-                metric=args.metric,
-                tool_order=tool_order,
-                mean_of_ratios=args.mean_of_ratios,
-            )
-        else:  # size, sections
-            # these tables list every tool, but a tool that --tools names
-            # must still have records
-            if tool_order is not None:
-                report._check_tools(tool_order, results)
-            paths = {e.binary_id: e.path for e in _load_manifest(args.manifest)}
-            rows = compress(zip(results.tools, results.binary_ids, results.out_size),
-                            report.handled(results))
-            if args.table == "size":
-                table = report.MapTable("tool", "pct",
-                                        report.relative_size(_size_pairs(rows, paths)))
-            else:
-                table = report.section_size_table(
-                    _section_pairs(rows, paths, args.outputs))
-    except UnknownTool as e:
-        raise CliInputError(str(e)) from e
+    if args.table == "success":
+        cohort = report.make_cohort(args.cohort, predicate, results)
+        table = report.success_table(results, cohort, tool_order)
+    elif args.table == "comparative":
+        table = report.comparative_average(
+            results,
+            metric=args.metric,
+            tool_order=tool_order,
+            mean_of_ratios=args.mean_of_ratios,
+        )
+    else:  # size, sections
+        # these tables list every tool, but a tool that --tools names
+        # must still have records
+        if tool_order is not None:
+            report._check_tools(tool_order, results)
+        paths = {e.binary_id: e.path for e in _load_manifest(args.manifest)}
+        rows = compress(zip(results.tools, results.binary_ids, results.out_size),
+                        report.handled(results))
+        if args.table == "size":
+            table = report.MapTable("tool", "pct",
+                                    report.relative_size(_size_pairs(rows, paths)))
+        else:
+            table = report.section_size_table(
+                _section_pairs(rows, paths, args.outputs))
     _print_table(table, args.format)
     return EXIT_OK
 
@@ -481,16 +459,17 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str]) -> _Parser:
-    """The parser main runs: when argv[0] is a command, that command's parser
-    alone, for argv[1:], as argparse would enter the command at once. For any
-    other argv (no arguments, --help, an option or -- before the command, an
-    unknown command), the top-level parser, for argv, with every command by
-    name and help and only the command argv names given its options."""
+def build_parser(argv: list[str]) -> tuple[_Parser, list[str]]:
+    """The parser main runs and the argv it parses: when argv[0] is a command,
+    that command's parser alone and argv[1:], as argparse would enter the
+    command at once. For any other argv (no arguments, --help, an option or --
+    before the command, an unknown command), the top-level parser and argv,
+    with every command by name and help, and options only for the one named."""
     # argparse enters the first argument that is not an option: no top-level option takes a value
     command = next((a for a in argv if not a.startswith("-")), None)
     if argv and argv[0] in _COMMANDS:
         parser = p = _Parser(prog=f"rweval {command}")
+        argv = argv[1:]
     else:
         parser = _Parser(prog="rweval", description=__doc__)
         sub = parser.add_subparsers(dest="command", required=True)
@@ -501,22 +480,19 @@ def build_parser(argv: list[str]) -> _Parser:
         _, func, add_options = _COMMANDS[command]
         add_options(p)
         p.set_defaults(func=func)
-    return parser
+    return parser, argv
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv[1:] if argv and argv[0] in _COMMANDS else argv)
-    except CliConfigError as e:
-        print(f"rweval: {e}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
+        parser, argv = build_parser(sys.argv[1:] if argv is None else argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except CliConfigError as e:
         print(f"rweval: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (CliInputError, MalformedElf, Unsupported) as e:
+    except (CliInputError, MalformedElf, Unsupported, UnknownTool, EmptyMatrix,
+            DegenerateSplit) as e:
         print(f"rweval: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RwevalError as e:
@@ -524,6 +500,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except BrokenPipeError:
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("rweval: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as e:  # noqa: BLE001 - last-resort mapping to exit 1
         print(f"rweval: internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -147,8 +147,11 @@ def two_level_cli(cli, argv: list[str]) -> int:
     """The exit code of the rweval CLI for argv, printing what it prints, with
     argv parsed the two-level way: a top-level "rweval" parser that has each
     command of cli._COMMANDS as a subparser, with its options and handler.
-    The two errors a handler raises for bad input or configuration exit 2
-    and 3, as in cli.main; any other error propagates."""
+    Errors map to exit codes and messages as in cli.main: 3 for bad
+    configuration, 2 for bad input, 130 for an interrupt, 1 for the rest."""
+    from rweval.errors import (DegenerateSplit, EmptyMatrix, MalformedElf, RwevalError,
+                               UnknownTool, Unsupported)
+
     parser = cli._Parser(prog="rweval", description=cli.__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, add_options) in cli._COMMANDS.items():
@@ -161,6 +164,18 @@ def two_level_cli(cli, argv: list[str]) -> int:
     except cli.CliConfigError as e:
         print(f"rweval: {e}", file=sys.stderr)
         return 3
-    except cli.CliInputError as e:
+    except (cli.CliInputError, MalformedElf, Unsupported, UnknownTool, EmptyMatrix,
+            DegenerateSplit) as e:
         print(f"rweval: {e}", file=sys.stderr)
         return 2
+    except RwevalError as e:
+        print(f"rweval: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        return 1
+    except KeyboardInterrupt:
+        print("rweval: interrupted", file=sys.stderr)
+        return 130
+    except Exception as e:  # noqa: BLE001
+        print(f"rweval: internal error: {e}", file=sys.stderr)
+        return 1

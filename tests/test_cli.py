@@ -136,6 +136,11 @@ class TestScopeCommand:
         code, _, _ = run_cli(capsys, "scope", str(tmp_path / "absent"))
         assert code == 2
 
+    def test_path_with_a_nul_byte_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "scope", "a\0b")
+        assert (code, out) == (2, "")
+        assert err == "rweval: cannot read 'a\\x00b': embedded null byte\n"
+
     def test_unknown_flag_exits_3(self, capsys, elf_file):
         code, _, _ = run_cli(capsys, "scope", elf_file, "--bogus")
         assert code == 3
@@ -499,6 +504,31 @@ class TestTrainCommand:
         assert (code, out) == (2, "")
         assert err == (f"rweval: cannot write {str(out_model)!r}: "
                        "[Errno 13] Permission denied\n")
+
+    def test_only_constant_pi_and_strip_columns_exit_2(self, capsys, trainable_corpus,
+                                                       tmp_path):
+        # .text is in all 12 binaries and .marker in 6, under a min support of 7
+        manifest, results = trainable_corpus
+        out_model = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "train", "--results", str(results),
+                                 "--manifest", str(manifest), "--tool", "toolx",
+                                 "--min-support", "7", "--out-model", str(out_model))
+        assert (code, out) == (2, "")
+        assert err == ("rweval: no discriminating features survive filtering "
+                       "(only constant pi/strip columns remain)\n")
+        assert not out_model.exists()
+
+    def test_manifest_path_with_a_nul_byte_exits_2(self, capsys, trainable_corpus,
+                                                   tmp_path):
+        manifest, results = trainable_corpus
+        entries = json.loads(manifest.read_text())
+        entries[0]["path"] += "\0x"
+        manifest.write_text(json.dumps(entries))
+        code, out, err = run_cli(capsys, "train", "--results", str(results),
+                                 "--manifest", str(manifest), "--tool", "toolx",
+                                 "--out-model", str(tmp_path / "m.json"))
+        assert (code, out) == (2, "")
+        assert err == f"rweval: cannot read {entries[0]['path']!r}: embedded null byte\n"
 
     def test_tool_absent_exits_2(self, capsys, trainable_corpus, tmp_path):
         manifest, results = trainable_corpus

@@ -493,7 +493,7 @@ class TestCampaignStubs:
              "--adapters", str(adapters), "--out", str(tmp_path / "o.csv"),
              "--tasks", "NOP", "--parallelism", "1", "--timeout-s", "2"],
             env={**os.environ, "PYTHONPATH": src},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             # an ignored SIGINT would be inherited, as under a background shell job
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         try:
@@ -503,11 +503,13 @@ class TestCampaignStubs:
                     "the tool never started"
                 time.sleep(0.05)
             proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=20)
+            _, err = proc.communicate(timeout=20)
         finally:
             proc.kill()
             proc.wait()
         assert process_gone(int(bg_pidfile.read_text())), "the tool outlived the campaign"
+        assert "Traceback" not in err
+        assert (proc.returncode, err) == (130, "rweval: interrupted\n")
 
 
 class TestCampaign:
