@@ -7,11 +7,12 @@ Subcommands: scope, features, size, run, train, report. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from itertools import compress
 from pathlib import Path
@@ -244,6 +245,10 @@ def cmd_train(args) -> int:
 def _check_writable(path: str) -> None:
     """Fail now, before a long load, where path cannot be written as a file."""
     folder = os.path.dirname(path) or "."
+    # os.path.isdir is False for a name the OS rejects outright, such as one with a NUL byte
+    with _failing_as(CliInputError, f"cannot write {path!r}: "), \
+            suppress(FileNotFoundError, NotADirectoryError):
+        os.stat(path)
     if os.path.isdir(path):
         raise CliInputError(f"cannot write {path!r}: is a directory")
     if not os.path.isdir(folder):
@@ -459,27 +464,39 @@ _COMMANDS = {
 }
 
 
+def _with_command(p: _Parser, command: str) -> _Parser:
+    """p, given command's options and handler."""
+    _, func, add_options = _COMMANDS[command]
+    add_options(p)
+    p.set_defaults(func=func)
+    return p
+
+
+@functools.cache
+def _command_parser(command: str) -> _Parser:
+    """command's own parser, built on its first direct call and reused by
+    every later one: parse_args does not change a parser."""
+    return _with_command(_Parser(prog=f"rweval {command}"), command)
+
+
 def build_parser(argv: list[str]) -> tuple[_Parser, list[str]]:
     """The parser main runs and the argv it parses: when argv[0] is a command,
     that command's parser alone and argv[1:], as argparse would enter the
-    command at once. For any other argv (no arguments, --help, an option or --
-    before the command, an unknown command), the top-level parser and argv,
-    with every command by name and help, and options only for the one named."""
+    command at once; it is built on the command's first such call in a process
+    and reused afterwards. For any other argv (no arguments, --help, an option
+    or -- before the command, an unknown command), a new top-level parser and
+    argv, with every command by name and help, and options only for the one
+    named."""
+    if argv and argv[0] in _COMMANDS:
+        return _command_parser(argv[0]), argv[1:]
+    parser = _Parser(prog="rweval", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     # argparse enters the first argument that is not an option: no top-level option takes a value
     command = next((a for a in argv if not a.startswith("-")), None)
-    if argv and argv[0] in _COMMANDS:
-        parser = p = _Parser(prog=f"rweval {command}")
-        argv = argv[1:]
-    else:
-        parser = _Parser(prog="rweval", description=__doc__)
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, (help_text, _, _) in _COMMANDS.items():
-            sub.add_parser(name, help=help_text)
-        p = sub.choices.get(command)
-    if p is not None:
-        _, func, add_options = _COMMANDS[command]
-        add_options(p)
-        p.set_defaults(func=func)
+    if command in sub.choices:
+        _with_command(sub.choices[command], command)
     return parser, argv
 
 

@@ -474,20 +474,26 @@ class TestTrainCommand:
         assert "3 rows at train_fraction=0.1 leave 1 to train" in err
         assert not out_model.exists()
 
-    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory", "nul_in_name",
+                                       "nul_in_folder"])
     def test_unwritable_out_model_exits_2_before_anything_loads(
             self, capsys, monkeypatch, trainable_corpus, tmp_path, where):
         manifest, results = trainable_corpus
         loads = []
         for name in ("_load_results", "_load_manifest"):
             monkeypatch.setattr(cli, name, lambda path, name=name: loads.append(name))
-        out_model = {"missing_dir": tmp_path / "missing" / "m.json",
-                     "directory": tmp_path}[where]
+        # os.path.isdir is False for a path with a NUL byte, which no file can have
+        out_model = {"missing_dir": str(tmp_path / "missing" / "m.json"),
+                     "directory": str(tmp_path),
+                     "nul_in_name": f"{tmp_path}/m\0.json",
+                     "nul_in_folder": f"{tmp_path}/a\0b/m.json"}[where]
         code, out, err = run_cli(capsys, "train", "--results", str(results),
                                  "--manifest", str(manifest), "--tool", "toolx",
-                                 "--out-model", str(out_model))
+                                 "--out-model", out_model)
         assert (code, out, loads) == (2, "", [])
-        assert err.startswith(f"rweval: cannot write {str(out_model)!r}: ")
+        assert err.startswith(f"rweval: cannot write {out_model!r}: ")
+        if where.startswith("nul"):
+            assert err.endswith(": embedded null byte\n")
 
     def test_failed_model_write_exits_2(self, capsys, monkeypatch, trainable_corpus,
                                         tmp_path):
@@ -929,7 +935,9 @@ COMMAND_OPTIONS = {"scope": 3, "features": 2, "size": 3, "run": 8, "train": 12, 
 
 @pytest.fixture
 def added(monkeypatch):
-    """The positional arguments of every add_argument call, in order."""
+    """The positional arguments of every add_argument call, in order, with
+    no command parser built yet."""
+    cli._command_parser.cache_clear()
     added = []
     real_add_argument = argparse._ActionsContainer.add_argument
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
@@ -938,11 +946,9 @@ def added(monkeypatch):
     return added
 
 
-@pytest.mark.parametrize("command", COMMAND_OPTIONS)
-def test_main_builds_only_the_invoked_commands_options(capsys, added, tmp_path, command):
-    # an in-process caller pays for the parser on every call
-    missing = str(tmp_path / "missing")
-    argv = {
+def _missing_argv(command, missing):
+    """Arguments for command that name only the missing path."""
+    return {
         "scope": [missing],
         "features": [missing],
         "size": [missing],
@@ -951,11 +957,21 @@ def test_main_builds_only_the_invoked_commands_options(capsys, added, tmp_path, 
                   "--out-model", missing],
         "report": [missing],
     }[command]
-    code, _, err = run_cli(capsys, command, *argv)
-    assert code == 2 and "missing" in err  # parsed, and the command's handler ran
-    # one parser: the command that argv[0] names, with nothing above it
-    assert added.count(("-h", "--help")) == 1
-    assert len(added) == 1 + COMMAND_OPTIONS[command]
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_main_builds_only_the_invoked_commands_options(capsys, added, tmp_path, command):
+    # an in-process caller pays for a command's parser on its first direct call only
+    missing = str(tmp_path / "missing")
+    other = "report" if command == "scope" else "scope"
+    for name, expected in ((command, 1 + COMMAND_OPTIONS[command]), (command, 0),
+                           (other, 1 + COMMAND_OPTIONS[other])):
+        added.clear()
+        code, _, err = run_cli(capsys, name, *_missing_argv(name, missing))
+        assert code == 2 and "missing" in err  # parsed, and the command's handler ran
+        # at most one parser: the command that argv[0] names, with nothing above it
+        assert added.count(("-h", "--help")) == min(expected, 1)
+        assert len(added) == expected
 
 
 def test_an_option_before_the_command_registers_every_command(capsys, added, tmp_path):
@@ -1012,7 +1028,62 @@ def test_a_direct_command_parses_as_the_two_level_parser_would(empty_dir, argv):
     # every path named is missing, so each handler stops at its first read
     with contextlib.chdir(empty_dir), pytest.MonkeyPatch.context() as mp:
         mp.setenv("COLUMNS", "80")
-        assert _outcome(main, argv) == _outcome(lambda a: two_level_cli(cli, a), argv)
+        expected = _outcome(lambda a: two_level_cli(cli, a), argv)
+        # twice: the second call may reuse the parser that the first one built
+        assert _outcome(main, argv) == expected
+        assert _outcome(main, argv) == expected
+
+
+class TestReusedParser:
+    """A command's parser is reused by every direct call in a process, so no
+    call may leave anything behind for the next one."""
+
+    @pytest.fixture
+    def two_tools_csv(self, tmp_path):
+        rows = [harness_header()]
+        for i in range(4):
+            for tool, runtime in (("alpha", i + 1), ("beta", 2 * i + 3)):
+                rows.append([f"b{i}", "p", "gcc", "O0", "pie", "present", "u20",
+                             tool, "NOP", "yes", "1", "yes" if i < 2 else "no",
+                             str(float(runtime)), "100", "1000"])
+        path = tmp_path / "results.csv"
+        with open(path, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        return str(path)
+
+    def test_options_of_one_call_do_not_reach_the_next(self, capsys, two_tools_csv):
+        code, out, _ = run_cli(capsys, "report", two_tools_csv, "--tools", "beta,alpha",
+                               "--mean-of-ratios", "--format", "csv")
+        assert code == 0 and out.startswith("tool,")
+        src = os.path.dirname(os.path.dirname(rweval.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rweval.cli", "report", two_tools_csv, "--format", "csv"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert (fresh.returncode, fresh.stderr) == (0, "") and fresh.stdout != out
+        assert run_cli(capsys, "report", two_tools_csv, "--format", "csv") == (
+            0, fresh.stdout, "")
+
+    def test_a_usage_error_does_not_break_the_next_call(self, capsys, elf_file):
+        first = run_cli(capsys, "scope", elf_file)
+        assert first[0] == 0
+        assert run_cli(capsys, "scope", elf_file, "--format", "nope")[0] == 3
+        assert run_cli(capsys, "scope", elf_file, "--bogus")[0] == 3
+        assert run_cli(capsys, "scope", elf_file) == first
+
+    def test_help_wraps_to_the_columns_of_each_call(self, capsys, monkeypatch):
+        def help_at(columns, fresh=False):
+            if fresh:
+                cli._command_parser.cache_clear()
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit):
+                main(["scope", "--help"])
+            return capsys.readouterr().out
+
+        fresh = {columns: help_at(columns, fresh=True) for columns in (40, 120)}
+        assert fresh[40] != fresh[120]
+        # the parser built at 120 columns, reused at 40 and then at 120
+        assert {columns: help_at(columns) for columns in (40, 120)} == fresh
 
 
 def test_import_leaves_numpy_unloaded():
