@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import glob
-import json
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -31,6 +30,7 @@ from .errors import (
     UnknownTool,
     Unsupported,
 )
+from .util import json_text
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -107,7 +107,7 @@ def cmd_features(args) -> int:
         for name, value in sorted(fv.features.items()):
             print(f"{name} {'1' if value else '0'}")
     else:
-        print(json.dumps(fv.to_json_obj(), indent=2, sort_keys=True))
+        print(json_text(dict(sorted(fv.features.items()))))
     return EXIT_OK
 
 

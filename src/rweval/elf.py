@@ -18,7 +18,7 @@ import stat
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import MalformedElf, Unsupported
 
@@ -28,6 +28,10 @@ PHDR_SIZE = 56
 SHDR_SIZE = 64
 
 SHT_NOBITS = 8
+SHN_XINDEX = 0xFFFF
+
+# sh_name, sh_type, sh_offset, sh_size of one section header
+_SHDR = struct.Struct("<II16xQQ")
 
 BUCKET_EHDR = "[ELF Header]"
 BUCKET_PHDRS = "[ELF Program Headers]"
@@ -46,8 +50,7 @@ class ElfType(Enum):
         return {1: cls.REL, 2: cls.EXEC, 3: cls.DYN}.get(code, cls.OTHER)
 
 
-@dataclass(frozen=True)
-class SectionEntry:
+class SectionEntry(NamedTuple):
     name: str
     file_offset: int
     file_size_on_disk: int  # always 0 for NOBITS sections
@@ -113,10 +116,12 @@ def parse_elf(data: bytes | ByteSource) -> ElfSummary:
 
     Raises MalformedElf for truncated or inconsistent images and Unsupported
     for 32-bit or big-endian inputs. A missing or unusable section-name
-    string table is tolerated: affected sections get empty names. Every
-    extent is checked against the size before its bytes are fetched, so a
-    source is only asked for bytes inside it; one that returns fewer (a
-    file that shrank after it was opened) raises MalformedElf.
+    string table is tolerated: affected sections get empty names. Extended
+    section numbering (e_shnum 0, e_shstrndx SHN_XINDEX) is read from
+    section 0, as readelf reads it. Every extent is checked against the size
+    before its bytes are fetched, so a source is only asked for bytes inside
+    it; one that returns fewer (a file that shrank after it was opened)
+    raises MalformedElf.
     """
     if isinstance(data, (bytes, bytearray)):
         size, fetch = len(data), lambda off, n: data[off : off + n]
@@ -151,29 +156,38 @@ def parse_elf(data: bytes | ByteSource) -> ElfSummary:
     ph_extent = _table_extent(
         "program header table", e_phoff, e_phentsize, e_phnum, PHDR_SIZE, size
     )
+    if e_shnum == 0 and e_shoff:
+        # extended numbering (0xff00 sections or more): entry 0's sh_size is the count
+        _table_extent("section header table", e_shoff, e_shentsize, 1, SHDR_SIZE, size)
+        e_shnum = _SHDR.unpack(read(e_shoff, _SHDR.size))[3]
     sh_extent = _table_extent(
         "section header table", e_shoff, e_shentsize, e_shnum, SHDR_SIZE, size
     )
 
     shdrs = read(*sh_extent)
-    raw_sections = []
-    for i in range(e_shnum):
-        base = i * e_shentsize
-        sh_name, sh_type = struct.unpack_from("<II", shdrs, base)
-        sh_offset, sh_size = struct.unpack_from("<QQ", shdrs, base + 24)
-        raw_sections.append((sh_name, sh_type, sh_offset, sh_size))
+    raw_sections = [_SHDR.unpack_from(shdrs, i * e_shentsize) for i in range(e_shnum)]
+    if raw_sections:
+        # Entry 0 is the null section: its sh_size is 0 or the extended
+        # count, its sh_link 0 or, under SHN_XINDEX, the .shstrtab index.
+        sh_name, sh_type, sh_offset, _ = raw_sections[0]
+        raw_sections[0] = (sh_name, sh_type, sh_offset, 0)
+        if e_shstrndx == SHN_XINDEX:
+            (e_shstrndx,) = struct.unpack_from("<I", shdrs, 40)
 
-    strtab = _section_name_table(read, size, raw_sections, e_shstrndx)
-
-    sections = []
-    for sh_name, sh_type, sh_offset, sh_size in raw_sections:
-        name = _read_name(strtab, sh_name)
-        on_disk = 0 if sh_type == SHT_NOBITS else sh_size
-        if on_disk > 0 and sh_offset + on_disk > size:
+    # A trailing NUL ends every in-range sh_name inside names; an sh_name
+    # past the end slices to "".
+    names = _section_name_table(read, size, raw_sections, e_shstrndx).decode("latin-1")
+    names += "\x00"
+    sections = [
+        SectionEntry(names[sh_name : names.find("\x00", sh_name)], sh_offset,
+                     0 if sh_type == SHT_NOBITS else sh_size)
+        for sh_name, sh_type, sh_offset, sh_size in raw_sections
+    ]
+    for name, offset, on_disk in sections:
+        if on_disk > 0 and offset + on_disk > size:
             raise MalformedElf(
-                f"section {name!r} data extends past end of file", offset=sh_offset
+                f"section {name!r} data extends past end of file", offset=offset
             )
-        sections.append(SectionEntry(name, sh_offset, on_disk))
 
     return ElfSummary(
         file_size=size,
@@ -207,15 +221,6 @@ def _section_name_table(read, size: int, raw_sections, shstrndx: int) -> bytes:
     return read(sh_offset, sh_size)
 
 
-def _read_name(strtab: bytes, off: int) -> str:
-    if off >= len(strtab):
-        return ""
-    end = strtab.find(b"\x00", off)
-    if end < 0:
-        end = len(strtab)
-    return strtab[off:end].decode("latin-1")
-
-
 def _claim(claimed: list[tuple[int, int]], start: int, end: int) -> int:
     """Claim the unclaimed parts of [start, end); return the bytes gained.
 
@@ -241,31 +246,46 @@ def size_profile(summary: ElfSummary) -> dict[str, int]:
     Bucket values always sum to summary.file_size exactly.
     """
     file_size = summary.file_size
-    claimed: list[tuple[int, int]] = []
-    buckets: dict[str, int] = {}
+    headers: list[tuple[int, int]] = []
 
     def claim(off: int, length: int) -> int:
         start = min(max(off, 0), file_size)
         end = min(max(off + length, 0), file_size)
-        return _claim(claimed, start, end)
+        return _claim(headers, start, end)
 
-    buckets[BUCKET_EHDR] = claim(0, EHDR_SIZE)
-    buckets[BUCKET_PHDRS] = claim(*summary.program_header_extent)
-    buckets[BUCKET_SHDRS] = claim(*summary.section_header_extent)
+    buckets = {
+        BUCKET_EHDR: claim(0, EHDR_SIZE),
+        BUCKET_PHDRS: claim(*summary.program_header_extent),
+        BUCKET_SHDRS: claim(*summary.section_header_extent),
+    }
+    unmapped = file_size - sum(buckets.values())
 
-    for sec in summary.sections:
+    for name, _, _ in summary.sections:
         # the unnamed null section would otherwise pollute every profile
-        if sec.name and sec.name not in buckets:
-            buckets[sec.name] = 0
-    for index, sec in sorted(
-        ((i, s) for i, s in enumerate(summary.sections) if s.file_size_on_disk > 0),
-        key=lambda item: item[1].file_offset,
+        if name and name not in buckets:
+            buckets[name] = 0
+    # In offset order, the sections before this one all start at or before
+    # it, so together they hold [start, mark) of it: one sweep replaces a
+    # _claim walk over every span claimed so far. mark starts at 0, which
+    # also clips a negative offset to the start of the file.
+    mark = 0
+    for off, index, length, name in sorted(
+        (off, i, length, name)
+        for i, (name, off, length) in enumerate(summary.sections) if length > 0
     ):
-        gained = claim(sec.file_offset, sec.file_size_on_disk)
-        label = sec.name or f"[section {index}]"
+        start, end = max(off, mark), min(off + length, file_size)
+        gained = 0
+        if start < end:
+            mark = end
+            gained = end - start
+            for s, e in headers:
+                if s < end and e > start:
+                    gained -= min(e, end) - max(s, start)
+            unmapped -= gained
+        label = name or f"[section {index}]"
         buckets[label] = buckets.get(label, 0) + gained
 
-    buckets[BUCKET_UNMAPPED] = file_size - sum(e - s for s, e in claimed)
+    buckets[BUCKET_UNMAPPED] = unmapped
     return buckets
 
 

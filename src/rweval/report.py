@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress
@@ -22,7 +21,7 @@ from .dtree import Task
 from .elf import size_delta
 from .errors import UnknownTool
 from .features import Label
-from .util import fmt_pct, trunc_pct
+from .util import fmt_pct, json_text, trunc_pct
 from .variant import CLOSED_VALUES, VARIANT_COLUMNS, TriState, VariantConfig
 
 if TYPE_CHECKING:  # annotations only: harness would load the process runner
@@ -400,6 +399,6 @@ def rows_to_text(rows: list[list[str]]) -> str:
 
 def render(table, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(table.to_json_obj(), indent=2)
+        return json_text(table.to_json_obj())
     rows = table.to_rows()
     return rows_to_csv(rows) if fmt == "csv" else rows_to_text(rows)

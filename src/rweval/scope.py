@@ -12,7 +12,6 @@ are reported as "no model" rather than guessed.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from . import dtree, features
 from .dtree import DecisionTreeModel, Internal, Leaf, Prediction, Task
 from .elf import ElfSummary
 from .features import FeatureVector
+from .util import json_text
 
 TOOLS_WITHOUT_MODELS = ("egalito", "multiverse", "reopt", "revng", "uroboros")
 
@@ -490,7 +490,7 @@ class ScopeReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        return json_text(self.to_json_obj())
 
     def to_text(self) -> str:
         lines = [f"binary: {self.binary_id}", f"{'tool':<12} {'verdict':<8} confidence"]

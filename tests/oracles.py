@@ -9,6 +9,8 @@
 - leaf_count_total: the FAIL+PASS counts summed over a tree's leaves.
 - two_level_cli: the CLI with every command a subparser of one top-level
   parser, which parses the whole argv.
+- claim_walk_size_profile: elf.size_profile as a walk that claims each
+  section against every span claimed before it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
+
+from rweval.elf import BUCKET_EHDR, BUCKET_PHDRS, BUCKET_SHDRS, BUCKET_UNMAPPED, EHDR_SIZE
 
 
 @dataclass
@@ -179,3 +183,56 @@ def two_level_cli(cli, argv: list[str]) -> int:
     except Exception as e:  # noqa: BLE001
         print(f"rweval: internal error: {e}", file=sys.stderr)
         return 1
+
+
+def _claim(claimed: list[tuple[int, int]], start: int, end: int) -> int:
+    """Claim the unclaimed parts of [start, end); return the bytes gained.
+
+    claimed holds disjoint half-open spans; only the new pieces are added,
+    so it stays disjoint without merging."""
+    pieces = [(start, end)] if start < end else []
+    for s, e in claimed:
+        if s < end and e > start:
+            pieces = [(ps, pe) for a, b in pieces
+                      for ps, pe in ((a, min(b, s)), (max(a, e), b)) if ps < pe]
+    claimed.extend(pieces)
+    return sum(pe - ps for ps, pe in pieces)
+
+
+def claim_walk_size_profile(summary) -> dict[str, int]:
+    """Attribute every byte of a file to exactly one bucket: {bucket: bytes}.
+
+    Claim precedence: ELF header, then program header table, then section
+    header table, then sections in ascending file-offset order (section-table
+    order breaks ties); a byte already claimed is never re-claimed. NOBITS
+    sections claim nothing. A section without a name is labelled by its
+    section-header index, as "[section N]". Whatever remains is "[Unmapped]".
+    Bucket values always sum to summary.file_size exactly.
+    """
+    file_size = summary.file_size
+    claimed: list[tuple[int, int]] = []
+    buckets: dict[str, int] = {}
+
+    def claim(off: int, length: int) -> int:
+        start = min(max(off, 0), file_size)
+        end = min(max(off + length, 0), file_size)
+        return _claim(claimed, start, end)
+
+    buckets[BUCKET_EHDR] = claim(0, EHDR_SIZE)
+    buckets[BUCKET_PHDRS] = claim(*summary.program_header_extent)
+    buckets[BUCKET_SHDRS] = claim(*summary.section_header_extent)
+
+    for sec in summary.sections:
+        # the unnamed null section would otherwise pollute every profile
+        if sec.name and sec.name not in buckets:
+            buckets[sec.name] = 0
+    for index, sec in sorted(
+        ((i, s) for i, s in enumerate(summary.sections) if s.file_size_on_disk > 0),
+        key=lambda item: item[1].file_offset,
+    ):
+        gained = claim(sec.file_offset, sec.file_size_on_disk)
+        label = sec.name or f"[section {index}]"
+        buckets[label] = buckets.get(label, 0) + gained
+
+    buckets[BUCKET_UNMAPPED] = file_size - sum(e - s for s, e in claimed)
+    return buckets

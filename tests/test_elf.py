@@ -11,16 +11,19 @@ from rweval.elf import (
     BUCKET_SHDRS,
     BUCKET_UNMAPPED,
     ElfFile,
+    ElfSummary,
     ElfType,
     MalformedElf,
+    SectionEntry,
     Unsupported,
     parse_elf,
     size_delta,
     size_profile,
 )
+from rweval.features import extract_features
 
 from elfbuild import ET_EXEC, ET_REL, SHT_NOBITS, SHT_SYMTAB, Sec, build_elf
-from oracles import readelf_facts
+from oracles import claim_walk_size_profile, readelf_facts
 
 
 class TestParse:
@@ -97,6 +100,74 @@ class TestParse:
         struct.pack_into("<H", img, 62, 0xFFF0)  # absurd e_shstrndx
         s = parse_elf(bytes(img))  # tolerated: names become empty
         assert all(sec.name == "" for sec in s.sections)
+
+    def test_section_entry_unpacks_and_compares_as_a_tuple(self):
+        entry = parse_elf(build_elf([Sec(".text", b"\x90" * 16)])).sections[1]
+        name, offset, on_disk = entry
+        assert entry == (".text", offset, 16) and (name, on_disk) == (".text", 16)
+
+
+def _section_table(img: bytes) -> tuple[int, int, int]:
+    """e_shoff, e_shentsize and e_shnum of an image."""
+    (shoff,) = struct.unpack_from("<Q", img, 40)
+    return (shoff, *struct.unpack_from("<HH", img, 58))
+
+
+def _extended_numbering(img: bytes) -> bytes:
+    """img as an ELF with 0xff00 sections or more lays it out: e_shnum 0 and
+    e_shstrndx SHN_XINDEX, the count in entry 0's sh_size and the .shstrtab
+    index in entry 0's sh_link."""
+    shoff, _, shnum = _section_table(img)
+    (shstrndx,) = struct.unpack_from("<H", img, 62)
+    out = bytearray(img)
+    struct.pack_into("<HH", out, 60, 0, 0xFFFF)
+    struct.pack_into("<Q", out, shoff + 32, shnum)
+    struct.pack_into("<I", out, shoff + 40, shstrndx)
+    return bytes(out)
+
+
+def _wide_entries(img: bytes, entsize: int) -> bytes:
+    """img with its section-header table (the last thing in an elfbuild
+    image) rewritten with entsize-byte entries, each zero-padded."""
+    shoff, old, shnum = _section_table(img)
+    table = b"".join(img[shoff + i * old:shoff + (i + 1) * old].ljust(entsize, b"\x00")
+                     for i in range(shnum))
+    out = bytearray(img[:shoff] + table)
+    struct.pack_into("<H", out, 58, entsize)
+    return bytes(out)
+
+
+SAMPLE = build_elf([Sec(".text", b"\x90" * 40), Sec(".symtab", b"\x00" * 48, SHT_SYMTAB),
+                    Sec(".bss", b"\x00" * 4096, SHT_NOBITS)], interp=True)
+
+
+class TestSectionTableLayouts:
+    def test_extended_numbering_reads_count_and_name_index_from_entry_0(self, tmp_path):
+        patched = _extended_numbering(SAMPLE)
+        want, got = parse_elf(SAMPLE), parse_elf(patched)
+        assert got.sections == want.sections
+        assert got.section_header_extent == want.section_header_extent
+        assert extract_features(got) == extract_features(want)
+        assert not extract_features(got).get("strip")
+        assert list(size_profile(got).items()) == list(size_profile(want).items())
+        path = tmp_path / "extended"
+        path.write_bytes(patched)
+        assert _parse_file(path) == got
+        facts = readelf_facts(str(path))
+        assert [sec.name for sec in got.sections if sec.name] == facts.section_names
+
+    def test_extended_numbering_past_eof_is_malformed(self):
+        img = bytearray(_extended_numbering(SAMPLE))
+        shoff, _, _ = _section_table(SAMPLE)
+        struct.pack_into("<Q", img, shoff + 32, 1000)
+        with pytest.raises(MalformedElf, match="^section header table extends past end"):
+            parse_elf(bytes(img))
+
+    def test_80_byte_entries_parse_as_64_byte_ones(self):
+        want, got = parse_elf(SAMPLE), parse_elf(_wide_entries(SAMPLE, 80))
+        assert got.sections == want.sections
+        shoff, _, shnum = _section_table(SAMPLE)
+        assert got.section_header_extent == (shoff, 80 * shnum)
 
 
 def _patched(img: bytes, fmt: str, at: int, value: int) -> bytes:
@@ -358,6 +429,32 @@ class TestSizeProfile:
         profile = size_profile(parse_elf(img))
         assert sum(profile.values()) == len(img)
         assert all(v >= 0 for v in profile.values())
+
+
+# Offsets and extents reach below 0 and past file_size; names collide with
+# the header, "[section N]" and "[Unmapped]" labels.
+_OFFSETS = st.integers(-80, 700) | st.sampled_from([0, 2**63, 2**64 - 1])
+_SUMMARIES = st.builds(
+    ElfSummary,
+    file_size=st.integers(0, 600),
+    elf_type=st.just(ElfType.DYN),
+    sections=st.lists(st.builds(
+        SectionEntry,
+        st.sampled_from(["", ".a", ".b", ".text", "[section 1]", BUCKET_SHDRS,
+                         BUCKET_UNMAPPED]),
+        _OFFSETS,
+        st.integers(-8, 300) | st.just(0),
+    ), max_size=12).map(tuple),
+    program_header_extent=st.tuples(_OFFSETS, st.integers(-8, 300)),
+    section_header_extent=st.tuples(_OFFSETS, st.integers(-8, 300)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SUMMARIES)
+def test_size_profile_equals_the_claim_walk(summary):
+    assert list(size_profile(summary).items()) == \
+        list(claim_walk_size_profile(summary).items())
 
 
 class TestSizeDelta:
