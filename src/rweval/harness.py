@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import csv
 import glob as globlib
+import io
 import itertools
 import json
+import marshal
 import math
 import operator
 import os
+import re
 import select
 import shlex
 import shutil
@@ -35,7 +38,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .dtree import Task
 from .elf import ELF_MAGIC
@@ -716,81 +719,314 @@ def write_records_csv(records: Iterable[RunRecord], path: str) -> None:
 
 # Rows per chunk of load_records_csv: it never holds more raw cells than these.
 CHUNK_ROWS = 512
+# Bytes of a results file per part of a load, at least: smaller files load as
+# one part.
+MIN_PART_BYTES = 1 << 20
 # The header line results_writer writes.
-_HEADER_LINE = ",".join(RESULTS_COLUMNS)
+_HEADER_LINE = ",".join(RESULTS_COLUMNS).encode()
 # A row's binary cells: binary_id and the variant columns.
 _BINARY_CELLS = 1 + len(VARIANT_COLUMNS)
+# A split row's commas after its binary cells.
+_ROW_CUTS = len(RESULTS_COLUMNS) - _BINARY_CELLS
 
 
 def load_records_csv(path: str) -> Results:
     """The runs of a results CSV, as columns. Columns may come in any order,
     extra columns are ignored and blank lines skipped. ValueError names a
     repeated results column, or the 1-based line of the first malformed row,
-    including a row that repeats a (binary_id, tool, task) triple or gives a
-    binary a second variant.
+    including a row that repeats a (binary_id, tool, task) triple, gives a
+    binary a second variant or is not UTF-8.
 
     Rows are read CHUNK_ROWS at a time; each chunk is turned into typed
     columns and checked column by column. Only a chunk that fails a check is
     walked row by row, by csv.reader, to find its first bad row and that
     row's message. A file as results_writer writes it is split by
     str.split. From the first chunk that csv.reader might read otherwise (a
-    quote, CR or NUL, or a line as long as the field size limit), or after
-    any other header, csv.reader reads the rest: the columns and the errors
-    are the same."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    quote, CR or NUL, or a line as long as the field size limit), that is
+    not UTF-8 or that fails a check, or after any other header, csv.reader
+    reads the rest: the columns and the errors are the same.
+
+    A file that can seek, with results_writer's header line and at least
+    2 * MIN_PART_BYTES bytes, is cut at line breaks into one part per usable
+    CPU, and each part after the first is split in a forked child
+    (_load_parts). If any part holds a chunk that the split path does not
+    take, or two parts conflict, the whole file is loaded again as one part,
+    which names the error."""
+    with open(path, "rb") as f:
         head = f.readline()
-        # offset: the lines before the split chunk, or before reader's first line
-        if head.rstrip("\n") == _HEADER_LINE:
-            header, reader, offset = RESULTS_COLUMNS, None, 1
-        else:
-            reader, offset = csv.reader(itertools.chain([head], f)), 0
+        if head == _HEADER_LINE + b"\n" and f.seekable():
+            results = _load_parts(f)
+            if results is not None:
+                return results
+        return _load_one_part(f, head)
+
+
+def _load_one_part(f, head: bytes) -> Results:
+    """The runs of the results file f, a binary file just after its first
+    line head, in one pass: split while the chunks allow it, then read by
+    csv.reader."""
+    results = Results()
+    binary_of, pair_bit = _BinaryIds(results.variants), _PairBits()
+    masks: dict[str, int] = {}  # binary id -> the bits of its rows' pairs
+    # header: None until reader reads it; offset: the lines before reader's first line
+    header, offset, lines = None, 0, itertools.chain([head], f)
+    if head.rstrip(b"\n") == _HEADER_LINE:
+        rest = _take_split(f, results, binary_of, pair_bit, masks)
+        if rest is None:
+            return results
+        taken, chunk = rest
+        header, offset, lines = RESULTS_COLUMNS, 1 + taken, itertools.chain(chunk, f)
+    reader = csv.reader(_text_lines(lines))
+    if header is None:
+        try:
             header = next(reader, [])
-        pick, width = _results_picker(header), len(header)
-        cuts = width - _BINARY_CELLS
-        results = Results()
-        binary_of, pair_bit = _BinaryIds(results.variants), _PairBits()
-        masks: dict[str, int] = {}  # binary id -> the bits of its rows' pairs
-        more, read_error = True, None
-        while more:
-            # each pass reads a chunk into rows, columns if widths agree, and numbered
-            if reader is None:
-                lines = list(itertools.islice(f, CHUNK_ROWS))
-                text = "".join(lines)
-                # csv.reader might read these otherwise: a quoted cell, a CR line
-                # break, a NUL (rejected before Python 3.11), a field past its limit
-                if ('"' in text or "\r" in text or "\0" in text
-                        or max(map(len, lines), default=0) >= csv.field_size_limit()):
-                    reader = csv.reader(itertools.chain(lines, f))
-                    continue
-                # csv.reader reads each line as line.split(","); the binary's
-                # cells stay one string, the row's key in binary_of
-                rows = [line.rsplit(",", cuts) for line in text.split("\n") if line]
-                columns = zip(*rows) if set(map(len, rows)) == {1 + cuts} else None
-                numbered = enumerate(csv.reader(lines), offset + 1)
-                offset += len(lines)
-                more = len(lines) == CHUNK_ROWS
-            else:
-                numbered = []
-                try:
-                    for row in itertools.islice(reader, CHUNK_ROWS):
-                        numbered.append((offset + reader.line_num, row))
-                except csv.Error as e:  # the rows before it are checked first
-                    read_error = e
-                more = len(numbered) == CHUNK_ROWS
-                rows = [row for _, row in numbered if row]
-                columns = None
-                if set(map(len, rows)) == {width}:
-                    picked = pick(list(zip(*rows)))
-                    columns = (zip(*picked[:_BINARY_CELLS]), *picked[_BINARY_CELLS:])
-            if rows:
-                if columns is not None:
-                    columns = _checked_columns(columns, binary_of, pair_bit, masks)
-                if columns is None:
-                    raise _first_error(numbered, width, pick, binary_of.variant_of, results)
-                results._extend(*columns)
-            if read_error is not None:
-                raise ValueError(f"line {offset + reader.line_num}: {read_error}") from read_error
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise _read_error(e, reader.line_num) from e
+    pick, width = _results_picker(header), len(header)
+    more = True
+    while more:
+        numbered, read_error = [], None
+        try:
+            for row in itertools.islice(reader, CHUNK_ROWS):
+                numbered.append((offset + reader.line_num, row))
+        except (csv.Error, UnicodeDecodeError) as e:  # the rows before it are checked first
+            read_error = e
+        more = len(numbered) == CHUNK_ROWS
+        rows = [row for _, row in numbered if row]
+        if rows:
+            columns = None
+            if set(map(len, rows)) == {width}:
+                picked = pick(list(zip(*rows)))
+                columns = _checked_columns(
+                    (zip(*picked[:_BINARY_CELLS]), *picked[_BINARY_CELLS:]),
+                    binary_of, pair_bit, masks)
+            if columns is None:
+                raise _first_error(numbered, width, pick, binary_of.variant_of, results)
+            results._extend(*columns)
+        if read_error is not None:
+            raise _read_error(read_error, offset + reader.line_num) from read_error
+    return results
+
+
+# A line as open(newline="") reads it: it ends at LF, CR or CRLF.
+_TEXT_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _text_lines(lines: Iterable[bytes]) -> Iterator[str]:
+    """The lines of a binary file, each ended by LF, as open(newline="")
+    reads them: decoded with errors="surrogateescape" and ended at a CR or
+    CRLF too. UnicodeDecodeError, its position counted in the line, at the
+    first line that holds a byte that is not UTF-8."""
+    for data in lines:
+        text = data.decode("utf-8", "surrogateescape")
+        for line in _TEXT_LINE.findall(text) if "\r" in text else (text,):
+            if not line.isascii():  # an escaped byte does not encode strictly
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            yield line
+
+
+def _read_error(error: csv.Error | UnicodeDecodeError, line_num: int) -> ValueError:
+    """The error of a csv.reader over _text_lines whose line_num is
+    line_num, naming its line: csv.reader counts the line it fails on, not
+    the one it could not decode."""
+    return ValueError(f"line {line_num + isinstance(error, UnicodeDecodeError)}: {error}")
+
+
+def _take_split(lines: Iterable[bytes], results: Results, binary_of: _BinaryIds,
+                pair_bit: _PairBits, masks: dict[str, int]) -> tuple[int, list[bytes]] | None:
+    """Append the rows of a binary file's lines to results, split CHUNK_ROWS
+    lines at a time. Stops at the first chunk that _split_rows or
+    _checked_columns does not take and returns the number of lines taken
+    before it and the chunk's lines; None when every chunk was taken."""
+    lines, taken = iter(lines), 0
+    while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
+        rows = _split_rows(chunk)
+        columns = rows and _checked_columns(zip(*rows), binary_of, pair_bit, masks)
+        if columns is None:
+            return taken, chunk
+        if columns:
+            results._extend(*columns)
+        taken += len(chunk)
+    return None
+
+
+def _split_rows(lines: list[bytes]) -> list[list[str]] | None:
+    """A chunk's non-blank lines as csv.reader reads them, each with its
+    binary cells kept as one string, the row's key in binary_of. None when a
+    row has another field count, the chunk is not UTF-8, or csv.reader might
+    read it otherwise: a quoted cell, a CR line break, a NUL (rejected before
+    Python 3.11), a field past its limit."""
+    data = b"".join(lines)
+    if (b'"' in data or b"\r" in data or b"\0" in data
+            or max(map(len, lines), default=0) >= csv.field_size_limit()):
+        return None
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return None
+    # csv.reader reads each of these lines as line.split(",")
+    rows = [line.rsplit(",", _ROW_CUTS) for line in text.split("\n") if line]
+    return rows if set(map(len, rows)) <= {1 + _ROW_CUTS} else None
+
+
+def _load_parts(f) -> Results | None:
+    """The runs of the results file f, a binary file just after its header
+    line, cut at line breaks into one part per usable CPU, each at least
+    MIN_PART_BYTES long counting the header. This process splits the first
+    part while a forked child splits each other one and writes it to a pipe
+    (_load_part_and_exit); the parts are then appended in file order, each
+    new binary cell prefix mapped through this process's binary_of, so
+    interning, variants and their order are those of one pass. Every part is
+    read by offset from f's descriptor, so all of them are of the file whose
+    size was measured, and f stays just after the header. None, with every
+    child killed and reaped, when the file is one part, this process cannot
+    fork or runs other threads, a part holds a chunk _take_split does not
+    take, or a part gives a binary of an earlier part another variant or one
+    of its (tool, task) pairs again."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return None
+    starts = _part_starts(f, len(os.sched_getaffinity(0)))
+    if len(starts) < 2:
+        return None
+    fd, results = f.fileno(), Results()
+    state = (results, _BinaryIds(results.variants), _PairBits(), {})
+    pids, pipes = [], []
+    try:
+        for start, end in zip(starts[1:], [*starts[2:], None]):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(write_end)
+                return None
+            if pid == 0:
+                _load_part_and_exit(fd, start, end, pipes, write_end)
+            os.close(write_end)
+            pids.append(pid)
+        if _take_split(_range_lines(fd, starts[0], starts[1]), *state) is not None:
+            return None
+        for pipe in pipes:
+            part = bytearray()  # grown in place: a read() to the end joins copies
+            while chunk := os.read(pipe, 1 << 16):
+                part += chunk
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status != 0:
+                return None
+            part = marshal.loads(part)  # the bytes are freed before the merge
+            if not _merge_part(part, *state):
+                return None
         return results
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            os.close(pipe)
+
+
+def _part_starts(f, cpus: int) -> list[int]:
+    """The offsets at which the parts of the binary file f start, f at the
+    first: up to cpus parts of about equal size, each starting a line, and
+    no more than the file holds MIN_PART_BYTES."""
+    first, size = f.tell(), os.fstat(f.fileno()).st_size
+    parts = min(cpus, size // MIN_PART_BYTES)
+    starts = [first]
+    for k in range(1, parts):
+        f.seek(first + (size - first) * k // parts - 1)
+        f.readline()
+        if starts[-1] < f.tell() < size:
+            starts.append(f.tell())
+    f.seek(first)
+    return starts
+
+
+class _RangeReader(io.RawIOBase):
+    """The bytes of the file open as fd from offset start to end (to its end
+    when None), read by os.pread: unlike read(), it moves no file offset,
+    and a forked child shares its parent's offsets."""
+
+    def __init__(self, fd: int, start: int, end: int | None):
+        super().__init__()
+        self._fd, self._at, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = len(buffer) if self._end is None else min(len(buffer), self._end - self._at)
+        data = os.pread(self._fd, size, self._at)
+        buffer[:len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _range_lines(fd: int, start: int, end: int | None) -> io.BufferedReader:
+    """The lines of the file open as fd from offset start, a line's start,
+    to end (to its end when None), read by offset."""
+    return io.BufferedReader(_RangeReader(fd, start, end), 1 << 16)
+
+
+def _load_part_and_exit(fd: int, start: int, end: int | None, read_ends: list[int],
+                        write_end: int) -> NoReturn:
+    """In a forked child: split the part of the file open as fd from start
+    to end (to its end when None), marshal it to the pipe write_end for
+    _merge_part and exit 0; exit 1 when a chunk is not taken or anything
+    fails. It first closes read_ends, the pipes' read ends it inherited, so
+    that a parent that dies without killing it breaks its pipe. Never
+    returns, so no caller's code runs twice. The part is sent as its
+    distinct binary cell prefixes with each one's pair mask, its (tool,
+    task) pairs in mask bit order, its distinct tools, and its columns, with
+    binary ids and tools as indices into those lists."""
+    status = 1
+    try:
+        for read_end in read_ends:
+            os.close(read_end)
+        results = Results()
+        binary_of, pair_bit, masks = _BinaryIds(results.variants), _PairBits(), {}
+        if _take_split(_range_lines(fd, start, end), results, binary_of, pair_bit,
+                       masks) is not None:
+            return
+        index = dict(zip(binary_of.values(), itertools.count()))
+        tools: dict[str, int] = {}
+        tool_ids = array("I", [tools.setdefault(tool, len(tools)) for tool in results.tools])
+        with open(write_end, "wb") as pipe:
+            marshal.dump((
+                list(binary_of), [masks[binary_id] for binary_id in binary_of.values()],
+                list(pair_bit), list(tools),
+                array("I", map(index.__getitem__, results.binary_ids)).tobytes(),
+                tool_ids.tobytes(), bytes(results.states), results.runtime_s.tobytes(),
+                results.mem_kb.tobytes(), results.out_size.tobytes()), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _merge_part(part: tuple, results: Results, binary_of: _BinaryIds,
+                pair_bit: _PairBits, masks: dict[str, int]) -> bool:
+    """Append a part that _load_part_and_exit sent to results, after the
+    parts before it. False when it gives a binary another variant, or a pair
+    that the binary's rows already had."""
+    prefixes, part_masks, pairs, tools, ids, tool_ids, states, runtime, mem, sizes = part
+    try:
+        binary_ids = list(map(binary_of.__getitem__, prefixes))
+    except ValueError:
+        return False
+    bits = list(map(pair_bit.__getitem__, pairs))  # the part's bit i -> this one's
+    for binary_id, mask in zip(binary_ids, part_masks):
+        mask = sum(bit for i, bit in enumerate(bits) if mask >> i & 1)
+        seen = masks.get(binary_id, 0)
+        if seen & mask:
+            return False
+        masks[binary_id] = seen | mask
+    tools = list(map(sys.intern, tools))
+    results._extend(list(map(binary_ids.__getitem__, array("I", ids))),
+                    list(map(tools.__getitem__, array("I", tool_ids))),
+                    states, array("d", runtime), array("q", mem), array("q", sizes))
+    return True
 
 
 def _results_picker(header: Sequence[str]):

@@ -257,30 +257,39 @@ def comparative_average(
 
     tools = tuple(tool_order) if tool_order else tuple(sorted(per_tool))
     # Shared binaries are taken in sorted order, so every sum adds in one
-    # order; sorting each tool's ids once gives it for every pair.
+    # order; sorting each tool's ids once gives it for every pair. (a, b)
+    # and (b, a) share their binaries and sums, so each pair is taken once.
     ordered = {tool: sorted(values) for tool, values in per_tool.items()}
     cells: dict[tuple[str, str], float | None] = {}
-    for a in tools:
+    for i, a in enumerate(tools):
         va = per_tool.get(a, {})
-        for b in tools:
+        for b in tools[i:]:
             vb = per_tool.get(b, {})
             shared = list(filter(vb.__contains__, ordered.get(a, ())))
-            cells[(a, b)] = _compare(list(map(va.__getitem__, shared)),
-                                     list(map(vb.__getitem__, shared)), mean_of_ratios)
+            cells[(a, b)], cells[(b, a)] = _compare(list(map(va.__getitem__, shared)),
+                                                    list(map(vb.__getitem__, shared)),
+                                                    mean_of_ratios)
     return ComparativeTable(tools=tools, raw_cells=cells)
 
 
 def _compare(
     a_values: list[float], b_values: list[float], mean_of_ratios: bool
-) -> float | None:
+) -> tuple[float | None, float | None]:
+    """The cells (a, b) and (b, a) of a pair's values on their shared
+    binaries."""
     if not a_values:
-        return None
+        return None, None
     if mean_of_ratios:
-        ratios = [x / y for x, y in zip(a_values, b_values) if y != 0]
-        return None if not ratios else sum(ratios) / len(ratios) * 100.0
+        return _mean_ratio(a_values, b_values), _mean_ratio(b_values, a_values)
     mean_a = sum(a_values) / len(a_values)
     mean_b = sum(b_values) / len(b_values)
-    return None if mean_b == 0 else mean_a / mean_b * 100.0
+    return (None if mean_b == 0 else mean_a / mean_b * 100.0,
+            None if mean_a == 0 else mean_b / mean_a * 100.0)
+
+
+def _mean_ratio(a_values: list[float], b_values: list[float]) -> float | None:
+    ratios = [x / y for x, y in zip(a_values, b_values) if y != 0]
+    return None if not ratios else sum(ratios) / len(ratios) * 100.0
 
 
 def relative_size(

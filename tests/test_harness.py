@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -1081,6 +1082,362 @@ class TestColumnarLoader:
                         tool_name="gamma")
         with pytest.raises(ValueError, match="^binary 'b0' has a second variant$"):
             Results.from_records([*records, other])
+
+    @staticmethod
+    def not_utf8(path):
+        """The file at path with each "@" made byte 0xff, and the message that
+        names the first such byte's line and its position in that line."""
+        with open(path, "rb") as f:
+            data = f.read().replace(b"@", b"\xff")
+        with open(path, "wb") as f:
+            f.write(data)
+        # the line breaks of open(newline=""): LF, CR and CRLF
+        before = re.split(rb"\r\n|\r|\n", data[:data.index(b"\xff")])
+        return (f"line {len(before)}: 'utf-8' codec can't decode byte 0xff in position "
+                f"{len(before[-1])}: invalid start byte")
+
+    @pytest.mark.parametrize("other,layout", in_both_layouts("none", "before", "after"))
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, monkeypatch, other,
+                                                      layout):
+        # rows 4 to 7 are one chunk: a malformed row before the byte is named
+        # first, one after it is not
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
+        rows = self.rows(layout=layout)
+        rows[5][6] += "@"
+        if other != "none":
+            self.BAD["exe"][0](rows, {"before": 4, "after": 6}[other])
+        path = self.write(tmp_path, rows, layout)
+        message = self.not_utf8(path)
+        assert message.startswith("line 7: ")
+        if other == "before":
+            message = "line 6: exe must be 0 or 1, got 'yes'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_records_csv(path)
+
+    @pytest.mark.parametrize("where", ["header", "after_quoted_newline"])
+    def test_a_byte_that_is_not_utf8_names_its_line_as_csv_reader_counts(
+            self, tmp_path, where):
+        rows = self.rows(note="two\nlines, \r\nthree\rfour")
+        if where == "header":
+            path = self.write(tmp_path, rows)
+            with open(path, "rb") as f:
+                data = f.read()
+            with open(path, "wb") as f:
+                f.write(data.replace(b"note", b"n@te", 1))
+        else:
+            rows[3][-1] += "@"  # in the last of the note's four lines
+            path = self.write(tmp_path, rows)
+        message = self.not_utf8(path)
+        line = {"header": 1, "after_quoted_newline": 17}[where]
+        assert message.startswith(f"line {line}: ")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_records_csv(path)
+
+    @pytest.mark.parametrize("layout", ["canonical", "note", "quoted"])
+    def test_a_pipe_loads_as_the_file_does(self, tmp_path, layout):
+        rows = self.rows(layout="note" if layout == "note" else "canonical")
+        if layout == "quoted":
+            rows[7][7] = "be,ta"
+        path = self.write(tmp_path, rows, "note" if layout == "note" else "canonical")
+        with open(path, "rb") as f:
+            data = f.read()
+        assert len(data) < 1 << 12  # fits in a pipe's buffer
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            piped = load_records_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert columns(piped) == columns(load_records_csv(path))
+        assert len(piped) == 12
+
+    def test_a_header_csv_reader_rejects_names_line_1(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(",".join([*RESULTS_COLUMNS, "x" * (csv.field_size_limit() + 1)]) + "\n")
+        with pytest.raises(ValueError, match="^line 1: field larger than field limit"):
+            load_records_csv(str(path))
+
+
+def loaded(results) -> tuple:
+    """results' columns, its variants in order, and whether equal binary ids,
+    tools and variants are each one object: two loads are the same when these
+    are."""
+    variants = list(results.variants.values())
+    return (columns(results), list(results.variants),
+            [len(set(map(id, values))) == len(set(values))
+             for values in (results.binary_ids, results.tools, variants)])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="a load is cut into parts only where it can fork")
+class TestPartLoader:
+    """load_records_csv cuts a file with results_writer's header into one
+    part per usable CPU, each at least MIN_PART_BYTES long, and splits each
+    part after the first in a forked child. These tests make MIN_PART_BYTES
+    1 and set the CPU count, so that a few rows make several parts."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def cpus(n):
+        """Loads in up to n parts, one when n is 1; yields the list of what
+        each _merge_part call returned."""
+        saved = harness.MIN_PART_BYTES, os.sched_getaffinity, harness._merge_part
+        merged = []
+
+        def merge(*args):
+            merged.append(saved[2](*args))
+            return merged[-1]
+
+        harness.MIN_PART_BYTES = 1 if n > 1 else 1 << 62
+        os.sched_getaffinity = lambda pid: set(range(n))
+        harness._merge_part = merge
+        try:
+            yield merged
+        finally:
+            harness.MIN_PART_BYTES, os.sched_getaffinity, harness._merge_part = saved
+
+    @classmethod
+    def outcome(cls, path, n):
+        """What load_records_csv gives in up to n parts, loaded() or the
+        error text, with the _merge_part results."""
+        with cls.cpus(n) as merged:
+            try:
+                return loaded(load_records_csv(str(path))), merged
+            except ValueError as e:
+                return str(e), merged
+
+    @staticmethod
+    def lines(n=20):
+        """n rows as results_writer writes them, four per binary: b0, b1, ...
+        under tools alpha and beta and both tasks."""
+        return [",".join([f"b{i // 4}", *TestColumnarLoader.VARIANTS[0],
+                          ("alpha", "beta")[i % 2], ("NOP", "AFL")[i // 2 % 2],
+                          "yes", "1", "yes", f"{i}.5", "100", "1000"]).encode()
+                for i in range(n)]
+
+    @staticmethod
+    def write(tmp_path, lines, end=b"\n"):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"\n".join([",".join(RESULTS_COLUMNS).encode(), *lines]) + end)
+        return path
+
+    @staticmethod
+    def cuts(path, n):
+        """The (last, first) lines on either side of each cut of n parts."""
+        data = path.read_bytes()
+        with open(path, "rb") as f, TestPartLoader.cpus(n):
+            f.readline()
+            starts = harness._part_starts(f, n)
+        return [(data[:start].split(b"\n")[-2], data[start:].split(b"\n")[0])
+                for start in starts[1:]]
+
+    def edit(self, case, lines):
+        """lines with case's change: (the new lines, whether they load in
+        parts, the first line of the message when they are malformed)."""
+        if case == "repeat_across":  # rows 0 and 20 are b0, alpha, NOP
+            return [*lines, lines[0].replace(b",yes,1,yes,", b",yes,0,no,")], False, (
+                "line 22: repeated row for 'b0', tool 'alpha', task NOP")
+        if case == "variant_across":
+            variant = b",".join(s.encode() for s in TestColumnarLoader.VARIANTS[1])
+            return [*lines, b"b0," + variant + lines[0][lines[0].index(b",alpha"):]
+                    .replace(b"alpha", b"gamma")], False, (
+                "line 22: binary 'b0' has a second variant")
+        late = {"quote_late": (b",p,", b',"p",'), "nul_late": (b",beta,", b",be\0ta,"),
+                "cr_late": (b"1000", b"1000\r"), "not_utf8_late": (b",p,", b",p\xff,")}
+        if case in late:
+            lines[-1] = lines[-1].replace(*late[case])
+            return lines, False, "line 21: 'utf-8' codec" if case == "not_utf8_late" else None
+        if case == "blank_at_cut":  # a blank line on one side of every cut
+            return [cut for line in lines for cut in (line, b"", b"")], True, None
+        return lines, True, None  # straddle and no_final_newline
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("case", [
+        "straddle", "repeat_across", "variant_across", "quote_late", "cr_late", "nul_late",
+        "not_utf8_late", "blank_at_cut", "no_final_newline", "header_only"])
+    def test_parts_load_as_one_part(self, tmp_path, case, n):
+        if case == "header_only":
+            lines, split, error = [], False, None
+        else:
+            lines, split, error = self.edit(case, self.lines())
+        path = self.write(tmp_path, lines, b"" if case == "no_final_newline" else b"\n")
+        cuts = self.cuts(path, n)
+        assert len(cuts) == (0 if case == "header_only" else n - 1)
+        if case == "straddle":
+            assert any(last[:3] == first[:3] for last, first in cuts)
+        if case == "blank_at_cut":
+            assert any(b"" in cut for cut in cuts)
+        one, _ = self.outcome(path, 1)
+        many, merged = self.outcome(path, n)
+        assert many == one
+        assert (merged == [True] * (n - 1)) == split
+        if error is None:
+            assert not isinstance(one, str)
+        else:
+            assert one.startswith(error)
+
+    @staticmethod
+    @st.composite
+    def part_files(draw):
+        """A results file with results_writer's header: rows of four binaries,
+        two tools and two tasks, mostly in order, some repeating a triple or
+        giving a binary a second variant, a few with a quoted cell, a CR, a
+        NUL, a byte that is not UTF-8 or a negative size, and blank lines."""
+        triples = list(itertools.product(range(4), ("alpha", "beta"), ("NOP", "AFL")))
+        lines, rows = [",".join(RESULTS_COLUMNS).encode()], draw(st.integers(0, 16))
+        odd_row = draw(st.integers(0, 3 * rows))  # none when past the last row
+        for i in range(rows):
+            b, tool, task = (draw(st.sampled_from(triples)) if draw(st.integers(0, 19)) == 0
+                             else triples[i])
+            second = draw(st.integers(0, 19)) == 0
+            cells = [f"b{b}", *TestColumnarLoader.VARIANTS[(b + second) % 2], tool, task,
+                     *draw(st.sampled_from(TestColumnarLoader.STATES)), f"{i}.5", "100"]
+            size = (draw(st.sampled_from([b'"7"', b"7\r", b"7\0", b"7\xff", b"-1"]))
+                    if i == odd_row else b"7")
+            lines.append(",".join(cells).encode() + b"," + size)
+            if draw(st.integers(0, 5)) == 0:
+                lines.append(b"")
+        return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n"]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=part_files(), n=st.sampled_from([2, 3, 4]),
+           chunk_rows=st.sampled_from([1, 2, 512]))
+    def test_parts_and_one_part_load_alike(self, tmp_path_factory, data, n, chunk_rows):
+        path = tmp_path_factory.getbasetemp() / "parts.csv"
+        path.write_bytes(data)
+        saved, harness.CHUNK_ROWS = harness.CHUNK_ROWS, chunk_rows
+        try:
+            assert self.outcome(path, n)[0] == self.outcome(path, 1)[0]
+        finally:
+            harness.CHUNK_ROWS = saved
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("bad_row", [None, 0, -1], ids=["valid", "parent", "child"])
+    def test_no_process_outlives_a_load(self, tmp_path, bad_row):
+        lines = self.lines()
+        if bad_row is not None:  # row 0 is in this process's part, row 19 in the child's
+            lines[bad_row] = lines[bad_row].replace(b",yes,1,yes,", b",yes,yes,yes,")
+        path = self.write(tmp_path, lines)
+        with self.cpus(2) as merged:
+            if bad_row is None:
+                assert len(load_records_csv(str(path))) == 20
+                assert merged == [True]
+            else:
+                with pytest.raises(ValueError, match=(
+                        f"^line {2 + bad_row % 20}: exe must be 0 or 1, got 'yes'$")):
+                    load_records_csv(str(path))
+        self.assert_no_child_left()
+
+    def test_no_process_outlives_an_interrupted_load(self, tmp_path, monkeypatch):
+        parent, checked, fork = os.getpid(), harness._checked_columns, os.fork
+        forked = []
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return checked(*args)
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def hung(signum, frame):
+            raise TimeoutError("the load waits for its child")
+
+        monkeypatch.setattr(harness, "_checked_columns", interrupted)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        # the child's columns outgrow a pipe's buffer, so it waits to write
+        # them until it is killed
+        path = self.write(tmp_path, self.lines(4000))
+        saved = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with self.cpus(2), pytest.raises(KeyboardInterrupt):
+                load_records_csv(str(path))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, saved)
+        assert len(forked) == 1
+        self.assert_no_child_left()
+
+    @staticmethod
+    def alive(pid):
+        """Whether pid runs: an exited child of a dead parent is gone, or a
+        zombie until init reaps it."""
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat")
+    def test_a_child_outlives_no_killed_load(self, tmp_path):
+        # The loading process stalls in its own part and is SIGKILLed, so no
+        # finally runs; its child, whose columns outgrow a pipe's buffer,
+        # must then fail to write them and exit.
+        path = self.write(tmp_path, self.lines(20000))
+        code = (
+            "import os, sys, time\n"
+            "from rweval import harness\n"
+            "harness.MIN_PART_BYTES = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "parent, fork, checked = os.getpid(), os.fork, harness._checked_columns\n"
+            "def reported_fork():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "def stalled(*args):\n"
+            "    if os.getpid() == parent:\n"
+            "        time.sleep(60)\n"
+            "    return checked(*args)\n"
+            "os.fork, harness._checked_columns = reported_fork, stalled\n"
+            "harness.load_records_csv(sys.argv[1])\n")
+        src = os.path.dirname(os.path.dirname(rweval.__file__))
+        load = subprocess.Popen([sys.executable, "-c", code, str(path)],
+                                stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        child = None
+        try:
+            child = int(load.stdout.readline())
+            time.sleep(0.5)  # the child splits its part and waits on the full pipe
+            load.kill()
+            load.wait()
+            deadline = time.monotonic() + 10
+            while self.alive(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not self.alive(child)
+        finally:
+            load.kill()
+            load.wait()
+            load.stdout.close()
+            if child is not None and self.alive(child):
+                os.kill(child, signal.SIGKILL)
+
+    def test_every_part_is_of_the_file_opened(self, tmp_path, monkeypatch):
+        # a writer replaces the file by rename after the load opened it
+        path = self.write(tmp_path, self.lines())
+        one, _ = self.outcome(path, 1)
+        other = tmp_path / "other.csv"
+        other.write_bytes(path.read_bytes().replace(b"b", b"bin"))
+        fork = os.fork
+
+        def replacing_fork():
+            if other.exists():
+                os.replace(other, path)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", replacing_fork)
+        many, merged = self.outcome(path, 2)
+        assert not other.exists()
+        assert many == one
+        assert merged == [True]
 
 
 class TestConfigLoaders:

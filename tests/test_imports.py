@@ -73,6 +73,45 @@ def test_report_leaves_scope_unloaded(tmp_path, bare_modules):
     assert {"rweval.scope", "fractions"} & loaded == set()
 
 
+# CLI_PROBE with the results loaded in up to argv[2] parts: MIN_PART_BYTES 1
+# and argv[2] usable CPUs, or one part when argv[2] is 1; also prints how many
+# processes the call forked.
+PARTS_PROBE = """
+import contextlib, io, json, os, sys
+from rweval import cli, harness
+parts = int(sys.argv[2])
+harness.MIN_PART_BYTES = 1 if parts > 1 else 1 << 62
+os.sched_getaffinity = lambda pid: set(range(parts))
+forked, fork = [], os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+    return pid
+os.fork = counted_fork
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"rc": rc, "forked": len(forked), "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="a load is cut into parts only where it can fork")
+def test_report_in_parts_loads_no_more_modules(tmp_path, bare_modules):
+    from rweval.harness import RESULTS_COLUMNS
+
+    path = tmp_path / "results.csv"
+    path.write_text("".join([",".join(RESULTS_COLUMNS) + "\n", *(
+        f"b{i},p,gcc,O0,pie,present,u20,alpha,NOP,na,1,yes,1.0,100,1000\n"
+        for i in range(8))]))
+    argv = json.dumps(["report", str(path)])
+    one, parts = (_fresh_modules(PARTS_PROBE, argv, str(n)) for n in (1, 2))
+    assert (one["rc"], one["forked"], parts["rc"], parts["forked"]) == (0, 0, 0, 1)
+    loaded = set(parts["modules"]) - bare_modules
+    assert loaded - set(one["modules"]) == set()
+    assert {"multiprocessing", "pickle", "concurrent.futures.process"} & loaded == set()
+
+
 def test_train_loads_no_third_party_module(tmp_path, bare_modules):
     from rweval.harness import RESULTS_COLUMNS
 
