@@ -29,9 +29,13 @@ SHDR_SIZE = 64
 
 SHT_NOBITS = 8
 SHN_XINDEX = 0xFFFF
+PN_XNUM = 0xFFFF
 
-# sh_name, sh_type, sh_offset, sh_size of one section header
-_SHDR = struct.Struct("<II16xQQ")
+# e_type, e_phoff, e_shoff, e_phentsize, e_phnum, e_shentsize, e_shnum, e_shstrndx
+_EHDR = struct.Struct("<16xH14xQQ6xHHHHH")
+# sh_size and sh_info of section 0: under extended numbering, the section
+# count and the program-header count
+_SHDR0 = struct.Struct("<32xQ4xI")
 
 BUCKET_EHDR = "[ELF Header]"
 BUCKET_PHDRS = "[ELF Program Headers]"
@@ -117,11 +121,11 @@ def parse_elf(data: bytes | ByteSource) -> ElfSummary:
     Raises MalformedElf for truncated or inconsistent images and Unsupported
     for 32-bit or big-endian inputs. A missing or unusable section-name
     string table is tolerated: affected sections get empty names. Extended
-    section numbering (e_shnum 0, e_shstrndx SHN_XINDEX) is read from
-    section 0, as readelf reads it. Every extent is checked against the size
-    before its bytes are fetched, so a source is only asked for bytes inside
-    it; one that returns fewer (a file that shrank after it was opened)
-    raises MalformedElf.
+    numbering (e_shnum 0, e_shstrndx SHN_XINDEX, e_phnum PN_XNUM) is read
+    from section 0, as readelf reads it. Every extent is checked against the
+    size before its bytes are fetched, so a source is only asked for bytes
+    inside it; one that returns fewer (a file that shrank after it was
+    opened) raises MalformedElf.
     """
     if isinstance(data, (bytes, bytearray)):
         size, fetch = len(data), lambda off, n: data[off : off + n]
@@ -147,40 +151,48 @@ def parse_elf(data: bytes | ByteSource) -> ElfSummary:
     if ehdr[5] != 1:
         raise Unsupported("only little-endian (ELFDATA2LSB) images are supported")
 
-    (e_type,) = struct.unpack_from("<H", ehdr, 16)
-    e_phoff, e_shoff = struct.unpack_from("<QQ", ehdr, 32)
-    (e_phentsize, e_phnum, e_shentsize, e_shnum, e_shstrndx) = struct.unpack_from(
-        "<HHHHH", ehdr, 54
-    )
-
+    (e_type, e_phoff, e_shoff, e_phentsize, e_phnum, e_shentsize, e_shnum,
+     e_shstrndx) = _EHDR.unpack(ehdr)
+    if e_shoff and (e_shnum == 0 or e_phnum == PN_XNUM):
+        # extended numbering, for 0xff00 sections or 0xffff program headers
+        # and more: section 0 holds the counts that the header cannot
+        _table_extent("section header table", e_shoff, e_shentsize, 1, SHDR_SIZE, size)
+        shnum, phnum = _SHDR0.unpack(read(e_shoff, _SHDR0.size))
+        e_shnum = e_shnum or shnum
+        if e_phnum == PN_XNUM and phnum:
+            e_phnum = phnum
     ph_extent = _table_extent(
         "program header table", e_phoff, e_phentsize, e_phnum, PHDR_SIZE, size
     )
-    if e_shnum == 0 and e_shoff:
-        # extended numbering (0xff00 sections or more): entry 0's sh_size is the count
-        _table_extent("section header table", e_shoff, e_shentsize, 1, SHDR_SIZE, size)
-        e_shnum = _SHDR.unpack(read(e_shoff, _SHDR.size))[3]
     sh_extent = _table_extent(
         "section header table", e_shoff, e_shentsize, e_shnum, SHDR_SIZE, size
     )
 
     shdrs = read(*sh_extent)
-    raw_sections = [_SHDR.unpack_from(shdrs, i * e_shentsize) for i in range(e_shnum)]
+    # sh_name, sh_type, sh_offset, sh_size of each entry; struct caches the
+    # compiled format, one per entry size
+    raw_sections = list(struct.iter_unpack(f"<II16xQQ{e_shentsize - 40}x", shdrs)
+                        if e_shnum else ())
     if raw_sections:
         # Entry 0 is the null section: its sh_size is 0 or the extended
         # count, its sh_link 0 or, under SHN_XINDEX, the .shstrtab index.
-        sh_name, sh_type, sh_offset, _ = raw_sections[0]
-        raw_sections[0] = (sh_name, sh_type, sh_offset, 0)
+        raw_sections[0] = (*raw_sections[0][:3], 0)
         if e_shstrndx == SHN_XINDEX:
             (e_shstrndx,) = struct.unpack_from("<I", shdrs, 40)
 
-    # A trailing NUL ends every in-range sh_name inside names; an sh_name
-    # past the end slices to "".
-    names = _section_name_table(read, size, raw_sections, e_shstrndx).decode("latin-1")
-    names += "\x00"
+    # No name table (SHN_UNDEF, an index out of range, or one without bytes
+    # in the file) is tolerated. A trailing NUL ends every in-range sh_name
+    # inside names; an sh_name past the end slices to "".
+    names = b""
+    if 0 < e_shstrndx < len(raw_sections):
+        _, sh_type, sh_offset, sh_size = raw_sections[e_shstrndx]
+        if sh_type != SHT_NOBITS and sh_offset + sh_size <= size:
+            names = read(sh_offset, sh_size)
+    names = names.decode("latin-1") + "\x00"
+    # tuple.__new__ skips SectionEntry's Python-level __new__
     sections = [
-        SectionEntry(names[sh_name : names.find("\x00", sh_name)], sh_offset,
-                     0 if sh_type == SHT_NOBITS else sh_size)
+        tuple.__new__(SectionEntry, (names[sh_name : names.find("\x00", sh_name)], sh_offset,
+                                     0 if sh_type == SHT_NOBITS else sh_size))
         for sh_name, sh_type, sh_offset, sh_size in raw_sections
     ]
     for name, offset, on_disk in sections:
@@ -209,16 +221,6 @@ def _table_extent(
     if off >= file_size or off + length > file_size:
         raise MalformedElf(f"{what} extends past end of file", offset=off)
     return (off, length)
-
-
-def _section_name_table(read, size: int, raw_sections, shstrndx: int) -> bytes:
-    # SHN_UNDEF (0) or an out-of-range index means no name table; tolerated.
-    if shstrndx == 0 or shstrndx >= len(raw_sections):
-        return b""
-    _, sh_type, sh_offset, sh_size = raw_sections[shstrndx]
-    if sh_type == SHT_NOBITS or sh_offset + sh_size > size:
-        return b""
-    return read(sh_offset, sh_size)
 
 
 def _claim(claimed: list[tuple[int, int]], start: int, end: int) -> int:

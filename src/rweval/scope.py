@@ -19,7 +19,7 @@ from . import dtree, features
 from .dtree import DecisionTreeModel, Internal, Leaf, Prediction, Task
 from .elf import ElfSummary
 from .features import FeatureVector
-from .util import json_text
+from .util import _flat_encoder
 
 TOOLS_WITHOUT_MODELS = ("egalito", "multiverse", "reopt", "revng", "uroboros")
 
@@ -468,6 +468,16 @@ def builtin_models() -> tuple[DecisionTreeModel, ...]:
     return tuple(build() for build in _BUILDERS)
 
 
+_REPORT = '{\n  "binary": %s,\n  "features": %s,\n  "predictions": %s\n}'
+_PREDICTION = ('%s: {\n      "outcome": %s,\n      "confidence": %s,\n'
+               '      "fail": %s,\n      "pass": %s\n    }')
+
+
+def _member(items: str) -> str:
+    """A top-level member object from its items, each on its own line."""
+    return "{\n    " + items + "\n  }" if items else "{}"
+
+
 @dataclass(frozen=True)
 class ScopeReport:
     binary_id: str
@@ -490,7 +500,16 @@ class ScopeReport:
         }
 
     def to_json(self) -> str:
-        return json_text(self.to_json_obj())
+        """json.dumps(self.to_json_obj(), indent=2), byte for byte."""
+        cells = [self.binary_id]
+        for tool, p in self.predictions.items():
+            cells += (tool, p.outcome.value, p.confidence, *p.leaf_counts)
+        # one C encoder call writes each cell as json.dumps does; it escapes
+        # every line break in a string, so the separator cuts one piece per cell
+        texts = _flat_encoder("\n")(cells)[1:-1].split(",\n")
+        predictions = ",\n    ".join([_PREDICTION] * len(self.predictions)) % tuple(texts[1:])
+        features = _flat_encoder("\n    ")(self.features.features)[1:-1]
+        return _REPORT % (texts[0], _member(features), _member(predictions))
 
     def to_text(self) -> str:
         lines = [f"binary: {self.binary_id}", f"{'tool':<12} {'verdict':<8} confidence"]

@@ -28,6 +28,13 @@ CLOSED_VALUES = {
 }
 
 
+# Every valid (compiler, flags, relocation, symbols): 84 combinations.
+_VALID_CLOSED = frozenset(
+    (compiler, flags, relocation, symbols) for compiler in CLOSED_VALUES["compiler"]
+    for flags in (OLLVM_FLAGS if compiler == "ollvm" else OPT_FLAGS)
+    for relocation in CLOSED_VALUES["relocation"] for symbols in CLOSED_VALUES["symbols"])
+
+
 class TriState(Enum):
     """yes / no / na; na reads "not applicable" for the IR checkpoint and
     "not run" for functional tests."""
@@ -51,6 +58,8 @@ class VariantConfig:
     os_tag: str
 
     def __post_init__(self):
+        if (self.compiler, self.flags, self.relocation, self.symbols) in _VALID_CLOSED:
+            return  # else the loop names the first bad field
         for key, value in zip(VARIANT_COLUMNS, self.columns()):
             if key == "flags":
                 if value not in (OLLVM_FLAGS if self.compiler == "ollvm" else OPT_FLAGS):

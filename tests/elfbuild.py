@@ -152,3 +152,45 @@ def build_elf(
             0,
         )
     return bytes(blob) + trailing
+
+
+def section_table(img: bytes) -> tuple[int, int, int]:
+    """e_shoff, e_shentsize and e_shnum of an image."""
+    (shoff,) = struct.unpack_from("<Q", img, 40)
+    return (shoff, *struct.unpack_from("<HH", img, 58))
+
+
+def extended_numbering(img: bytes) -> bytes:
+    """img as an ELF with 0xff00 sections or more lays it out: e_shnum 0 and
+    e_shstrndx SHN_XINDEX, the count in entry 0's sh_size and the .shstrtab
+    index in entry 0's sh_link."""
+    shoff, _, shnum = section_table(img)
+    (shstrndx,) = struct.unpack_from("<H", img, 62)
+    out = bytearray(img)
+    struct.pack_into("<HH", out, 60, 0, 0xFFFF)
+    struct.pack_into("<Q", out, shoff + 32, shnum)
+    struct.pack_into("<I", out, shoff + 40, shstrndx)
+    return bytes(out)
+
+
+def pn_xnum(img: bytes) -> bytes:
+    """img as an ELF with 0xffff program headers or more lays it out:
+    e_phnum PN_XNUM (0xffff) and the count in entry 0's sh_info."""
+    shoff, _, _ = section_table(img)
+    (phnum,) = struct.unpack_from("<H", img, 56)
+    out = bytearray(img)
+    struct.pack_into("<H", out, 56, 0xFFFF)
+    struct.pack_into("<I", out, shoff + 44, phnum)
+    return bytes(out)
+
+
+def wide_entries(img: bytes, entsize: int) -> bytes:
+    """img with its section-header table (the last thing in an elfbuild
+    image without trailing bytes) rewritten with entsize-byte entries, each
+    zero-padded."""
+    shoff, old, shnum = section_table(img)
+    table = b"".join(img[shoff + i * old:shoff + (i + 1) * old].ljust(entsize, b"\x00")
+                     for i in range(shnum))
+    out = bytearray(img[:shoff] + table)
+    struct.pack_into("<H", out, 58, entsize)
+    return bytes(out)

@@ -11,6 +11,12 @@
   parser, which parses the whole argv.
 - claim_walk_size_profile: elf.size_profile as a walk that claims each
   section against every span claimed before it.
+- readelf_program_headers: the program-header count and offset that
+  `readelf -lW` reads.
+- per_entry_parse_elf: elf.parse_elf of an in-memory image, with each
+  section header unpacked at its own offset.
+- field_order_variant_error: VariantConfig's field-order check of the
+  closed variant cells.
 """
 
 from __future__ import annotations
@@ -19,11 +25,15 @@ import csv
 import io
 import math
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import dataclass
 
-from rweval.elf import BUCKET_EHDR, BUCKET_PHDRS, BUCKET_SHDRS, BUCKET_UNMAPPED, EHDR_SIZE
+from rweval.elf import (BUCKET_EHDR, BUCKET_PHDRS, BUCKET_SHDRS, BUCKET_UNMAPPED, EHDR_SIZE,
+                        PHDR_SIZE, SHDR_SIZE, SHT_NOBITS, ElfSummary, ElfType, SectionEntry)
+from rweval.errors import MalformedElf, Unsupported
+from rweval.variant import CLOSED_VALUES, OLLVM_FLAGS, OPT_FLAGS
 
 
 @dataclass
@@ -53,6 +63,18 @@ def readelf_facts(path: str) -> ReadelfFacts:
             continue
         names.append(body.split()[0])
     return ReadelfFacts(elf_type=elf_type, section_names=names)
+
+
+def readelf_program_headers(path: str) -> tuple[int, int]:
+    """(count, offset) from readelf's "There are N program headers, starting
+    at offset M" line."""
+    out = subprocess.run(
+        ["readelf", "-lW", path], check=True, capture_output=True, text=True
+    ).stdout
+    m = re.search(r"^There (?:are|is) (\d+) program headers?, starting at offset (\d+)$",
+                  out, re.MULTILINE)
+    assert m, f"no program header count in readelf output for {path}"
+    return int(m.group(1)), int(m.group(2))
 
 
 def tally_success(csv_text: str, predicate: dict[str, str]) -> dict:
@@ -236,3 +258,84 @@ def claim_walk_size_profile(summary) -> dict[str, int]:
 
     buckets[BUCKET_UNMAPPED] = file_size - sum(e - s for s, e in claimed)
     return buckets
+
+
+def per_entry_parse_elf(data: bytes) -> ElfSummary:
+    """elf.parse_elf of an in-memory image: each header field and each
+    section header unpacked at its own offset, each SectionEntry built by
+    its constructor. Extended numbering (e_shnum 0, e_shstrndx SHN_XINDEX,
+    e_phnum PN_XNUM) is read from section 0."""
+    size = len(data)
+    if size < EHDR_SIZE:
+        raise MalformedElf(f"file too short for an ELF header ({size} bytes)", offset=0)
+    if data[:4] != b"\x7fELF":
+        raise MalformedElf("bad ELF magic", offset=0)
+    if data[4] != 2:
+        raise Unsupported("only 64-bit (ELFCLASS64) images are supported")
+    if data[5] != 1:
+        raise Unsupported("only little-endian (ELFDATA2LSB) images are supported")
+    (e_type,) = struct.unpack_from("<H", data, 16)
+    e_phoff, e_shoff = struct.unpack_from("<QQ", data, 32)
+    e_phentsize, e_phnum, e_shentsize, e_shnum, e_shstrndx = struct.unpack_from(
+        "<HHHHH", data, 54)
+
+    def extent(what: str, off: int, entsize: int, num: int, min_entsize: int):
+        if num == 0:
+            return (0, 0)
+        if entsize < min_entsize:
+            raise MalformedElf(f"{what} entry size {entsize} too small", offset=off)
+        if off >= size or off + num * entsize > size:
+            raise MalformedElf(f"{what} extends past end of file", offset=off)
+        return (off, num * entsize)
+
+    if e_shoff and (e_shnum == 0 or e_phnum == 0xFFFF):
+        extent("section header table", e_shoff, e_shentsize, 1, SHDR_SIZE)
+        if e_shnum == 0:
+            (e_shnum,) = struct.unpack_from("<Q", data, e_shoff + 32)
+        (sh_info,) = struct.unpack_from("<I", data, e_shoff + 44)
+        if e_phnum == 0xFFFF and sh_info:
+            e_phnum = sh_info
+    ph_extent = extent("program header table", e_phoff, e_phentsize, e_phnum, PHDR_SIZE)
+    sh_extent = extent("section header table", e_shoff, e_shentsize, e_shnum, SHDR_SIZE)
+
+    raw = [struct.unpack_from("<II16xQQ", data, e_shoff + i * e_shentsize)
+           for i in range(e_shnum)]
+    if raw:
+        raw[0] = (*raw[0][:3], 0)
+        if e_shstrndx == 0xFFFF:
+            (e_shstrndx,) = struct.unpack_from("<I", data, e_shoff + 40)
+    names = b""
+    if 0 < e_shstrndx < len(raw):
+        _, sh_type, sh_offset, sh_size = raw[e_shstrndx]
+        if sh_type != SHT_NOBITS and sh_offset + sh_size <= size:
+            names = data[sh_offset:sh_offset + sh_size]
+
+    def name(sh_name: int) -> str:
+        if sh_name >= len(names):
+            return ""
+        end = names.find(b"\x00", sh_name)
+        return names[sh_name:end if end >= 0 else len(names)].decode("latin-1")
+
+    sections = [SectionEntry(name(sh_name), sh_offset, 0 if sh_type == SHT_NOBITS else sh_size)
+                for sh_name, sh_type, sh_offset, sh_size in raw]
+    for sec in sections:
+        if sec.file_size_on_disk > 0 and sec.file_offset + sec.file_size_on_disk > size:
+            raise MalformedElf(f"section {sec.name!r} data extends past end of file",
+                               offset=sec.file_offset)
+    return ElfSummary(file_size=size, elf_type=ElfType.from_code(e_type),
+                      sections=tuple(sections), program_header_extent=ph_extent,
+                      section_header_extent=sh_extent)
+
+
+def field_order_variant_error(compiler: str, flags: str, relocation: str,
+                              symbols: str) -> str | None:
+    """The ValueError message VariantConfig gives these closed cells, from
+    its check of each field in order, or None when they are valid."""
+    for key, value in (("compiler", compiler), ("flags", flags),
+                       ("relocation", relocation), ("symbols", symbols)):
+        if key == "flags":
+            if value not in (OLLVM_FLAGS if compiler == "ollvm" else OPT_FLAGS):
+                return f"flags {value!r} invalid for compiler {compiler!r}"
+        elif value not in CLOSED_VALUES[key]:
+            return f"unknown {key} {value!r}"
+    return None

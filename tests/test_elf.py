@@ -22,8 +22,10 @@ from rweval.elf import (
 )
 from rweval.features import extract_features
 
-from elfbuild import ET_EXEC, ET_REL, SHT_NOBITS, SHT_SYMTAB, Sec, build_elf
-from oracles import claim_walk_size_profile, readelf_facts
+from elfbuild import (ET_EXEC, ET_REL, SHT_NOBITS, SHT_SYMTAB, Sec, build_elf,
+                      extended_numbering, pn_xnum, section_table, wide_entries)
+from oracles import (claim_walk_size_profile, per_entry_parse_elf, readelf_facts,
+                     readelf_program_headers)
 
 
 class TestParse:
@@ -107,43 +109,13 @@ class TestParse:
         assert entry == (".text", offset, 16) and (name, on_disk) == (".text", 16)
 
 
-def _section_table(img: bytes) -> tuple[int, int, int]:
-    """e_shoff, e_shentsize and e_shnum of an image."""
-    (shoff,) = struct.unpack_from("<Q", img, 40)
-    return (shoff, *struct.unpack_from("<HH", img, 58))
-
-
-def _extended_numbering(img: bytes) -> bytes:
-    """img as an ELF with 0xff00 sections or more lays it out: e_shnum 0 and
-    e_shstrndx SHN_XINDEX, the count in entry 0's sh_size and the .shstrtab
-    index in entry 0's sh_link."""
-    shoff, _, shnum = _section_table(img)
-    (shstrndx,) = struct.unpack_from("<H", img, 62)
-    out = bytearray(img)
-    struct.pack_into("<HH", out, 60, 0, 0xFFFF)
-    struct.pack_into("<Q", out, shoff + 32, shnum)
-    struct.pack_into("<I", out, shoff + 40, shstrndx)
-    return bytes(out)
-
-
-def _wide_entries(img: bytes, entsize: int) -> bytes:
-    """img with its section-header table (the last thing in an elfbuild
-    image) rewritten with entsize-byte entries, each zero-padded."""
-    shoff, old, shnum = _section_table(img)
-    table = b"".join(img[shoff + i * old:shoff + (i + 1) * old].ljust(entsize, b"\x00")
-                     for i in range(shnum))
-    out = bytearray(img[:shoff] + table)
-    struct.pack_into("<H", out, 58, entsize)
-    return bytes(out)
-
-
 SAMPLE = build_elf([Sec(".text", b"\x90" * 40), Sec(".symtab", b"\x00" * 48, SHT_SYMTAB),
                     Sec(".bss", b"\x00" * 4096, SHT_NOBITS)], interp=True)
 
 
 class TestSectionTableLayouts:
     def test_extended_numbering_reads_count_and_name_index_from_entry_0(self, tmp_path):
-        patched = _extended_numbering(SAMPLE)
+        patched = extended_numbering(SAMPLE)
         want, got = parse_elf(SAMPLE), parse_elf(patched)
         assert got.sections == want.sections
         assert got.section_header_extent == want.section_header_extent
@@ -157,17 +129,77 @@ class TestSectionTableLayouts:
         assert [sec.name for sec in got.sections if sec.name] == facts.section_names
 
     def test_extended_numbering_past_eof_is_malformed(self):
-        img = bytearray(_extended_numbering(SAMPLE))
-        shoff, _, _ = _section_table(SAMPLE)
+        img = bytearray(extended_numbering(SAMPLE))
+        shoff, _, _ = section_table(SAMPLE)
         struct.pack_into("<Q", img, shoff + 32, 1000)
         with pytest.raises(MalformedElf, match="^section header table extends past end"):
             parse_elf(bytes(img))
 
     def test_80_byte_entries_parse_as_64_byte_ones(self):
-        want, got = parse_elf(SAMPLE), parse_elf(_wide_entries(SAMPLE, 80))
+        want, got = parse_elf(SAMPLE), parse_elf(wide_entries(SAMPLE, 80))
         assert got.sections == want.sections
-        shoff, _, shnum = _section_table(SAMPLE)
+        shoff, _, shnum = section_table(SAMPLE)
         assert got.section_header_extent == (shoff, 80 * shnum)
+
+    def test_pn_xnum_reads_the_program_header_count_from_entry_0(self, tmp_path):
+        path = tmp_path / "pn_xnum"
+        path.write_bytes(pn_xnum(SAMPLE))
+        count, offset = readelf_program_headers(str(path))
+        got = _parse_file(path)
+        assert (count, offset) == (2, 64)
+        assert got.program_header_extent == (offset, count * 56)
+        assert size_profile(got)[BUCKET_PHDRS] == count * 56
+        assert got == parse_elf(SAMPLE)
+
+
+def _outcome(parse, img: bytes):
+    """parse(img), or the type, message and offset of what it raised."""
+    try:
+        return parse(img)
+    except (MalformedElf, Unsupported) as e:
+        return type(e), str(e), getattr(e, "offset", None)
+
+
+def _damaged(img: bytes, kind: str, entry: int, value: int) -> bytes:
+    """img with one section-table entry's field patched to point past the
+    file (sh_size) or past .shstrtab (sh_name)."""
+    shoff, entsize, shnum = section_table(img)
+    at = shoff + entsize * (entry % shnum)
+    if kind == "section_past_eof":
+        return _patched(img, "<Q", at + 32, len(img) - value % 64)
+    if kind == "name_past_shstrtab":
+        return _patched(img, "<I", at, 40 + value % 64)
+    return img
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sections=st.lists(st.tuples(st.sampled_from([".a", ".text", ".symtab", ".data.rel.ro"]),
+                                st.integers(0, 40), st.booleans()), max_size=5),
+    interp=st.booleans(),
+    load_phdr=st.booleans(),
+    shstrtab=st.booleans(),
+    entsize=st.sampled_from([64, 80]),
+    extended=st.booleans(),
+    xnum=st.booleans(),
+    damage=st.sampled_from(["none", "section_past_eof", "name_past_shstrtab"]),
+    entry=st.integers(0, 8),
+    value=st.integers(0, 2**16),
+    cut=st.none() | st.integers(0, 2**16),
+)
+def test_parse_elf_equals_the_per_entry_parse(sections, interp, load_phdr, shstrtab, entsize,
+                                              extended, xnum, damage, entry, value, cut):
+    img = build_elf([Sec(name, b"\xaa" * size, SHT_NOBITS if nobits else 1)
+                     for name, size, nobits in sections],
+                    interp=interp, load_phdr=load_phdr, with_shstrtab=shstrtab)
+    img = _damaged(wide_entries(img, entsize), damage, entry, value)
+    if extended:
+        img = extended_numbering(img)
+    if xnum:
+        img = pn_xnum(img)
+    if cut is not None:  # truncated anywhere, tables included
+        img = img[:cut % (len(img) + 1)]
+    assert _outcome(parse_elf, img) == _outcome(per_entry_parse_elf, img)
 
 
 def _patched(img: bytes, fmt: str, at: int, value: int) -> bytes:
@@ -193,6 +225,8 @@ WELL_FORMED = {
     ], trailing=bytes(77)),
     "no_shstrtab": build_elf(with_shstrtab=False),
     "absurd_shstrndx": _patched(build_elf(), "<H", 62, 0xFFF0),
+    "pn_xnum": pn_xnum(build_elf(interp=True)),
+    "extended_wide80": extended_numbering(wide_entries(build_elf(interp=True), 80)),
 }
 
 # The malformed kinds the benchmark corpus holds, one per check, and a

@@ -22,7 +22,7 @@ import pytest
 from rweval.cli import main
 
 from elfbuild import (ET_DYN, ET_EXEC, ET_REL, SHT_NOBITS, SHT_PROGBITS, SHT_STRTAB, SHT_SYMTAB,
-                      Sec, build_elf)
+                      Sec, build_elf, extended_numbering, pn_xnum, wide_entries)
 
 IMAGES = {
     "dyn": lambda: build_elf(),
@@ -94,6 +94,25 @@ INSPECT_CASES = [
 def test_inspect_commands(tmp_path, images, command, image, fmt):
     out = cli(tmp_path, command, images[image], "--format", fmt)
     assert digest(out) == GOLDEN[f"{command}-{image}-{fmt}"], out
+
+
+# The exec image with its header tables laid out the other ways parse_elf
+# reads: 80-byte section headers, and the counts in section 0.
+LAYOUTS = {
+    "wide80": lambda: wide_entries(IMAGES["exec"](), 80),
+    "extended": lambda: extended_numbering(IMAGES["exec"]()),
+    "pn_xnum": lambda: pn_xnum(IMAGES["exec"]()),
+}
+LAYOUT_CASES = [(command, layout) for layout in LAYOUTS for command in ("scope", "size")]
+
+
+@pytest.mark.parametrize("command,layout", LAYOUT_CASES,
+                         ids=["-".join(c) for c in LAYOUT_CASES])
+def test_header_table_layouts(tmp_path, command, layout):
+    path = tmp_path / f"{layout}.elf"
+    path.write_bytes(LAYOUTS[layout]())
+    out = cli(tmp_path, command, path, "--format", "json")
+    assert digest(out) == GOLDEN[f"{command}-{layout}-json"], out
 
 
 DELTA_CASES = [(a, b, fmt) for a, b in (("dyn", "pie"), ("pie", "exec"))
@@ -448,6 +467,8 @@ GOLDEN = {
         "e0f7e7af882101ccd8e74b47a916a7096bc3e60ecb2b58ede45ee8da89914c14",
     "scope-exec-text":
         "1208a639bc3b6998708eefc24499fcb567070304633ead7fde4919550a84cc1b",
+    "scope-extended-json":
+        "cc84114b96e0df96d2f326552f73f29360a67b9ebfa3a8b97b4f3786c86f92ba",
     "scope-nonames-json":
         "cd163df5f61482bdf2ba4c18e37fa25a183a6db8bcc5f1118ab5d7a72aac7bfc",
     "scope-nonames-text":
@@ -456,10 +477,14 @@ GOLDEN = {
         "3d2e844d9ef35c9352a0aefc08c0787540924813d2829b3b57c7972468113adc",
     "scope-pie-text":
         "b65b035c29cb11dfd8d18a78d53fdaea650a08e6564249fa17ab8199426fd943",
+    "scope-pn_xnum-json":
+        "cb531676daa0aac1a8b66a33e9b4938f4b99e80b34857a3b520c20c0b64a5dbb",
     "scope-rel-json":
         "8464d8c05d5348fa71d4531779473e10332df05c9148f650792928c4154ad093",
     "scope-rel-text":
         "57d1f7360fb456bfdf0b7ca89a0870a7ca5f909591ae895c56e22cb817bccbb1",
+    "scope-wide80-json":
+        "2f994aa8137863680d2678a0bf66d70f7fa931d47ca1b53f33a31676f8b74911",
     "size-dyn-csv":
         "479870143bb86cf1925515e3b4a40fdd314245bb17d1fcafd1624d8caa6b897b",
     "size-dyn-json":
@@ -472,6 +497,9 @@ GOLDEN = {
         "7ae5e6f1649e35d29c6b93749aec23f088f82827dc0a05eaaa52a31ee1d7a6a3",
     "size-exec-text":
         "86962315c7a61182c7a0a3f9427daffa2f0d73fc93078bcb9753abd1a1170127",
+    # the counts in section 0 leave the profile as exec's: size-exec-json
+    "size-extended-json":
+        "7ae5e6f1649e35d29c6b93749aec23f088f82827dc0a05eaaa52a31ee1d7a6a3",
     # changed once on purpose, like report-sections-* above
     "size-nonames-csv":
         "659a9209faf44480d3158f499cb73d74e6f74f4e95eca72b99b41b656b8ee741",
@@ -485,12 +513,16 @@ GOLDEN = {
         "6f39509c7de39bdff645d59bdb1054c6faff9f3a3d8aeee96eb922a3ce5f8cd5",
     "size-pie-text":
         "3377f15c21248888d941cf81c5c35d9f4ac55d3b3a3beca98aebe7d4a4db312a",
+    "size-pn_xnum-json":
+        "7ae5e6f1649e35d29c6b93749aec23f088f82827dc0a05eaaa52a31ee1d7a6a3",
     "size-rel-csv":
         "244c7dabde4fdf8edc7538d70b1ad245957938b3007007f29ea1751eab9857d7",
     "size-rel-json":
         "127bf18849f9133d38bbb12a190ea7a2f05e9a6e8114073255dfe84136484ead",
     "size-rel-text":
         "1097023ed85196fdc2dfdac8bc81caf15a1d9d8bdceec5bdb374c3dc1f928609",
+    "size-wide80-json":
+        "d7e1616081c2d6ca5a0754eddb9937ec24d076d5b627407482f3e09f79412a35",
     "train-alpha-AFL":
         "46bda492b79413c280d7e66940a329cf0f695519b7f0c2a7c1f72e73fce9a231",
     "train-beta-NOP":

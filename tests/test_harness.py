@@ -46,9 +46,10 @@ from rweval.harness import (
     task_output_path,
     write_records_csv,
 )
+from rweval.variant import CLOSED_VALUES
 
 from elfbuild import build_elf
-from oracles import columns
+from oracles import columns, field_order_variant_error
 
 COPY = ToolAdapter("copytool", nop_command="cp {input} {output}",
                    afl_command="cp {input} {output}")
@@ -156,6 +157,20 @@ class TestVariantConfig:
     def test_unknown_compiler(self):
         with pytest.raises(ValueError):
             variant(compiler="tcc")
+
+    def test_closed_cells_are_checked_as_the_field_order_loop_checks_them(self):
+        junk = ("", "GCC", "O4", "pie ", "none")
+        valid = 0
+        for cells in itertools.product(*(values + junk for values in CLOSED_VALUES.values())):
+            want = field_order_variant_error(*cells)
+            if want is None:
+                variant("p", *cells)
+                valid += 1
+            else:
+                with pytest.raises(ValueError) as exc:
+                    variant("p", *cells)
+                assert str(exc.value) == want, cells
+        assert valid == 84
 
 
 class TestToolAdapter:

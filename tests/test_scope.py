@@ -1,10 +1,12 @@
 import itertools
+import json
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rweval.dtree import Task, predict
+from rweval.dtree import Prediction, Task, predict
 from rweval.elf import ElfFile, parse_elf
 from rweval.errors import MalformedElf
 from rweval.features import FeatureVector, Label
@@ -163,3 +165,22 @@ class TestScopeBinary:
     def test_text_output_mentions_unmodeled_tools(self):
         report = ScopeReport("x", FeatureVector({}), {})
         assert "no model" in report.to_text()
+
+
+# Text with quotes, backslashes, control characters, non-ASCII and astral
+# characters; numbers with NaN, infinities, -0.0, subnormals and 1e16.
+_TEXT = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7féλ\u2028\U0001f600az._-'), max_size=8)
+_NUMBER = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+                              sys.float_info.min / 2, 1e16, 12.0]))
+_PREDICTION = st.builds(Prediction, st.sampled_from(Label), _NUMBER,
+                        st.tuples(_NUMBER, _NUMBER))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_id=_TEXT,
+       features=st.dictionaries(_TEXT, st.booleans(), max_size=6),
+       predictions=st.dictionaries(_TEXT, _PREDICTION, max_size=6))
+def test_to_json_is_json_dumps_indent_2(binary_id, features, predictions):
+    report = ScopeReport(binary_id, FeatureVector(features), predictions)
+    assert report.to_json() == json.dumps(report.to_json_obj(), indent=2)
