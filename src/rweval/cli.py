@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import glob
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 from itertools import compress
 from pathlib import Path
 
@@ -30,7 +28,7 @@ from .errors import (
     UnknownTool,
     Unsupported,
 )
-from .util import json_text
+from .util import json_text, replace
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -77,6 +75,8 @@ def _load_models(model_dir: str | None):
     Verdicts are keyed by tool, so two trees for one tool are an error."""
     if model_dir is None:
         return None
+    import glob
+
     with _failing_as(CliConfigError, f"cannot load models from {model_dir!r}: "):
         paths = sorted(glob.glob(os.path.join(glob.escape(model_dir), "*.json")))
         if not paths:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .errors import DegenerateSplit, EmptyMatrix, SchemaError
 from .features import FeatureMatrix, FeatureVector, Label, MatrixRow, check_support_fraction
-from .util import round_half_up
+from .util import record, round_half_up
 
 
 class Task(Enum):
@@ -25,13 +24,13 @@ class Task(Enum):
     AFL = "AFL"
 
 
-@dataclass(frozen=True)
+@record
 class Leaf:
     fail_count: float
     pass_count: float
 
 
-@dataclass(frozen=True)
+@record
 class Internal:
     feature: str
     when_false: "TreeNode"
@@ -41,7 +40,7 @@ class Internal:
 TreeNode = Union[Leaf, Internal]
 
 
-@dataclass(frozen=True)
+@record
 class DecisionTreeModel:
     tool_name: str
     task: Task
@@ -67,7 +66,7 @@ def _walk(node: TreeNode, path: str = "root"):
         yield from _walk(node.when_true, path + ".true")
 
 
-@dataclass(frozen=True)
+@record
 class Prediction:
     outcome: Label
     confidence: float
@@ -269,7 +268,7 @@ def split_train_test(
     )
 
 
-@dataclass(frozen=True)
+@record
 class Accuracy:
     ratio: float  # raw fraction correct in [0, 1]
     percent: float  # hits * 100 / rows, rounded half-up to 2 decimals

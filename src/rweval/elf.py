@@ -16,11 +16,11 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Protocol
 
 from .errors import MalformedElf, Unsupported
+from .util import record
 
 ELF_MAGIC = b"\x7fELF"
 EHDR_SIZE = 64
@@ -60,7 +60,7 @@ class SectionEntry(NamedTuple):
     file_size_on_disk: int  # always 0 for NOBITS sections
 
 
-@dataclass(frozen=True)
+@record
 class ElfSummary:
     file_size: int
     elf_type: ElfType

@@ -8,11 +8,11 @@ feature spellings (".note.ABI-tag" -> "note.abi_tag").
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 
 from .elf import ElfSummary, ElfType
 from .errors import EmptyMatrix
+from .util import record
 
 PI = "pi"
 STRIP = "strip"
@@ -40,7 +40,7 @@ def canonicalize(section_name: str) -> str:
     return section_name.translate(_ASCII_LOWER)
 
 
-@dataclass(frozen=True)
+@record
 class FeatureVector:
     features: dict[str, bool]
 
@@ -60,14 +60,14 @@ def extract_features(summary: ElfSummary) -> FeatureVector:
     return FeatureVector(feats)
 
 
-@dataclass(frozen=True)
+@record
 class MatrixRow:
     binary_id: str
     values: tuple[bool, ...]
     label: Label
 
 
-@dataclass(frozen=True)
+@record
 class FeatureMatrix:
     feature_names: tuple[str, ...]
     rows: tuple[MatrixRow, ...]

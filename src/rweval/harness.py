@@ -24,25 +24,22 @@ import math
 import operator
 import os
 import re
-import select
 import shlex
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
 import threading
 import time
 from array import array
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .dtree import Task
 from .elf import ELF_MAGIC
 from .errors import SpawnError, WorkdirError
+from .util import record, replace
 from .variant import VARIANT_COLUMNS, TriState, VariantConfig
 
 DEFAULT_NULL_INVOCATION = ("--help",)
@@ -51,7 +48,7 @@ DEFAULT_TIMEOUT_S = 300.0
 _variant_cells = operator.itemgetter(*VARIANT_COLUMNS)
 
 
-@dataclass(frozen=True)
+@record
 class ToolAdapter:
     tool_name: str
     nop_command: str
@@ -76,7 +73,7 @@ class ToolAdapter:
         return self.nop_command if task is Task.NOP else self.afl_command
 
 
-@dataclass(frozen=True)
+@record
 class RunRecord:
     binary_id: str
     variant: VariantConfig | None
@@ -111,7 +108,7 @@ class FuncTest(NamedTuple):
     annotation: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ManifestEntry:
     binary_id: str
     path: str
@@ -186,6 +183,11 @@ def _run(argv: Sequence[str], cwd: str, timeout_s: float, log=None) -> _Run:
     waits on or reads the caller's input; stdout and stderr go to log, or
     to /dev/null. maxrss is the kernel's high-water mark in kbytes for the
     child and everything it reaped. Needs Linux >= 5.3 (pidfd_open)."""
+    # imported by the campaign code that runs them: report and train load
+    # this module for its results half alone
+    import select
+    import subprocess
+
     start = time.monotonic()
     out = log if log is not None else subprocess.DEVNULL
     try:
@@ -391,6 +393,8 @@ def run_campaign(
     (binary_id, tool, task) so the output is independent of the parallelism
     degree; on_record streams records in completion order.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     check_run_settings(manifest, adapters, tasks, parallelism, timeout_s, afl_driver)
     if keep_outputs is not None:
         os.makedirs(keep_outputs, exist_ok=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -21,7 +20,7 @@ from .dtree import Task
 from .elf import size_delta
 from .errors import UnknownTool
 from .features import Label
-from .util import fmt_pct, json_text, trunc_pct
+from .util import fmt_pct, json_text, record, trunc_pct
 from .variant import CLOSED_VALUES, VARIANT_COLUMNS, TriState, VariantConfig
 
 if TYPE_CHECKING:  # annotations only: harness would load the process runner
@@ -39,7 +38,7 @@ COHORT_PRESETS: dict[str, dict[str, str]] = {
 SUCCESS_COLUMNS = ("IR", "EXE", "NullFunc", "AFL_EXE", "AFL_Func")
 
 
-@dataclass(frozen=True)
+@record
 class Cohort:
     name: str
     predicate: dict[str, str]  # equality conjunctions over variant fields
@@ -79,7 +78,7 @@ def make_cohort(name: str, predicate: dict[str, str], results: Results) -> Cohor
     return Cohort(name=name, predicate=dict(predicate), denominator=denominator)
 
 
-@dataclass(frozen=True)
+@record
 class Cell:
     count: int | None  # None renders NA
     raw_pct: float | None
@@ -89,7 +88,7 @@ class Cell:
         return trunc_pct(self.raw_pct)
 
 
-@dataclass(frozen=True)
+@record
 class SuccessTable:
     cohort: Cohort
     tool_order: tuple[str, ...]
@@ -211,7 +210,7 @@ def _metric_column(results: Results, metric: str) -> Iterable[float | None]:
     return (None if v < 0 else float(v) for v in results.out_size)
 
 
-@dataclass(frozen=True)
+@record
 class ComparativeTable:
     tools: tuple[str, ...]
     raw_cells: dict[tuple[str, str], float | None]
@@ -311,7 +310,7 @@ def relative_size(
     }
 
 
-@dataclass(frozen=True)
+@record
 class MapTable:
     """A {name: value} map as a two-column table, such as relative_size's
     per-tool percentages or a size profile. JSON keeps the raw values."""
@@ -329,7 +328,7 @@ class MapTable:
         return self.values
 
 
-@dataclass(frozen=True)
+@record
 class SectionSizeTable:
     buckets: tuple[str, ...]
     tools: tuple[str, ...]

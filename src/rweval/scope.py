@@ -12,14 +12,13 @@ are reported as "no model" rather than guessed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import dtree, features
 from .dtree import DecisionTreeModel, Internal, Leaf, Prediction, Task
 from .elf import ElfSummary
 from .features import FeatureVector
-from .util import _flat_encoder
+from .util import _flat_encoder, record
 
 TOOLS_WITHOUT_MODELS = ("egalito", "multiverse", "reopt", "revng", "uroboros")
 
@@ -478,7 +477,7 @@ def _member(items: str) -> str:
     return "{\n    " + items + "\n  }" if items else "{}"
 
 
-@dataclass(frozen=True)
+@record
 class ScopeReport:
     binary_id: str
     features: FeatureVector

@@ -6,9 +6,10 @@ without loading the campaign harness.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+from .util import record
 
 # The binary class's key names, shared by the manifest, the results CSV and
 # cohort predicates, in VariantConfig's field order.
@@ -44,7 +45,7 @@ class TriState(Enum):
     NA = "na"
 
 
-@dataclass(frozen=True)
+@record
 class VariantConfig:
     """A binary's class: one field per VARIANT_COLUMNS entry, in order.
     Each field with a CLOSED_VALUES set is checked against it in field

@@ -16,7 +16,8 @@ import rweval
 from rweval import cli, harness
 from rweval.cli import main
 
-from elfbuild import Sec, build_elf
+from elfbuild import (ET_EXEC, SHT_NOBITS, Sec, build_elf, extended_numbering, pn_xnum,
+                      section_table, wide_entries)
 from oracles import two_level_cli
 
 
@@ -1092,3 +1093,86 @@ def test_import_leaves_numpy_unloaded():
     subprocess.run(
         [sys.executable, "-c", "import rweval.cli, sys; assert 'numpy' not in sys.modules"],
         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+
+
+# Damaged ELF files: each of scope, size and features either answers (0) or
+# names the damage on one stderr line (2); none ends in an internal error (1).
+_REGION = st.sampled_from(["header", "table"])
+_AT = st.integers(0, 2**16)
+_MUTATION = (
+    st.tuples(st.just("bytes"), _REGION, _AT, st.binary(min_size=1, max_size=16))
+    | st.tuples(st.just("u64"), _REGION, _AT,
+                st.sampled_from(["zero", "ones", "size-1", "2**63"]))
+    | st.tuples(st.just("u16"), _REGION, _AT,
+                st.sampled_from([0, 1, 0xFF00, 0xFFFF]) | st.integers(0, 0xFFFF)))
+
+
+def _mutant(img: bytes, mutations, cut: int | None) -> bytes:
+    """img with each mutation written into its ELF header or its section-header
+    table (the last thing in the file), then cut to `cut % (len + 1)` bytes.
+    Numbers go to 8-aligned slots, but 2-byte header writes to the sizes,
+    counts and indices at 52-62."""
+    out = bytearray(img)
+    regions = {"header": (0, 64), "table": (section_table(img)[0], len(img))}
+    for kind, region, at, value in mutations:
+        start, end = regions[region]
+        if kind == "bytes":
+            at = start + at % (end - start)
+            out[at:at + len(value)] = value[:end - at]
+            continue
+        if kind == "u16" and region == "header":
+            at = 52 + 2 * (at % 6)
+        else:
+            at = start + 8 * (at % ((end - start) // 8))
+        width = 2
+        if kind == "u64":
+            width = 8
+            value = {"zero": 0, "ones": 2**64 - 1, "size-1": len(img) - 1, "2**63": 2**63}[value]
+        out[at:at + width] = value.to_bytes(width, "little")
+    return bytes(out if cut is None else out[:cut % (len(out) + 1)])
+
+
+def _check_damaged(path, img: bytes) -> None:
+    path.write_bytes(img)
+    for argv in (["scope", str(path)], ["size", "--format", "json", str(path)],
+                 ["features", str(path)]):
+        code, out, err = _outcome(main, argv)
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            assert out == "" and err.endswith("\n"), (argv, out, err)
+            assert len(err.splitlines()) == 1 and err.startswith("rweval: "), (argv, err)
+
+
+_BASE = build_elf([Sec(".interp", b"/lib64/ld-linux-x86-64.so.2\x00"),
+                   Sec(".text", b"\x90" * 32, gap_before=4), Sec(".data", b"\x01" * 8),
+                   Sec(".bss", b"\x00" * 16, sh_type=SHT_NOBITS), Sec(".symtab", b"\x00" * 24)])
+_IMAGES = {
+    "exec": _BASE,
+    "no_shstrtab": build_elf([Sec(".text", b"\x90" * 16)], elf_type=ET_EXEC,
+                             with_shstrtab=False),
+    "no_phdrs": build_elf([Sec(".text", b"\x90" * 16)], load_phdr=False),
+    "extended": extended_numbering(_BASE),
+    "pn_xnum": pn_xnum(_BASE),
+    "wide80": wide_entries(_BASE, 80),
+}
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.elf"
+
+
+@settings(max_examples=250, deadline=None)
+@given(name=st.sampled_from(sorted(_IMAGES)), mutations=st.lists(_MUTATION, max_size=3),
+       cut=st.none() | st.integers(0, 2**16))
+def test_a_damaged_synthetic_elf_exits_0_or_2(mutant_path, name, mutations, cut):
+    _check_damaged(mutant_path, _mutant(_IMAGES[name], mutations, cut))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pick=st.sampled_from([0, -1]), mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+       cut=st.none() | st.integers(0, 2**16))
+def test_a_damaged_gcc_build_exits_0_or_2(hello_variants, mutant_path, pick, mutations, cut):
+    # the first and last builds: -O0 PIE with symbols, -O2 non-PIE stripped
+    img = hello_variants[pick].path.read_bytes()
+    _check_damaged(mutant_path, _mutant(img, mutations, cut))

@@ -15,7 +15,6 @@ import sys
 import time
 import tracemalloc
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +45,7 @@ from rweval.harness import (
     task_output_path,
     write_records_csv,
 )
+from rweval.util import replace
 from rweval.variant import CLOSED_VALUES
 
 from elfbuild import build_elf

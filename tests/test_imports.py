@@ -52,25 +52,71 @@ def _loaded_by(argv: list[str], bare: set[str]) -> set[str]:
     return set(probe["modules"]) - bare
 
 
-@pytest.mark.parametrize("command", ["scope", "features", "size"])
-def test_binary_commands_leave_the_campaign_harness_unloaded(tmp_path, bare_modules,
-                                                             command):
+def _binary_argv(tmp_path, command: str) -> list[str]:
     path = tmp_path / "sample.elf"
     path.write_bytes(build_elf([Sec(".text", b"\x90" * 16)]))
-    loaded = _loaded_by([command, str(path)], bare_modules)
-    # fractions is for CART training only
-    assert {"rweval.harness", "subprocess", "concurrent.futures", "fractions"} & loaded == set()
+    return [command, str(path)]
 
 
-def test_report_leaves_scope_unloaded(tmp_path, bare_modules):
+def _report_argv(tmp_path) -> list[str]:
     from rweval.harness import RESULTS_COLUMNS
 
     path = tmp_path / "results.csv"
     path.write_text(",".join(RESULTS_COLUMNS) + "\n"
                     "b0,p,gcc,O0,pie,present,u20,alpha,NOP,na,1,yes,1.0,100,1000\n")
-    loaded = _loaded_by(["report", str(path)], bare_modules)
+    return ["report", str(path)]
+
+
+def _train_argv(tmp_path) -> list[str]:
+    from rweval.harness import RESULTS_COLUMNS
+
+    entries, rows = [], [",".join(RESULTS_COLUMNS)]
+    for i in range(6):
+        marked = i % 2 == 0
+        path = tmp_path / f"b{i}.elf"
+        path.write_bytes(build_elf([Sec(".text", b"\x90" * 16),
+                                    *([Sec(".marker", b"\x01")] if marked else [])]))
+        entries.append({"id": f"b{i}", "path": str(path), "program": "p",
+                        "compiler": "gcc", "flags": "O0", "relocation": "pie",
+                        "symbols": "present", "os": "u20"})
+        rows.append(f"b{i},p,gcc,O0,pie,present,u20,t,AFL,na,1,"
+                    f"{'yes' if marked else 'no'},1.0,100,1000")
+    manifest, results = tmp_path / "manifest.json", tmp_path / "results.csv"
+    manifest.write_text(json.dumps(entries))
+    results.write_text("\n".join(rows) + "\n")
+    return ["train", "--results", str(results), "--manifest", str(manifest),
+            "--tool", "t", "--out-model", str(tmp_path / "model.json")]
+
+
+@pytest.mark.parametrize("command", ["scope", "features", "size"])
+def test_binary_commands_leave_the_campaign_harness_unloaded(tmp_path, bare_modules,
+                                                             command):
+    loaded = _loaded_by(_binary_argv(tmp_path, command), bare_modules)
+    # fractions is for CART training only
+    assert {"rweval.harness", "subprocess", "concurrent.futures", "fractions"} & loaded == set()
+
+
+def test_report_leaves_scope_unloaded(tmp_path, bare_modules):
+    loaded = _loaded_by(_report_argv(tmp_path), bare_modules)
     assert {"rweval.harness", "rweval.report"} <= loaded
     assert {"rweval.scope", "fractions"} & loaded == set()
+
+
+# The value classes are frozen records (rweval.util.record): dataclasses
+# would pull in inspect, ast, dis and tokenize at every cold start.
+@pytest.mark.parametrize("command", ["scope", "features", "size", "report"])
+def test_cold_commands_load_no_dataclasses(tmp_path, bare_modules, command):
+    argv = _report_argv(tmp_path) if command == "report" else _binary_argv(tmp_path, command)
+    loaded = _loaded_by(argv, bare_modules)
+    assert {"dataclasses", "inspect"} & loaded == set()
+
+
+@pytest.mark.parametrize("command", ["report", "train"])
+def test_results_commands_leave_the_process_runner_unloaded(tmp_path, bare_modules, command):
+    argv = _report_argv(tmp_path) if command == "report" else _train_argv(tmp_path)
+    loaded = _loaded_by(argv, bare_modules)
+    assert "rweval.harness" in loaded
+    assert {"subprocess", "select", "concurrent.futures"} & loaded == set()
 
 
 # CLI_PROBE with the results loaded in up to argv[2] parts: MIN_PART_BYTES 1
@@ -109,29 +155,11 @@ def test_report_in_parts_loads_no_more_modules(tmp_path, bare_modules):
     assert (one["rc"], one["forked"], parts["rc"], parts["forked"]) == (0, 0, 0, 1)
     loaded = set(parts["modules"]) - bare_modules
     assert loaded - set(one["modules"]) == set()
-    assert {"multiprocessing", "pickle", "concurrent.futures.process"} & loaded == set()
+    assert {"multiprocessing", "pickle", "concurrent.futures"} & loaded == set()
 
 
 def test_train_loads_no_third_party_module(tmp_path, bare_modules):
-    from rweval.harness import RESULTS_COLUMNS
-
-    entries, rows = [], [",".join(RESULTS_COLUMNS)]
-    for i in range(6):
-        marked = i % 2 == 0
-        path = tmp_path / f"b{i}.elf"
-        path.write_bytes(build_elf([Sec(".text", b"\x90" * 16),
-                                    *([Sec(".marker", b"\x01")] if marked else [])]))
-        entries.append({"id": f"b{i}", "path": str(path), "program": "p",
-                        "compiler": "gcc", "flags": "O0", "relocation": "pie",
-                        "symbols": "present", "os": "u20"})
-        rows.append(f"b{i},p,gcc,O0,pie,present,u20,t,AFL,na,1,"
-                    f"{'yes' if marked else 'no'},1.0,100,1000")
-    manifest, results = tmp_path / "manifest.json", tmp_path / "results.csv"
-    manifest.write_text(json.dumps(entries))
-    results.write_text("\n".join(rows) + "\n")
-    loaded = _loaded_by(["train", "--results", str(results), "--manifest", str(manifest),
-                         "--tool", "t", "--out-model", str(tmp_path / "model.json")],
-                        bare_modules)
+    loaded = _loaded_by(_train_argv(tmp_path), bare_modules)
     tops = {name.partition(".")[0] for name in loaded}
     assert tops - set(sys.stdlib_module_names) - {"rweval"} == set()
 
