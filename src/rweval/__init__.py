@@ -15,21 +15,21 @@ import importlib
 # pays only for the parts it touches.
 _EXPORTS = {
     "dtree": ("Accuracy", "DecisionTreeModel", "Internal", "Leaf", "Prediction",
-              "Task", "accuracy", "parse_tree", "predict", "select_features",
+              "accuracy", "parse_tree", "predict", "select_features",
               "serialize_tree", "split_train_test", "train_cart"),
     "elf": ("ByteSource", "ElfFile", "ElfSummary", "ElfType", "SectionEntry",
             "parse_elf", "size_delta", "size_profile"),
     "errors": ("DegenerateSplit", "EmptyMatrix", "MalformedElf", "RwevalError",
                "SchemaError", "SpawnError", "UnknownTool", "Unsupported",
                "WorkdirError"),
-    "features": ("FeatureMatrix", "FeatureVector", "Label", "build_matrix",
+    "features": ("FeatureMatrix", "FeatureVector", "build_matrix",
                  "canonicalize", "extract_features"),
     "harness": ("ManifestEntry", "Results", "RunRecord", "ToolAdapter",
                 "afl_function_test", "null_function_test", "run_campaign", "run_task"),
     "report": ("Cohort", "comparative_average", "make_cohort", "relative_size",
                "section_size_table", "success_table"),
     "scope": ("ScopeReport", "builtin_models", "scope_binary"),
-    "variant": ("TriState", "VariantConfig"),
+    "variant": ("Label", "Task", "TriState", "VariantConfig"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -14,11 +14,9 @@ from contextlib import contextmanager, suppress
 from itertools import compress
 from pathlib import Path
 
-# harness, report and scope are imported inside the handlers and option
-# adders that use them, so a call loads only its own command's modules:
-# a cold `scope` or `size` never loads the campaign harness.
-from . import dtree, features
-from .dtree import Task
+# dtree, features, harness, report and scope are imported inside the handlers
+# and option adders that use them, so a call loads only its own command's
+# modules: a cold `scope` never loads the harness, nor a `report` the trees.
 from .elf import ElfFile, ElfSummary, parse_elf, size_delta, size_profile
 from .errors import (
     DegenerateSplit,
@@ -29,6 +27,7 @@ from .errors import (
     Unsupported,
 )
 from .util import json_text, replace
+from .variant import Task
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -77,6 +76,8 @@ def _load_models(model_dir: str | None):
         return None
     import glob
 
+    from . import dtree
+
     with _failing_as(CliConfigError, f"cannot load models from {model_dir!r}: "):
         paths = sorted(glob.glob(os.path.join(glob.escape(model_dir), "*.json")))
         if not paths:
@@ -102,6 +103,8 @@ def cmd_scope(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from . import features
+
     fv = features.extract_features(_parse_path(args.path))
     if args.format == "text":
         for name, value in sorted(fv.features.items()):
@@ -204,7 +207,7 @@ def _load_results(path: str):
 
 
 def cmd_train(args) -> int:
-    from . import report
+    from . import dtree, features, report
 
     with _failing_as(CliConfigError, "bad train settings: "):
         dtree.check_train_settings(
@@ -228,8 +231,10 @@ def cmd_train(args) -> int:
 
     matrix = features.build_matrix(vectors, min_support=args.min_support,
                                    max_support_fraction=args.max_support_fraction)
-    projected = features.select_columns(matrix, dtree.select_features(matrix, k=args.k))
-    train, test = dtree.split_train_test(projected, args.train_fraction, seed=args.seed)
+    train, test = dtree.split_train_test(matrix, args.train_fraction, seed=args.seed)
+    # ranked on the train rows alone: held-out labels must not pick what they score
+    chosen = dtree.select_features(train, k=args.k)
+    train, test = (features.select_columns(m, chosen) for m in (train, test))
     model = dtree.train_cart(train, max_depth=args.max_depth, min_leaf=args.min_leaf,
                              tool_name=args.tool, task=task)
     score = dtree.accuracy(model, test)

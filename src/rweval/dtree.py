@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from enum import Enum
 from typing import Union
 
 from .errors import DegenerateSplit, EmptyMatrix, SchemaError
-from .features import FeatureMatrix, FeatureVector, Label, MatrixRow, check_support_fraction
+from .features import FeatureMatrix, FeatureVector, MatrixRow, check_support_fraction
 from .util import record, round_half_up
-
-
-class Task(Enum):
-    NOP = "NOP"
-    AFL = "AFL"
+from .variant import Label, Task
 
 
 @record

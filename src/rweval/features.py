@@ -8,11 +8,11 @@ feature spellings (".note.ABI-tag" -> "note.abi_tag").
 from __future__ import annotations
 
 import functools
-from enum import Enum
 
 from .elf import ElfSummary, ElfType
 from .errors import EmptyMatrix
 from .util import record
+from .variant import Label
 
 PI = "pi"
 STRIP = "strip"
@@ -20,11 +20,6 @@ STRIP = "strip"
 _ASCII_LOWER = str.maketrans(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ-", "abcdefghijklmnopqrstuvwxyz_"
 )
-
-
-class Label(Enum):
-    PASS = "PASS"
-    FAIL = "FAIL"
 
 
 # Section names repeat across the binaries one process reads: a corpus of

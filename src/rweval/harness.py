@@ -36,11 +36,10 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
-from .dtree import Task
 from .elf import ELF_MAGIC
 from .errors import SpawnError, WorkdirError
 from .util import record, replace
-from .variant import VARIANT_COLUMNS, TriState, VariantConfig
+from .variant import STATES, VARIANT_COLUMNS, Task, TriState, VariantConfig, outcome_error
 
 DEFAULT_NULL_INVOCATION = ("--help",)
 DEFAULT_TIMEOUT_S = 300.0
@@ -95,10 +94,8 @@ class RunRecord:
             raise ValueError("resource fields must be non-negative")
         if max(self.memory_kbytes, self.output_size_bytes or 0) >= 1 << 63:
             raise ValueError("mem_kb and out_size_bytes must be below 2**63")
-        if self.func_ok is TriState.YES and not self.exe_ok:
-            raise ValueError("func_ok=yes requires exe_ok")
-        if self.exe_ok and self.ir_ok is TriState.NO:
-            raise ValueError("exe_ok requires ir_ok in {yes, na}")
+        if error := outcome_error(self.ir_ok, self.exe_ok, self.func_ok):
+            raise ValueError(error)
 
 
 class FuncTest(NamedTuple):
@@ -281,7 +278,7 @@ def run_task(
     if metered.timed_out:
         exe_ok = False
         notes.append("TimedOut")
-    if exe_ok and ir_ok is TriState.NO:
+    if outcome_error(ir_ok, exe_ok, TriState.NA):
         # ordered checkpoints: no EXE credit without the IR stage
         exe_ok = False
         notes.append("MissingIrArtifact")
@@ -635,17 +632,6 @@ def _admit(binary_id: str, variant: VariantConfig | None, tool: str, task: str,
     seen.add(triple)
 
 
-def _valid_state(state: tuple[Task, TriState, bool, TriState]) -> bool:
-    try:
-        RunRecord("", None, "", *state, 0.0, 0)
-    except ValueError:
-        return False
-    return True
-
-
-# The (task, ir, exe, func) outcomes that RunRecord accepts; Results.states
-# holds each row's index here.
-STATES = tuple(filter(_valid_state, itertools.product(Task, TriState, (False, True), TriState)))
 _CODE_OF_STATE = {state: code for code, state in enumerate(STATES)}
 # A row's cells -> its code: a string's hash is cached, an Enum member's is not
 _CODE_OF_CELLS = {(task.value, ir.value, "1" if exe else "0", func.value): code

@@ -16,12 +16,10 @@ from collections import Counter, defaultdict
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .dtree import Task
 from .elf import size_delta
 from .errors import UnknownTool
-from .features import Label
 from .util import fmt_pct, json_text, record, trunc_pct
-from .variant import CLOSED_VALUES, VARIANT_COLUMNS, TriState, VariantConfig
+from .variant import CLOSED_VALUES, STATES, VARIANT_COLUMNS, Label, Task, TriState, VariantConfig
 
 if TYPE_CHECKING:  # annotations only: harness would load the process runner
     from .harness import Results
@@ -134,9 +132,6 @@ def success_table(
     else:
         _check_tools(tool_order, results)
 
-    # Loaded with any Results; `size` and `scope` load this module without it
-    from .harness import STATES
-
     # How many of the cohort's rows share each (tool, state code). Results
     # holds one row per (binary, tool, task), so each count is a count of
     # distinct binaries.
@@ -171,8 +166,6 @@ def success_table(
 
 def handled(results: Results) -> Iterable[bool]:
     """The mask of results' rows that a tool handled: NOP runs that passed EXE."""
-    from .harness import STATES
-
     handled_of = [task is Task.NOP and exe for task, _, exe, _ in STATES]
     return map(handled_of.__getitem__, results.states)
 
@@ -180,8 +173,6 @@ def handled(results: Results) -> Iterable[bool]:
 def labels(results: Results, tool: str, task: Task) -> dict[str, Label]:
     """Each binary's label for tool on task: PASS when its functional test
     passed, FAIL otherwise. Results holds one row per (binary, tool, task)."""
-    from .harness import STATES
-
     label_of = [t is task and (Label.PASS if func is TriState.YES else Label.FAIL)
                 for t, _, _, func in STATES]
     rows = zip(results.binary_ids, results.tools, map(label_of.__getitem__, results.states))

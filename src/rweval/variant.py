@@ -1,12 +1,13 @@
-"""The binary-class vocabulary of the manifest, the results CSV and the
-report tables. It loads nothing heavy, so the report tables can name it
-without loading the campaign harness.
+"""The vocabulary of the manifest, the results CSV and the report tables: a
+binary's class, a run's task, outcomes and label. It loads nothing heavy, so the
+report tables and the decision trees can name it without loading each other.
 """
 
 from __future__ import annotations
 
 import sys
 from enum import Enum
+from itertools import product
 from typing import Iterable
 
 from .util import record
@@ -36,6 +37,11 @@ _VALID_CLOSED = frozenset(
     for relocation in CLOSED_VALUES["relocation"] for symbols in CLOSED_VALUES["symbols"])
 
 
+class Task(Enum):
+    NOP = "NOP"
+    AFL = "AFL"
+
+
 class TriState(Enum):
     """yes / no / na; na reads "not applicable" for the IR checkpoint and
     "not run" for functional tests."""
@@ -43,6 +49,27 @@ class TriState(Enum):
     YES = "yes"
     NO = "no"
     NA = "na"
+
+
+class Label(Enum):
+    PASS = "PASS"
+    FAIL = "FAIL"
+
+
+def outcome_error(ir_ok: TriState, exe_ok: bool, func_ok: TriState) -> str | None:
+    """Why a run's checkpoint outcomes cannot go together, or None. Checkpoints are
+    ordered: EXE needs IR passed or not applicable, and a functional pass needs EXE."""
+    if func_ok is TriState.YES and not exe_ok:
+        return "func_ok=yes requires exe_ok"
+    if exe_ok and ir_ok is TriState.NO:
+        return "exe_ok requires ir_ok in {yes, na}"
+    return None
+
+
+# Every (task, ir, exe, func) outcome a run can have; the results columns
+# hold each row's index here.
+STATES = tuple(state for state in product(Task, TriState, (False, True), TriState)
+               if outcome_error(*state[1:]) is None)
 
 
 @record

@@ -1,6 +1,7 @@
 """Reference oracles kept deliberately independent of the implementation.
 
-- readelf_facts: parses real `readelf -h -SW` output for parity checks.
+- readelf_facts: parses real `readelf -h -SW` output for parity checks: the
+  ELF type, the section names, and the section-header table's size.
 - tally_success: a dumb success-table tally straight off the results CSV.
 - correlation_ranking: features ranked by |phi correlation| with the label.
 - numpy_select_features: dtree.select_features's descent over a dense numpy
@@ -12,7 +13,7 @@
 - claim_walk_size_profile: elf.size_profile as a walk that claims each
   section against every span claimed before it.
 - readelf_program_headers: the program-header count and offset that
-  `readelf -lW` reads.
+  `readelf -lW` reads, (0, 0) for a file without program headers.
 - per_entry_parse_elf: elf.parse_elf of an in-memory image, with each
   section header unpacked at its own offset.
 - field_order_variant_error: VariantConfig's field-order check of the
@@ -40,6 +41,7 @@ from rweval.variant import CLOSED_VALUES, OLLVM_FLAGS, OPT_FLAGS
 class ReadelfFacts:
     elf_type: str  # DYN / EXEC / REL / ...
     section_names: list[str]
+    section_header_bytes: int  # entry size x entry count
 
 
 def readelf_facts(path: str) -> ReadelfFacts:
@@ -49,6 +51,12 @@ def readelf_facts(path: str) -> ReadelfFacts:
     m = re.search(r"^\s*Type:\s+(\S+)", out, re.MULTILINE)
     assert m, f"no Type line in readelf output for {path}"
     elf_type = m.group(1)
+    # an extended count reads "0 (N)"; N is the count
+    entsize = re.search(r"^\s*Size of section headers:\s+(\d+)", out, re.MULTILINE)
+    count = re.search(r"^\s*Number of section headers:\s+(\d+)(?: \((\d+)\))?$", out,
+                      re.MULTILINE)
+    assert entsize and count, f"no section header size in readelf output for {path}"
+    shdr_bytes = int(entsize.group(1)) * int(count.group(2) or count.group(1))
 
     names = []
     for line in out.splitlines():
@@ -62,7 +70,8 @@ def readelf_facts(path: str) -> ReadelfFacts:
         if body.startswith(" "):  # blank name column
             continue
         names.append(body.split()[0])
-    return ReadelfFacts(elf_type=elf_type, section_names=names)
+    return ReadelfFacts(elf_type=elf_type, section_names=names,
+                        section_header_bytes=shdr_bytes)
 
 
 def readelf_program_headers(path: str) -> tuple[int, int]:
@@ -71,6 +80,8 @@ def readelf_program_headers(path: str) -> tuple[int, int]:
     out = subprocess.run(
         ["readelf", "-lW", path], check=True, capture_output=True, text=True
     ).stdout
+    if re.search(r"^There are no program headers in this file\.$", out, re.MULTILINE):
+        return 0, 0
     m = re.search(r"^There (?:are|is) (\d+) program headers?, starting at offset (\d+)$",
                   out, re.MULTILINE)
     assert m, f"no program header count in readelf output for {path}"

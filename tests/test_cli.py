@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rweval
-from rweval import cli, harness
+from rweval import cli, dtree, harness
 from rweval.cli import main
 
 from elfbuild import (ET_EXEC, SHT_NOBITS, Sec, build_elf, extended_numbering, pn_xnum,
@@ -440,6 +440,30 @@ class TestTrainCommand:
                                  "--seed", "7", "--out-model", str(out_model))
             assert code == 0
         assert m1.read_bytes() == m2.read_bytes()
+
+    def test_features_are_ranked_on_the_train_split_alone(self, capsys, monkeypatch,
+                                                          trainable_corpus, tmp_path):
+        # the held-out labels must not help pick the features they then score
+        manifest, results = trainable_corpus
+        splits, ranked = [], []
+        split, select = dtree.split_train_test, dtree.select_features
+
+        def spy_split(*args, **kwargs):
+            splits.append(split(*args, **kwargs))
+            return splits[-1]
+
+        def spy_select(matrix, **kwargs):
+            ranked.append(matrix)
+            return select(matrix, **kwargs)
+
+        monkeypatch.setattr(dtree, "split_train_test", spy_split)
+        monkeypatch.setattr(dtree, "select_features", spy_select)
+        code, out, _ = run_cli(capsys, "train", "--results", str(results),
+                               "--manifest", str(manifest), "--tool", "toolx",
+                               "--out-model", str(tmp_path / "m.json"))
+        assert code == 0 and "(9 train / 3 test rows)" in out
+        [(train, _)], [matrix] = splits, ranked
+        assert matrix.rows == train.rows
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--k", "0", "k must be at least 1"),

@@ -523,10 +523,12 @@ GOLDEN = {
         "1097023ed85196fdc2dfdac8bc81caf15a1d9d8bdceec5bdb374c3dc1f928609",
     "size-wide80-json":
         "d7e1616081c2d6ca5a0754eddb9937ec24d076d5b627407482f3e09f79412a35",
+    # train ranks its features on the training split alone, so the held-out
+    # labels no longer help pick them; the chosen features and trees moved
     "train-alpha-AFL":
-        "46bda492b79413c280d7e66940a329cf0f695519b7f0c2a7c1f72e73fce9a231",
+        "f20d3123232765ca796cf2436a836c9aa230c35ae46badc8f47d6d66a43fc093",
     "train-beta-NOP":
-        "00776a3a95300523a91b8b216b7a26b57e9ac4e516e0ebbeae0eeef0707eaa26",
+        "47c3b6c6b8e2c0ddd9e934046127adf9eaf1efbf5a6175d4818dcf600f7c92c4",
     "usage-abbreviated-option":
         "58c16e9e7ea1ae651fc8f42ad12edb9c488fa03bea7a872985945e453be0efde",
     "usage-bad-choice":

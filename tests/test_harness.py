@@ -202,6 +202,28 @@ class TestRunRecordInvariants:
         self.base(exe_ok=True, ir_ok=TriState.YES)
         self.base(exe_ok=True, ir_ok=TriState.NA)
 
+    def test_accepts_exactly_the_states(self):
+        # of 36 combinations, 6 pass the functional test without EXE and 6
+        # pass EXE after a failed IR checkpoint
+        assert len(harness.STATES) == 24
+        for state in itertools.product(Task, TriState, (False, True), TriState):
+            task, ir, exe, func = state
+            fields = dict(task=task, ir_ok=ir, exe_ok=exe, func_ok=func)
+            if state in harness.STATES:
+                assert self.base(**fields).func_ok is func
+                continue
+            message = ("func_ok=yes requires exe_ok" if func is TriState.YES and not exe
+                       else "exe_ok requires ir_ok in {yes, na}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                self.base(**fields)
+
+    def test_the_row_vocabulary_resolves_from_every_path(self):
+        from rweval import dtree, features, variant
+
+        assert harness.STATES is variant.STATES
+        assert dtree.Task is harness.Task is rweval.Task is variant.Task
+        assert features.Label is rweval.Label is variant.Label
+
     def test_negative_resources_rejected(self):
         with pytest.raises(ValueError):
             self.base(runtime_seconds=-1.0)

@@ -102,6 +102,22 @@ def test_report_leaves_scope_unloaded(tmp_path, bare_modules):
     assert {"rweval.scope", "fractions"} & loaded == set()
 
 
+# The results-row vocabulary (Task, Label, STATES) lives in rweval.variant,
+# so the measuring half never loads the scoping half's trees and features.
+@pytest.mark.parametrize("command", ["report", "size"])
+def test_report_and_size_leave_the_trees_and_features_unloaded(tmp_path, bare_modules,
+                                                               command):
+    argv = _report_argv(tmp_path) if command == "report" else _binary_argv(tmp_path, command)
+    loaded = _loaded_by(argv, bare_modules)
+    assert "rweval.variant" in loaded
+    assert {"rweval.dtree", "rweval.features"} & loaded == set()
+
+
+def test_features_leaves_the_trees_unloaded(tmp_path, bare_modules):
+    loaded = _loaded_by(_binary_argv(tmp_path, "features"), bare_modules)
+    assert "rweval.features" in loaded and "rweval.dtree" not in loaded
+
+
 # The value classes are frozen records (rweval.util.record): dataclasses
 # would pull in inspect, ast, dis and tokenize at every cold start.
 @pytest.mark.parametrize("command", ["scope", "features", "size", "report"])

@@ -16,7 +16,8 @@ it was seen with Debian 12's gcc 12.2, glibc 2.36 and binutils 2.40. On a
 toolchain whose start-up code does not need .init_array, those checks fail.
 
 The success table's AFL columns are not checked: with --tasks NOP they read
-0.00%, and whether an unattempted task should read NA is still open.
+0 and 0.00%, as a task that no row holds counts as failed against the cohort
+(tests/test_report.py pins that reading).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 import csv
 import io
+import json
 import random
 
 import pytest
 
-from rweval import harness
+from rweval import cli, harness
 from rweval.dtree import Task
 from rweval.errors import UnknownTool
 from rweval.harness import (
@@ -188,6 +189,39 @@ class TestSuccessTable:
                 table.cells[(tool, "AFL_Func")].count
                 <= table.cells[(tool, "AFL_EXE")].count
             )
+
+
+class TestNopOnlyResults:
+    """A task that no results row holds, as after `run --tasks NOP`, counts
+    as failed against the cohort's fixed denominator: AFL_EXE and AFL_Func
+    read 0 and 0.00%. IR reads NA only for a tool none of whose NOP rows
+    carries an IR verdict."""
+
+    ROWS = ("b0,p,gcc,O0,pie,present,u20,alpha,NOP,yes,1,yes,1.0,100,1000",
+            "b1,p,gcc,O0,nopie,present,u20,alpha,NOP,no,0,na,1.0,100,",
+            "b0,p,gcc,O0,pie,present,u20,direct,NOP,na,1,no,1.0,100,1000",
+            "b1,p,gcc,O0,nopie,present,u20,direct,NOP,na,1,yes,1.0,100,1000")
+
+    def report(self, capsys, tmp_path, *options):
+        path = tmp_path / "results.csv"
+        path.write_text("\n".join((",".join(harness.RESULTS_COLUMNS), *self.ROWS)) + "\n")
+        assert cli.main(["report", str(path), *options]) == 0
+        return capsys.readouterr().out
+
+    def test_text(self, capsys, tmp_path):
+        assert self.report(capsys, tmp_path).splitlines()[1:] == [
+            "alpha   1   1    1         0        0         "
+            "50.00%  50.00%   50.00%        0.00%        0.00%",
+            "direct  NA  2    1         0        0         "
+            "NA      100.00%  50.00%        0.00%        0.00%"]
+
+    def test_json(self, capsys, tmp_path):
+        tools = json.loads(self.report(capsys, tmp_path, "--format", "json"))["tools"]
+        zero = {"count": 0, "pct": 0.0}
+        assert [tools[t]["AFL_EXE"] for t in tools] == [zero, zero]
+        assert [tools[t]["AFL_Func"] for t in tools] == [zero, zero]
+        assert tools["alpha"]["IR"] == {"count": 1, "pct": 50.0}
+        assert tools["direct"]["IR"] == {"count": None, "pct": None}
 
 
 class TestComparativeAverage:
