@@ -14,21 +14,21 @@ import importlib
 # first use (PEP 562), so `import rweval` loads no submodule and a program
 # pays only for the parts it touches.
 _EXPORTS = {
-    "dtree": ("Accuracy", "DecisionTreeModel", "Internal", "Leaf", "Prediction",
-              "accuracy", "parse_tree", "predict", "select_features",
-              "serialize_tree", "split_train_test", "train_cart"),
+    "dtree": ("DecisionTreeModel", "Internal", "Leaf", "Prediction", "parse_tree",
+              "predict", "serialize_tree"),
     "elf": ("ByteSource", "ElfFile", "ElfSummary", "ElfType", "SectionEntry",
             "parse_elf", "size_delta", "size_profile"),
     "errors": ("DegenerateSplit", "EmptyMatrix", "MalformedElf", "RwevalError",
                "SchemaError", "SpawnError", "UnknownTool", "Unsupported",
                "WorkdirError"),
-    "features": ("FeatureMatrix", "FeatureVector", "build_matrix",
-                 "canonicalize", "extract_features"),
+    "features": ("FeatureVector", "canonicalize", "extract_features"),
     "harness": ("ManifestEntry", "Results", "RunRecord", "ToolAdapter",
                 "afl_function_test", "null_function_test", "run_campaign", "run_task"),
     "report": ("Cohort", "comparative_average", "make_cohort", "relative_size",
                "section_size_table", "success_table"),
     "scope": ("ScopeReport", "builtin_models", "scope_binary"),
+    "training": ("Accuracy", "FeatureMatrix", "accuracy", "build_matrix",
+                 "select_features", "split_train_test", "train_cart"),
     "variant": ("Label", "Task", "TriState", "VariantConfig"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -14,7 +14,7 @@ from contextlib import contextmanager, suppress
 from itertools import compress
 from pathlib import Path
 
-# dtree, features, harness, report and scope are imported inside the handlers
+# dtree, features, harness, report, scope and training are imported inside the handlers
 # and option adders that use them, so a call loads only its own command's
 # modules: a cold `scope` never loads the harness, nor a `report` the trees.
 from .elf import ElfFile, ElfSummary, parse_elf, size_delta, size_profile
@@ -207,12 +207,13 @@ def _load_results(path: str):
 
 
 def cmd_train(args) -> int:
-    from . import dtree, features, report
+    from . import dtree, features, report, training
 
     with _failing_as(CliConfigError, "bad train settings: "):
-        dtree.check_train_settings(
+        training.check_train_settings(
             k=args.k, train_fraction=args.train_fraction, max_depth=args.max_depth,
-            min_leaf=args.min_leaf, max_support_fraction=args.max_support_fraction)
+            min_leaf=args.min_leaf, min_support=args.min_support,
+            max_support_fraction=args.max_support_fraction)
     _check_writable(args.out_model)
     results = _load_results(args.results)
     manifest = _load_manifest(args.manifest)
@@ -229,15 +230,15 @@ def cmd_train(args) -> int:
     if len(vectors) < 2:
         raise CliInputError("fewer than 2 manifest binaries have records to train on")
 
-    matrix = features.build_matrix(vectors, min_support=args.min_support,
+    matrix = training.build_matrix(vectors, min_support=args.min_support,
                                    max_support_fraction=args.max_support_fraction)
-    train, test = dtree.split_train_test(matrix, args.train_fraction, seed=args.seed)
+    train, test = training.split_train_test(matrix, args.train_fraction, seed=args.seed)
     # ranked on the train rows alone: held-out labels must not pick what they score
-    chosen = dtree.select_features(train, k=args.k)
-    train, test = (features.select_columns(m, chosen) for m in (train, test))
-    model = dtree.train_cart(train, max_depth=args.max_depth, min_leaf=args.min_leaf,
-                             tool_name=args.tool, task=task)
-    score = dtree.accuracy(model, test)
+    chosen = training.select_features(train, k=args.k)
+    train, test = (training.select_columns(m, chosen) for m in (train, test))
+    model = training.train_cart(train, max_depth=args.max_depth, min_leaf=args.min_leaf,
+                                tool_name=args.tool, task=task)
+    score = training.accuracy(model, test)
 
     model = replace(model, reported_accuracy=score.percent)
     with _failing_as(CliInputError, f"cannot write {args.out_model!r}: "):

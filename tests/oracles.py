@@ -4,7 +4,7 @@
   ELF type, the section names, and the section-header table's size.
 - tally_success: a dumb success-table tally straight off the results CSV.
 - correlation_ranking: features ranked by |phi correlation| with the label.
-- numpy_select_features: dtree.select_features's descent over a dense numpy
+- numpy_select_features: training.select_features's descent over a dense numpy
   matrix; callers skip when numpy is not installed.
 - columns: every column of a loaded results object, for equality checks.
 - leaf_count_total: the FAIL+PASS counts summed over a tree's leaves.
@@ -135,11 +135,11 @@ def correlation_ranking(columns: dict[str, list[bool]], labels: list[bool]) -> l
 
 
 def numpy_select_features(matrix, k: int) -> list[str]:
-    """The hinge-loss ranking of dtree.select_features over a dense 0/1
+    """The hinge-loss ranking of training.select_features over a dense 0/1
     matrix, one row per sample, with numpy's dot products."""
     import numpy as np
 
-    from rweval.dtree import SELECT_EPOCHS, SELECT_REG, SELECT_STEP
+    from rweval.training import SELECT_EPOCHS, SELECT_REG, SELECT_STEP
     from rweval.features import Label
 
     x = np.array([[1.0 if v else 0.0 for v in r.values] for r in matrix.rows])

@@ -11,10 +11,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from rweval.dtree import Task, accuracy, predict, select_features, split_train_test, train_cart
-from rweval.dtree import Internal, Leaf
+from rweval.dtree import Internal, Leaf, Task, predict
 from rweval.elf import BUCKET_UNMAPPED, ElfFile, parse_elf, size_profile
-from rweval.features import FeatureMatrix, FeatureVector, Label, MatrixRow, extract_features
+from rweval.features import FeatureVector, Label, extract_features
 from rweval.harness import (
     ManifestEntry,
     Results,
@@ -28,6 +27,8 @@ from rweval.harness import (
 )
 from rweval.report import comparative_average, make_cohort, success_table
 from rweval.scope import builtin_models, scope_binary
+from rweval.training import (FeatureMatrix, MatrixRow, accuracy, select_features,
+                             split_train_test, train_cart)
 
 from elfbuild import Sec, build_elf
 from oracles import correlation_ranking, readelf_facts, tally_success

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rweval
-from rweval import cli, dtree, harness
+from rweval import cli, harness, training
 from rweval.cli import main
 
 from elfbuild import (ET_EXEC, SHT_NOBITS, Sec, build_elf, extended_numbering, pn_xnum,
@@ -446,7 +446,7 @@ class TestTrainCommand:
         # the held-out labels must not help pick the features they then score
         manifest, results = trainable_corpus
         splits, ranked = [], []
-        split, select = dtree.split_train_test, dtree.select_features
+        split, select = training.split_train_test, training.select_features
 
         def spy_split(*args, **kwargs):
             splits.append(split(*args, **kwargs))
@@ -456,8 +456,8 @@ class TestTrainCommand:
             ranked.append(matrix)
             return select(matrix, **kwargs)
 
-        monkeypatch.setattr(dtree, "split_train_test", spy_split)
-        monkeypatch.setattr(dtree, "select_features", spy_select)
+        monkeypatch.setattr(training, "split_train_test", spy_split)
+        monkeypatch.setattr(training, "select_features", spy_select)
         code, out, _ = run_cli(capsys, "train", "--results", str(results),
                                "--manifest", str(manifest), "--tool", "toolx",
                                "--out-model", str(tmp_path / "m.json"))
@@ -470,6 +470,7 @@ class TestTrainCommand:
         ("--train-fraction", "1.5", "train_fraction must be strictly between 0 and 1"),
         ("--max-depth", "0", "max_depth and min_leaf must be at least 1"),
         ("--min-leaf", "0", "max_depth and min_leaf must be at least 1"),
+        ("--min-support", "-1", "min_support must be at least 0"),
         ("--max-support-fraction", "2", "max_support_fraction must be within [0, 1]"),
     ])
     def test_bad_settings_exit_3_before_anything_loads(self, capsys, monkeypatch,

@@ -8,21 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rweval.dtree import (
-    Accuracy,
     DecisionTreeModel,
     Internal,
     Leaf,
     Task,
-    accuracy,
     parse_tree,
     predict,
-    select_features,
     serialize_tree,
+)
+from rweval.errors import DegenerateSplit, EmptyMatrix, SchemaError
+from rweval.features import FeatureVector, Label
+from rweval.training import (
+    Accuracy,
+    FeatureMatrix,
+    MatrixRow,
+    accuracy,
+    select_features,
     split_train_test,
     train_cart,
 )
-from rweval.errors import DegenerateSplit, EmptyMatrix, SchemaError
-from rweval.features import FeatureMatrix, FeatureVector, Label, MatrixRow
 from rweval.scope import builtin_models
 
 from oracles import correlation_ranking, leaf_count_total, numpy_select_features

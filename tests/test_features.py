@@ -7,10 +7,10 @@ from rweval.errors import EmptyMatrix
 from rweval.features import (
     FeatureVector,
     Label,
-    build_matrix,
     canonicalize,
     extract_features,
 )
+from rweval.training import build_matrix
 
 from elfbuild import ET_EXEC, SHT_SYMTAB, Sec, build_elf
 from oracles import readelf_facts
@@ -141,6 +141,15 @@ class TestBuildMatrix:
         rows = [("x", fv(a=True), Label.PASS), ("x", fv(), Label.FAIL)]
         with pytest.raises(ValueError):
             build_matrix(rows, min_support=1)
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"min_support": -1}, "min_support must be at least 0"),
+        ({"max_support_fraction": 1.5}, r"max_support_fraction must be within \[0, 1\]"),
+    ])
+    def test_bad_support_settings_rejected(self, setting, message):
+        rows = self.rows(fv(a=True), fv(b=True))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_matrix(rows, **setting)
 
     def test_deterministic(self):
         rows = self.rows(fv(a=True, b=True), fv(b=True), fv(a=True))

@@ -88,6 +88,19 @@ def _train_argv(tmp_path) -> list[str]:
             "--tool", "t", "--out-model", str(tmp_path / "model.json")]
 
 
+def _run_argv(tmp_path) -> list[str]:
+    binary = _binary_argv(tmp_path, "run")[1]
+    manifest, adapters = tmp_path / "manifest.json", tmp_path / "adapters.json"
+    manifest.write_text(json.dumps([{
+        "id": "b0", "path": binary, "program": "p", "compiler": "gcc", "flags": "O0",
+        "relocation": "pie", "symbols": "present", "os": "u20"}]))
+    adapters.write_text(json.dumps([{
+        "tool_name": "t", "nop_command": "cp {input} {output}",
+        "afl_command": "cp {input} {output}"}]))
+    return ["run", "--manifest", str(manifest), "--adapters", str(adapters),
+            "--out", str(tmp_path / "out.csv"), "--tasks", "AFL", "--afl-driver", "true"]
+
+
 @pytest.mark.parametrize("command", ["scope", "features", "size"])
 def test_binary_commands_leave_the_campaign_harness_unloaded(tmp_path, bare_modules,
                                                              command):
@@ -116,6 +129,16 @@ def test_report_and_size_leave_the_trees_and_features_unloaded(tmp_path, bare_mo
 def test_features_leaves_the_trees_unloaded(tmp_path, bare_modules):
     loaded = _loaded_by(_binary_argv(tmp_path, "features"), bare_modules)
     assert "rweval.features" in loaded and "rweval.dtree" not in loaded
+
+
+# The training procedure lives in rweval.training, so the commands that only
+# walk trees, or none, never load the code that grows them.
+@pytest.mark.parametrize("command", ["scope", "features", "size", "report", "run", "train"])
+def test_only_train_loads_the_training_procedure(tmp_path, bare_modules, command):
+    argv = {"report": _report_argv, "run": _run_argv, "train": _train_argv}.get(
+        command, lambda tmp: _binary_argv(tmp, command))(tmp_path)
+    loaded = _loaded_by(argv, bare_modules)
+    assert ("rweval.training" in loaded) is (command == "train")
 
 
 # The value classes are frozen records (rweval.util.record): dataclasses
@@ -190,6 +213,14 @@ def test_import_rweval_loads_no_submodule():
 def test_each_public_name_is_its_submodules_attribute(name):
     module = importlib.import_module(f"rweval.{rweval._MODULE_OF[name]}")
     assert getattr(rweval, name) is getattr(module, name)
+
+
+# The attribute test above still passes when the map names a module that only
+# re-exports a name; this one fails once a name moves and the map does not.
+@pytest.mark.parametrize("name", rweval.__all__)
+def test_each_public_name_is_defined_where_exports_says(name):
+    defined_in = getattr(getattr(rweval, name), "__module__", None)
+    assert defined_in in (None, f"rweval.{rweval._MODULE_OF[name]}")
 
 
 def test_star_import_binds_every_public_name():

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 import rweval
 from rweval import util
-from rweval.dtree import Accuracy, DecisionTreeModel, Internal, Leaf, Prediction, Task
+from rweval.dtree import DecisionTreeModel, Internal, Leaf, Prediction, Task
 from rweval.elf import ElfSummary, ElfType, SectionEntry
 from rweval.errors import SchemaError
-from rweval.features import FeatureMatrix, FeatureVector, Label, MatrixRow
+from rweval.features import FeatureVector, Label
 from rweval.harness import ManifestEntry, RunRecord, ToolAdapter
 from rweval.report import (Cell, Cohort, ComparativeTable, MapTable, SectionSizeTable,
                            SuccessTable)
 from rweval.scope import ScopeReport
+from rweval.training import Accuracy, FeatureMatrix, MatrixRow
 from rweval.util import fmt_pct, json_text, replace
 from rweval.variant import TriState, VariantConfig
 
