@@ -86,43 +86,20 @@ def fmt_pct(value: float | None) -> str:
 
 def json_text(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte. The standard library indents
-    only in its pure-Python encoder; here the C encoder writes every dict or
-    list that holds no non-empty dict or list, in one call whose item
-    separator carries the line break and the indent."""
-    return _indented(obj, "\n")
+    only in its pure-Python encoder, so a non-empty dict, list or tuple of
+    scalars, what `size` and `features` print, is written by the C encoder in
+    one call whose item separator carries the line break and the indent."""
+    if isinstance(obj, (dict, list, tuple)) and obj and _SCALARS.issuperset(
+            map(type, obj.values() if isinstance(obj, dict) else obj)):
+        text = _flat_encoder("\n  ")(obj)
+        return text[0] + "\n  " + text[1:-1] + "\n" + text[-1]
+    return json.dumps(obj, indent=2)
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.cache
 def _flat_encoder(newline: str):
     # a flat container cannot hold itself: no circular check
     return json.JSONEncoder(separators=("," + newline, ": "), check_circular=False).encode
-
-
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _indented(obj, newline: str) -> str:
-    # newline: a line break and the indent of obj's closing bracket
-    inner = newline + "  "
-    encode = _flat_encoder(inner)
-    if not (isinstance(obj, _CONTAINERS) and obj):
-        return encode(obj)
-    values = list(obj.values()) if isinstance(obj, dict) else obj
-    # the type-set test runs in C; isinstance per value only when it fails
-    nested = {} if _SCALARS.issuperset(map(type, values)) else {
-        i: _indented(v, inner) for i, v in enumerate(values)
-        if isinstance(v, _CONTAINERS) and v}
-    if nested:
-        # Encode each nested value as null, then splice its render in.
-        # ensure_ascii escapes every line break inside a string, so the
-        # separator cuts the text into exactly one piece per item.
-        stub = [None if i in nested else v for i, v in enumerate(values)]
-        text = encode(dict(zip(obj, stub)) if isinstance(obj, dict) else stub)
-        items = text[1:-1].split("," + inner)
-        for i, render in nested.items():
-            items[i] = items[i][: -len("null")] + render
-        text = text[0] + ("," + inner).join(items) + text[-1]
-    else:
-        text = encode(obj)
-    return text[0] + inner + text[1:-1] + newline + text[-1]

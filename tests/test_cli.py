@@ -108,7 +108,8 @@ class TestScopeCommand:
 
     @pytest.mark.parametrize("field,value", [
         ("fail", "NaN"), ("pass", "Infinity"), ("accuracy", "NaN"), ("accuracy", "true"),
-        pytest.param("fail", "1" + "0" * 400, id="fail-huge_int")])
+        pytest.param("fail", "1" + "0" * 400, id="fail-huge_int"),
+        pytest.param("pass", '"1"', id="pass-string")])
     def test_bad_model_number_exits_3(self, capsys, elf_file, tmp_path, field, value):
         mdir = tmp_path / "models"
         mdir.mkdir()
@@ -118,7 +119,7 @@ class TestScopeCommand:
         (mdir / "nanny.json").write_text(json.dumps(model).replace('"VALUE"', value))
         code, out, err = run_cli(capsys, "scope", elf_file, "--models", str(mdir))
         assert (code, out) == (3, "")
-        assert "cannot load models" in err
+        assert err.startswith("rweval: cannot load models") and err.count("\n") == 1
 
     def test_model_file_not_utf8_exits_3(self, capsys, elf_file, tmp_path):
         mdir = tmp_path / "models"
@@ -374,6 +375,19 @@ class TestRunCommand:
         assert "--tasks" in err and "no task names" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("which,kind,code", [
+        (0, "manifest", 2), (1, "adapter config", 3)], ids=["manifest", "adapters"])
+    def test_a_file_that_is_no_json_array_exits(self, capsys, campaign_files, tmp_path,
+                                                which, kind, code):
+        path = campaign_files[which]
+        path.write_text(json.dumps({"entries": json.loads(path.read_text())}))
+        out_csv = tmp_path / "o.csv"
+        got, out, err = run_cli(capsys, "run", "--manifest", str(campaign_files[0]),
+                                "--adapters", str(campaign_files[1]), "--out", str(out_csv))
+        assert (got, out) == (code, "")
+        assert f"{kind} must be a JSON array" in err
+        assert not out_csv.exists()
+
     def test_missing_manifest_exits_2(self, capsys, campaign_files, tmp_path):
         _, adapters = campaign_files
         code, _, _ = run_cli(capsys, "run", "--manifest", str(tmp_path / "no.json"),
@@ -561,6 +575,18 @@ class TestTrainCommand:
                                  "--out-model", str(tmp_path / "m.json"))
         assert (code, out) == (2, "")
         assert err == f"rweval: cannot read {entries[0]['path']!r}: embedded null byte\n"
+
+    def test_one_manifest_binary_with_records_exits_2(self, capsys, trainable_corpus,
+                                                      tmp_path):
+        manifest, results = trainable_corpus
+        manifest.write_text(json.dumps(json.loads(manifest.read_text())[:1]))
+        out_model = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "train", "--results", str(results),
+                                 "--manifest", str(manifest), "--tool", "toolx",
+                                 "--out-model", str(out_model))
+        assert (code, out) == (2, "")
+        assert err == "rweval: fewer than 2 manifest binaries have records to train on\n"
+        assert not out_model.exists()
 
     def test_tool_absent_exits_2(self, capsys, trainable_corpus, tmp_path):
         manifest, results = trainable_corpus
@@ -858,6 +884,25 @@ class TestReportCommand:
     def test_unknown_tool_exits_2(self, capsys, results_csv):
         code, _, _ = run_cli(capsys, "report", results_csv, "--tools", "ghost")
         assert code == 2
+
+    @pytest.mark.parametrize("cohort,denominator,exe,exe_pct", [
+        ("gcc", 0, {"count": 0, "pct": None}, "NA"),
+        ("full", 2, {"count": 1, "pct": 50.0}, "50.00%")])
+    def test_rows_without_variant_cells_count_only_in_the_full_cohort(
+            self, capsys, tmp_path, cohort, denominator, exe, exe_pct):
+        rows = [harness_header()] + [
+            [f"b{i}", "", "", "", "", "", "", "alpha", "NOP", "na", str(1 - i), "na",
+             "1.0", "100", ""] for i in range(2)]
+        path = tmp_path / "results.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        code, out, err = run_cli(capsys, "report", str(path), "--cohort", cohort,
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert (obj["denominator"], obj["tools"]["alpha"]["EXE"]) == (denominator, exe)
+        code, out, _ = run_cli(capsys, "report", str(path), "--cohort", cohort)
+        header, alpha = (line.split() for line in out.splitlines())
+        assert code == 0 and dict(zip(header, alpha))["EXE_pct"] == exe_pct
 
     @pytest.mark.parametrize("spec", ["alpha,", " alpha , ,", ",alpha"])
     def test_blank_tool_terms_are_skipped(self, capsys, results_csv, spec):

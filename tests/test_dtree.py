@@ -173,6 +173,10 @@ class TestTrainCart:
         with pytest.raises(EmptyMatrix):
             train_cart(matrix([], [((), Label.PASS), ((), Label.FAIL)]))
 
+    def test_fewer_than_2_rows_raises(self):
+        with pytest.raises(ValueError, match="^need at least 2 rows to train$"):
+            train_cart(matrix(["f"], [((True,), Label.PASS)]))
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_leaf_counts_sum_to_routed_rows(self, data):
@@ -218,6 +222,10 @@ class TestSelectFeatures:
     def test_k_larger_than_feature_count_returns_all(self):
         m = self.synth(noise_cols=2)
         assert sorted(select_features(m, k=50)) == sorted(m.feature_names)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(EmptyMatrix, match="^cannot select features from an empty matrix$"):
+            select_features(matrix(["f"], []), k=1)
 
     def test_duplicate_columns_tie_lexicographically(self):
         rows = [
@@ -437,6 +445,34 @@ class TestSerialization:
                   '"root": {"fail": 1, "pass": 0}}' % acc)
         with pytest.raises(SchemaError, match="accuracy"):
             parse_tree(source)
+
+    LEAF = {"fail": 1, "pass": 0}
+
+    @pytest.mark.parametrize("change,message,path", [
+        (lambda m: [m], "model must be a JSON object", "root"),
+        (lambda m: {**m, "extra": 1}, "unknown model fields ['extra']", "root"),
+        (lambda m: {k: v for k, v in m.items() if k != "root"},
+         "missing model field 'root'", "root"),
+        (lambda m: {**m, "tool": 7}, "'tool' must be a string", "root"),
+        (lambda m: {**m, "features": ["f", 1]}, "'features' must be a list of strings",
+         "root"),
+        (lambda m: {**m, "root": {**m["root"], "true": [1, 0]}}, "node must be an object",
+         "root.true"),
+        (lambda m: {**m, "root": {**m["root"], "false": {"fail": "1", "pass": 0}}},
+         "leaf 'fail' count must be a number", "root.false"),
+        (lambda m: {**m, "root": {**m["root"], "feature": 1}}, "'feature' must be a string",
+         "root"),
+    ], ids=["not_object", "unknown_field", "missing_root", "tool_not_string",
+            "features_not_strings", "node_not_object", "count_is_string",
+            "feature_not_string"])
+    def test_schema_rejection_names_its_rule_and_node(self, change, message, path):
+        model = {"tool": "x", "task": "AFL", "features": ["f"], "accuracy": None,
+                 "root": {"feature": "f", "false": self.LEAF, "true": self.LEAF}}
+        parse_tree(json.dumps(model))  # the unchanged model is valid
+        with pytest.raises(SchemaError) as exc:
+            parse_tree(json.dumps(change(model)))
+        assert str(exc.value) == f"{message} [{path}]"
+        assert exc.value.path == path
 
 
 class TestTreeErrorsNameTheirNode:

@@ -137,6 +137,10 @@ class TestBuildMatrix:
         m = build_matrix(rows)
         assert set(m.feature_names) == {"pi", "strip"}
 
+    def test_fewer_than_2_rows_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 rows to build a matrix$"):
+            build_matrix(self.rows(fv(a=True)), min_support=1)
+
     def test_duplicate_ids_rejected(self):
         rows = [("x", fv(a=True), Label.PASS), ("x", fv(), Label.FAIL)]
         with pytest.raises(ValueError):

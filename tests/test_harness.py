@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import rweval
 from rweval import harness
 from rweval.dtree import Task
-from rweval.errors import SpawnError
+from rweval.errors import SpawnError, WorkdirError
 from rweval.harness import (
     RESULTS_COLUMNS,
     FuncTest,
@@ -316,6 +316,11 @@ class TestRunTask:
         with pytest.raises(SpawnError):
             run_task(ghost, Task.NOP, elf_input, str(tmp_path / "w"), 10)
 
+    def test_workdir_under_a_regular_file_raises(self, elf_input, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(WorkdirError, match="cannot prepare workdir"):
+            run_task(COPY, Task.NOP, elf_input, str(tmp_path / "file" / "w"), 10)
+
     def test_missing_input_recorded(self, tmp_path):
         rec = run_task(COPY, Task.NOP, str(tmp_path / "nope"), str(tmp_path / "w"), 10)
         assert rec.exe_ok is False
@@ -415,6 +420,12 @@ class TestAflFunctionTest:
         driver = script(tmp_path / "driver", "sleep 5")
         out = afl_function_test(target, f"{driver} {{target}}", timeout_s=0.5)
         assert out == FuncTest(TriState.NO, "TimedOut")
+
+    @pytest.mark.parametrize("template", ["", "  \t "])
+    def test_blank_driver_template_raises(self, tmp_path, template):
+        target = script(tmp_path / "target", "exit 0")
+        with pytest.raises(SpawnError, match="^empty command template "):
+            afl_function_test(target, template)
 
     @pytest.mark.parametrize("exists", [False, True], ids=["missing", "no_exec_bit"])
     def test_driver_that_cannot_be_executed_raises(self, tmp_path, exists):

@@ -246,6 +246,11 @@ class TestComparativeAverage:
         table = comparative_average(results, tool_order=["alpha", "gamma"])
         assert table.cell("alpha", "gamma") is None
 
+    def test_unknown_metric_rejected(self):
+        results = Results.from_records(self.fixture_records())
+        with pytest.raises(ValueError, match="^metric must be one of "):
+            comparative_average(results, metric="x")
+
     def test_2_4_6_versus_4_8_12_is_50_percent(self):
         table = comparative_average(Results.from_records(self.fixture_records()),
                                     "runtime_s")

@@ -146,6 +146,9 @@ def test_replace_runs_the_checks_again():
         replace(model, root=Internal("strip", Leaf(1.0, 0.0), Leaf(0.0, 1.0)))
     with pytest.raises(TypeError, match="unexpected keyword argument 'colour'"):
         replace(model, colour="red")
+    matrix = FeatureMatrix(**RECORDS[FeatureMatrix]())
+    with pytest.raises(ValueError, match="^row 'b0' has 1 values for 2 features$"):
+        replace(matrix, rows=(MatrixRow("b0", (True,), Label.FAIL),))
 
 
 def test_a_field_without_a_default_cannot_follow_one_with():
