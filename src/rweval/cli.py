@@ -181,9 +181,39 @@ def cmd_run(args) -> int:
             on_record=on_record,
         )
     # rewrite sorted so reruns produce identical files regardless of scheduling
-    harness.write_records_csv(records, args.out)
+    _rewrite_whole(records, args.out)
     print(f"{len(records)} records -> {args.out}")
     return EXIT_OK
+
+
+def _rewrite_whole(records, path: str) -> None:
+    """Write records to path, sorted. Where path names a regular file, they
+    go to a new file beside it that gets its mode and then replaces it: an
+    error or an interrupt leaves the old file whole and no new file behind.
+    The new file is a new inode, so the old one's owner, group, ACLs and
+    hard links are not kept. Where path names no regular file (/dev/null, a
+    FIFO) or no file can be made beside it, path is rewritten in place."""
+    import shutil
+    import tempfile
+
+    from . import harness
+
+    target, temp = os.path.realpath(path), None
+    if os.path.isfile(target):
+        with suppress(OSError):  # a directory this process cannot write
+            fd, temp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".rweval-",
+                                        suffix=".tmp")
+            os.close(fd)
+    if temp is None:
+        harness.write_records_csv(records, path)
+        return
+    try:
+        harness.write_records_csv(records, temp)
+        shutil.copymode(target, temp)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _parse_tasks(spec: str) -> list[Task]:

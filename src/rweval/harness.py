@@ -934,30 +934,21 @@ def _part_starts(f, cpus: int) -> list[int]:
     return starts
 
 
-class _RangeReader(io.RawIOBase):
-    """The bytes of the file open as fd from offset start to end (to its end
-    when None), read by os.pread: unlike read(), it moves no file offset,
-    and a forked child shares its parent's offsets."""
-
-    def __init__(self, fd: int, start: int, end: int | None):
-        super().__init__()
-        self._fd, self._at, self._end = fd, start, end
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        size = len(buffer) if self._end is None else min(len(buffer), self._end - self._at)
-        data = os.pread(self._fd, size, self._at)
-        buffer[:len(data)] = data
-        self._at += len(data)
-        return len(data)
-
-
-def _range_lines(fd: int, start: int, end: int | None) -> io.BufferedReader:
+def _range_lines(fd: int, start: int, end: int | None) -> Iterator[bytes]:
     """The lines of the file open as fd from offset start, a line's start,
-    to end (to its end when None), read by offset."""
-    return io.BufferedReader(_RangeReader(fd, start, end), 1 << 16)
+    to end (to its end when None), split at b"\\n" as a binary file's are.
+    They are read by os.pread in 64 KiB blocks: it moves no file offset,
+    and a forked child shares its parent's offsets."""
+    tail = bytearray()  # grown in place: a line of many blocks is copied once
+    while block := os.pread(fd, 1 << 16 if end is None else min(1 << 16, end - start), start):
+        start += len(block)
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield from io.BytesIO(b"".join((tail, memoryview(block)[:cut])))
+            tail.clear()
+        tail += memoryview(block)[cut:]
+    if tail:
+        yield bytes(tail)
 
 
 def _load_part_and_exit(fd: int, start: int, end: int | None, read_ends: list[int],
@@ -969,8 +960,8 @@ def _load_part_and_exit(fd: int, start: int, end: int | None, read_ends: list[in
     that a parent that dies without killing it breaks its pipe. Never
     returns, so no caller's code runs twice. The part is sent as its
     distinct binary cell prefixes with each one's pair mask, its (tool,
-    task) pairs in mask bit order, its distinct tools, and its columns, with
-    binary ids and tools as indices into those lists."""
+    task) pairs in mask bit order, and its columns: marshal writes each
+    interned binary id and tool once, and interns it again on load."""
     status = 1
     try:
         for read_end in read_ends:
@@ -980,16 +971,12 @@ def _load_part_and_exit(fd: int, start: int, end: int | None, read_ends: list[in
         if _take_split(_range_lines(fd, start, end), results, binary_of, pair_bit,
                        masks) is not None:
             return
-        index = dict(zip(binary_of.values(), itertools.count()))
-        tools: dict[str, int] = {}
-        tool_ids = array("I", [tools.setdefault(tool, len(tools)) for tool in results.tools])
         with open(write_end, "wb") as pipe:
             marshal.dump((
                 list(binary_of), [masks[binary_id] for binary_id in binary_of.values()],
-                list(pair_bit), list(tools),
-                array("I", map(index.__getitem__, results.binary_ids)).tobytes(),
-                tool_ids.tobytes(), bytes(results.states), results.runtime_s.tobytes(),
-                results.mem_kb.tobytes(), results.out_size.tobytes()), pipe)
+                list(pair_bit), results.binary_ids, results.tools, bytes(results.states),
+                results.runtime_s.tobytes(), results.mem_kb.tobytes(),
+                results.out_size.tobytes()), pipe)
         status = 0
     finally:
         os._exit(status)
@@ -1000,7 +987,7 @@ def _merge_part(part: tuple, results: Results, binary_of: _BinaryIds,
     """Append a part that _load_part_and_exit sent to results, after the
     parts before it. False when it gives a binary another variant, or a pair
     that the binary's rows already had."""
-    prefixes, part_masks, pairs, tools, ids, tool_ids, states, runtime, mem, sizes = part
+    prefixes, part_masks, pairs, ids, tools, states, runtime, mem, sizes = part
     try:
         binary_ids = list(map(binary_of.__getitem__, prefixes))
     except ValueError:
@@ -1012,10 +999,7 @@ def _merge_part(part: tuple, results: Results, binary_of: _BinaryIds,
         if seen & mask:
             return False
         masks[binary_id] = seen | mask
-    tools = list(map(sys.intern, tools))
-    results._extend(list(map(binary_ids.__getitem__, array("I", ids))),
-                    list(map(tools.__getitem__, array("I", tool_ids))),
-                    states, array("d", runtime), array("q", mem), array("q", sizes))
+    results._extend(ids, tools, states, array("d", runtime), array("q", mem), array("q", sizes))
     return True
 
 

@@ -388,6 +388,70 @@ class TestRunCommand:
         assert f"{kind} must be a JSON array" in err
         assert not out_csv.exists()
 
+    def test_an_interrupted_rewrite_keeps_the_streamed_rows(self, capsys, campaign_files,
+                                                           tmp_path, monkeypatch):
+        manifest, adapters = campaign_files
+        rows, to_row = [], harness.record_to_row
+
+        def interrupted(record):
+            if len(rows) == 10:  # the 8 streamed rows, then 2 of the sorted rewrite
+                raise KeyboardInterrupt
+            rows.append(to_row(record))
+            return rows[-1]
+
+        monkeypatch.setattr(harness, "record_to_row", interrupted)
+        out_csv = tmp_path / "out" / "results.csv"
+        out_csv.parent.mkdir()
+        code, out, err = run_cli(capsys, "run", "--manifest", str(manifest), "--adapters",
+                                 str(adapters), "--out", str(out_csv), "--parallelism", "1")
+        assert (code, out, err) == (130, "", "rweval: interrupted\n")
+        streamed = read_rows(out_csv)
+        assert streamed[0] == harness_header()
+        assert sorted(streamed[1:]) == sorted(rows[:8]) and len(rows[:8]) == 8
+        assert os.listdir(out_csv.parent) == ["results.csv"]
+
+    def test_the_sorted_rewrite_replaces_the_file_a_symlink_names(self, capsys,
+                                                                  campaign_files, tmp_path):
+        manifest, adapters = campaign_files
+        target, link = tmp_path / "kept" / "results.csv", tmp_path / "link.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, "run", "--manifest", str(manifest), "--adapters",
+                             str(adapters), "--out", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert len(read_rows(target)) == 9
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(target.parent) == ["results.csv"]
+
+    def test_an_out_in_a_directory_that_takes_no_new_file_is_written_in_place(
+            self, capsys, campaign_files, tmp_path, monkeypatch):
+        import tempfile
+
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        manifest, adapters = campaign_files
+        out_csv = tmp_path / "results.csv"
+        out_csv.write_text("old\n")
+        inode = out_csv.stat().st_ino
+        monkeypatch.setattr(tempfile, "mkstemp", refused)
+        code, out, _ = run_cli(capsys, "run", "--manifest", str(manifest), "--adapters",
+                               str(adapters), "--out", str(out_csv))
+        assert (code, out) == (0, f"8 records -> {out_csv}\n")
+        rows = read_rows(out_csv)
+        assert rows[0] == harness_header() and rows[1:] == sorted(rows[1:])
+        assert len(rows) == 9 and out_csv.stat().st_ino == inode
+
+    def test_an_out_that_is_no_regular_file_is_written_in_place(self, capsys,
+                                                                campaign_files):
+        manifest, adapters = campaign_files
+        code, out, _ = run_cli(capsys, "run", "--manifest", str(manifest), "--adapters",
+                               str(adapters), "--out", os.devnull)
+        assert (code, out) == (0, f"8 records -> {os.devnull}\n")
+
     def test_missing_manifest_exits_2(self, capsys, campaign_files, tmp_path):
         _, adapters = campaign_files
         code, _, _ = run_cli(capsys, "run", "--manifest", str(tmp_path / "no.json"),

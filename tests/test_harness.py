@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from array import array
@@ -1486,6 +1488,105 @@ class TestPartLoader:
         assert not other.exists()
         assert many == one
         assert merged == [True]
+
+    def test_a_load_beside_another_thread_forks_nothing(self, tmp_path, monkeypatch):
+        # a child forked beside a running thread could inherit a lock it holds
+        path = self.write(tmp_path, self.lines())
+        one, _ = self.outcome(path, 1)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            many, merged = self.outcome(path, 2)
+        finally:
+            release.set()
+            waiting.join()
+        assert (many, merged, forks) == (one, [], [])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    @pytest.mark.parametrize("forks_before_failing", [0, 1])
+    def test_a_load_that_cannot_fork_loads_as_one_part(self, tmp_path, monkeypatch,
+                                                       forks_before_failing):
+        path = self.write(tmp_path, self.lines())
+        one, _ = self.outcome(path, 1)
+        forked, fork = [], os.fork
+
+        def failing_fork():
+            if len(forked) == forks_before_failing:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = os.listdir("/proc/self/fd")
+        # 1 + forks_before_failing children are wanted; the last one fails
+        many, merged = self.outcome(path, 2 + forks_before_failing)
+        assert os.listdir("/proc/self/fd") == fds
+        assert (many, merged, len(forked)) == (one, [], forks_before_failing)
+        self.assert_no_child_left()
+
+
+class TestRangeLines:
+    """_range_lines yields the lines of a byte range of a file, as
+    readlines() of those bytes gives them."""
+
+    @pytest.fixture(scope="class")
+    def lines_file(self, tmp_path_factory):
+        """About 200 KiB of lines of 0 to 600 bytes, a CR inside some, one
+        line longer than a 64 KiB block, and no final line break."""
+        rng = random.Random(7)
+        lines = [bytes(rng.choice(b"abc,\r") for _ in range(rng.randrange(600))) + b"\n"
+                 for _ in range(450)]
+        lines.insert(200, b"x" * 70_000 + b"\n")
+        path = tmp_path_factory.mktemp("range") / "lines"
+        path.write_bytes(b"".join(lines) + b"no final line break")
+        return path
+
+    @staticmethod
+    def ranges(data):
+        """(start, end) of each case, each range starting a line."""
+        starts = [0, *(i + 1 for i, byte in enumerate(data) if byte == ord("\n"))]
+        boundary = 2 << 16  # of the second block read from offset 0
+        # the line that straddles it starts at `line` and ends at `after`
+        line = max(s for s in starts if s <= boundary)
+        after = min(s for s in starts if s > boundary)
+        assert line < boundary < after - 1
+        return {
+            "end_inside_a_line_across_a_block": (0, after - 1),
+            "end_on_a_block_boundary": (starts[3], starts[3] + boundary),
+            "last_without_final_newline": (starts[300], None),
+            "whole_file": (0, None),
+            "empty": (starts[40], starts[40]),
+        }
+
+    @pytest.mark.parametrize("case", [
+        "end_inside_a_line_across_a_block", "end_on_a_block_boundary",
+        "last_without_final_newline", "whole_file", "empty"])
+    def test_lines_equal_readlines_of_the_range(self, lines_file, case):
+        data = lines_file.read_bytes()
+        start, end = self.ranges(data)[case]
+        expected = io.BytesIO(data[start:end]).readlines()
+        with open(lines_file, "rb") as f:
+            assert list(harness._range_lines(f.fileno(), start, end)) == expected
+            assert f.tell() == 0  # read by offset
+        if case == "last_without_final_newline":
+            assert expected[-1] == b"no final line break"
+
+    def test_a_line_of_many_blocks(self, tmp_path):
+        # a 1 MiB line is carried across 16 blocks before its line break
+        data = b"a,b\n" + b"x" * (1 << 20) + b"\n" + b"y" * (3 << 16) + b"\nlast"
+        path = tmp_path / "long"
+        path.write_bytes(data)
+        with open(path, "rb") as f:
+            for start, end in [(0, None), (4, None), (0, len(data) - 4), (4, 4 + (1 << 20))]:
+                expected = io.BytesIO(data[start:end]).readlines()
+                lines = list(harness._range_lines(f.fileno(), start, end))
+                assert lines == expected
+                assert set(map(type, lines)) == {bytes}
 
 
 class TestConfigLoaders:

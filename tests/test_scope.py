@@ -68,6 +68,33 @@ class TestBuiltinModels:
         # every published tree routes the identical 2342-sample training set
         assert leaf_count_total(MODELS[tool]) == 2342.0
 
+    @pytest.mark.parametrize("tool,leaves,accuracy,majority,share", [
+        ("ddisasm", 12, 81.13, "PASS", 70.79),
+        ("e9patch", 23, 88.43, "FAIL", 63.58),
+        ("mctoll", 11, 99.23, "FAIL", 99.19),
+        ("retrowrite", 11, 92.83, "FAIL", 92.23),
+        ("zipr", 36, 81.04, "FAIL", 52.31),
+    ])
+    def test_each_tree_against_its_own_baseline(self, tool, leaves, accuracy, majority,
+                                                share):
+        # Over the rows its leaves count, each tree's leaf-majority accuracy
+        # (a tie predicts FAIL, as in predict) and the share of the majority
+        # class, in percent rounded to two decimals: a FAIL/PASS swap in any
+        # leaf moves one of them.
+        counts, stack = [], [MODELS[tool].root]
+        while stack:
+            node = stack.pop()
+            if hasattr(node, "feature"):
+                stack += (node.when_false, node.when_true)
+            else:
+                counts.append((node.fail_count, node.pass_count))
+        total = sum(map(sum, counts))
+        hits = sum(passes if passes > fails else fails for fails, passes in counts)
+        fails, passes = map(sum, zip(*counts))
+        assert (len(counts), round(hits * 100 / total, 2)) == (leaves, accuracy)
+        assert ("PASS" if passes > fails else "FAIL",
+                round(max(fails, passes) * 100 / total, 2)) == (majority, share)
+
     @given(
         st.dictionaries(
             st.sampled_from(
