@@ -151,9 +151,9 @@ def _load_adapters(path: str):
 def cmd_run(args) -> int:
     from . import harness
 
+    tasks = _parse_tasks(args.tasks)
     manifest = _load_manifest(args.manifest)
     adapters = _load_adapters(args.adapters)
-    tasks = _parse_tasks(args.tasks)
     with _failing_as(CliConfigError, "bad run settings: "):
         harness.check_run_settings(manifest, adapters, tasks, args.parallelism,
                                    args.timeout_s, args.afl_driver)
@@ -218,15 +218,19 @@ def _rewrite_whole(records, path: str) -> None:
 
 def _parse_tasks(spec: str) -> list[Task]:
     with _failing_as(CliConfigError, f"bad --tasks value {spec!r}: "):
-        tasks = [Task(t) for t in _names(spec)]
-    if not tasks:
-        raise CliConfigError(f"bad --tasks value {spec!r}: no task names")
-    return tasks
+        return [Task(t) for t in _names(spec, "task")]
 
 
-def _names(spec: str) -> list[str]:
-    """The comma-separated names of spec, blank terms skipped."""
-    return [name.strip() for name in spec.split(",") if name.strip()]
+def _names(spec: str, kind: str) -> list[str]:
+    """The comma-separated names of spec, the value of --{kind}s, blank terms
+    skipped; CliConfigError where it names none, or one more than once."""
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    if not names:
+        raise CliConfigError(f"bad --{kind}s value {spec!r}: no {kind} names")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise CliConfigError(f"bad --{kind}s value {spec!r}: repeated {', '.join(repeated)}")
+    return names
 
 
 def _load_results(path: str):
@@ -280,6 +284,8 @@ def cmd_train(args) -> int:
 
 def _check_writable(path: str) -> None:
     """Fail now, before a long load, where path cannot be written as a file."""
+    if not path:  # Path("") is the current directory
+        raise CliInputError(f"cannot write {path!r}: no file name")
     folder = os.path.dirname(path) or "."
     # os.path.isdir is False for a name the OS rejects outright, such as one with a NUL byte
     with _failing_as(CliInputError, f"cannot write {path!r}: "), \
@@ -320,7 +326,7 @@ def cmd_report(args) -> int:
     from . import report
 
     # every check that needs only the options comes before the load
-    tool_order = _parse_tools(args.tools)
+    tool_order = None if args.tools is None else _names(args.tools, "tool")
     # checked on every table, so a mistyped value is not silently ignored
     predicate = _cohort_predicate(args.cohort)
     if args.table == "sections" and not args.outputs:
@@ -341,67 +347,35 @@ def cmd_report(args) -> int:
             mean_of_ratios=args.mean_of_ratios,
         )
     else:  # size, sections
+        from . import harness
+
         # these tables list every tool, but a tool that --tools names
         # must still have records
         if tool_order is not None:
             report._check_tools(tool_order, results)
         paths = {e.binary_id: e.path for e in _load_manifest(args.manifest)}
-        rows = compress(zip(results.tools, results.binary_ids, results.out_size),
-                        report.handled(results))
-        if args.table == "size":
-            table = report.MapTable("tool", "pct",
-                                    report.relative_size(_size_pairs(rows, paths)))
-        else:
-            table = report.section_size_table(
-                _section_pairs(rows, paths, args.outputs))
+        size = args.table == "size"
+        originals: dict = {}  # binary id -> its original's size or profile, or None
+        pairs = []  # (tool, original's measure, rewritten's measure)
+        rows = zip(results.tools, results.binary_ids, results.out_size)
+        for tool, binary_id, out_size in compress(rows, report.handled(results)):
+            if binary_id not in originals:
+                path = paths.get(binary_id)
+                originals[binary_id] = (None if path is None else
+                                        _file_size(path) if size else _profile_file(path))
+            if originals[binary_id] is None:
+                continue
+            if size:
+                after = None if out_size < 0 else out_size  # -1: unknown
+            else:  # the NOP job's file kept under --outputs
+                after = _profile_file(os.path.join(
+                    args.outputs, harness.job_name(binary_id, tool, Task.NOP)))
+            if after is not None:
+                pairs.append((tool, originals[binary_id], after))
+        table = (report.MapTable("tool", "pct", report.relative_size(pairs)) if size
+                 else report.section_size_table(pairs))
     _print_table(table, args.format)
     return EXIT_OK
-
-
-def _parse_tools(spec: str | None) -> list[str] | None:
-    if spec is None:
-        return None
-    tools = _names(spec)
-    if not tools:
-        raise CliConfigError(f"bad --tools value {spec!r}: no tool names")
-    repeated = sorted({t for t in tools if tools.count(t) > 1})
-    if repeated:
-        raise CliConfigError(f"bad --tools value {spec!r}: repeated {', '.join(repeated)}")
-    return tools
-
-
-def _handled_originals(rows, paths: dict[str, str], measure):
-    """(tool, binary id, out_size, measure(original's path)) for each
-    (tool, binary id, out_size) of the handled rows. measure runs once per
-    binary id; a binary whose original is not in paths, or for which
-    measure gives None, drops out."""
-    originals: dict = {}  # binary id -> measure of its original
-    for tool, binary_id, out_size in rows:
-        if binary_id not in originals:
-            path = paths.get(binary_id)
-            originals[binary_id] = None if path is None else measure(path)
-        original = originals[binary_id]
-        if original is not None:
-            yield tool, binary_id, out_size, original
-
-
-def _size_pairs(rows, paths: dict[str, str]):
-    """(tool, original size, output size) for relative_size."""
-    for tool, _, out_size, size in _handled_originals(rows, paths, _file_size):
-        if out_size >= 0:  # -1: unknown
-            yield tool, size, out_size
-
-
-def _section_pairs(rows, paths: dict[str, str], outputs: str):
-    """(tool, original profile, output profile) for section_size_table; the
-    outputs are the NOP jobs' files kept under outputs."""
-    from . import harness
-
-    for tool, binary_id, _, before in _handled_originals(rows, paths, _profile_file):
-        after = _profile_file(os.path.join(
-            outputs, harness.job_name(binary_id, tool, Task.NOP)))
-        if after is not None:
-            yield tool, before, after
 
 
 def _file_size(path: str) -> int | None:

@@ -285,20 +285,15 @@ def _mean_ratio(a_values: list[float], b_values: list[float]) -> float | None:
 def relative_size(
     pairs: Iterable[tuple[str, int, int]],
 ) -> dict[str, float | None]:
-    """Mean rewritten/original size percentage per tool.
+    """Mean rewritten/original size percentage per tool: section_size_table's
+    mean over one whole-file bucket.
 
     ``pairs`` rows are (tool, original_size_bytes, rewritten_size_bytes),
-    one per successful rewrite.
+    one per successful rewrite; a zero original is skipped.
     """
-    ratios: dict[str, list[float]] = {}
-    for tool, original, rewritten in pairs:
-        bucket = ratios.setdefault(tool, [])
-        if original > 0:
-            bucket.append(rewritten / original * 100.0)
-    return {
-        tool: (sum(v) / len(v) if v else None)
-        for tool, v in sorted(ratios.items())
-    }
+    table = section_size_table((tool, {"": original}, {"": rewritten})
+                               for tool, original, rewritten in pairs)
+    return {tool: table.raw_cells["", tool] for tool in table.tools}
 
 
 @record

@@ -18,6 +18,8 @@
   section header unpacked at its own offset.
 - field_order_variant_error: VariantConfig's field-order check of the
   closed variant cells.
+- per_tool_size_ratios: report.relative_size as its own loop of
+  rewritten/original percentages per tool.
 """
 
 from __future__ import annotations
@@ -350,3 +352,17 @@ def field_order_variant_error(compiler: str, flags: str, relocation: str,
         elif value not in CLOSED_VALUES[key]:
             return f"unknown {key} {value!r}"
     return None
+
+
+def per_tool_size_ratios(pairs) -> dict:
+    """The mean rewritten/original size percentage per tool, tools sorted;
+    None for a tool whose every original is zero."""
+    ratios: dict[str, list[float]] = {}
+    for tool, original, rewritten in pairs:
+        bucket = ratios.setdefault(tool, [])
+        if original > 0:
+            bucket.append(rewritten / original * 100.0)
+    return {
+        tool: (sum(v) / len(v) if v else None)
+        for tool, v in sorted(ratios.items())
+    }

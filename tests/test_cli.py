@@ -579,7 +579,7 @@ class TestTrainCommand:
         assert not out_model.exists()
 
     @pytest.mark.parametrize("where", ["missing_dir", "directory", "nul_in_name",
-                                       "nul_in_folder"])
+                                       "nul_in_folder", "empty"])
     def test_unwritable_out_model_exits_2_before_anything_loads(
             self, capsys, monkeypatch, trainable_corpus, tmp_path, where):
         manifest, results = trainable_corpus
@@ -590,7 +590,8 @@ class TestTrainCommand:
         out_model = {"missing_dir": str(tmp_path / "missing" / "m.json"),
                      "directory": str(tmp_path),
                      "nul_in_name": f"{tmp_path}/m\0.json",
-                     "nul_in_folder": f"{tmp_path}/a\0b/m.json"}[where]
+                     "nul_in_folder": f"{tmp_path}/a\0b/m.json",
+                     "empty": ""}[where]
         code, out, err = run_cli(capsys, "train", "--results", str(results),
                                  "--manifest", str(manifest), "--tool", "toolx",
                                  "--out-model", out_model)
@@ -836,6 +837,33 @@ class TestSizeReportPipeline:
         assert (code, err) == (0, "")
         assert set(json.loads(out)) == {"t1", "t2"}
 
+    @pytest.mark.parametrize("table", ["size", "sections"])
+    def test_binaries_without_a_manifest_entry_or_original_drop_out(
+            self, capsys, tmp_path, three_binaries, table):
+        # b1 has no manifest entry and b2's original is gone: only b0 is left
+        results, manifest, outputs = three_binaries
+        manifest.write_text(json.dumps(
+            [e for e in json.loads(manifest.read_text()) if e["id"] != "b1"]))
+        (tmp_path / "b2.elf").unlink()
+        rows = read_rows(results)
+        for row in rows[1:]:
+            if row[0] != "b0":  # sizes that would move the means, were they counted
+                row[-1] = "1"
+        with open(results, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        code, out, err = run_cli(capsys, "report", str(results), "--table", table,
+                                 "--manifest", str(manifest), "--outputs", str(outputs),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        every_tool = {"t0": 100.0, "t1": 100.0, "t2": 100.0}
+        if table == "size":
+            assert obj == every_tool
+        else:
+            assert obj["tools"] == ["t0", "t1", "t2"]
+            assert obj["sections"][".b0only"] == every_tool
+            assert ".b1only" not in obj["sections"] and ".b2only" not in obj["sections"]
+
     @pytest.mark.parametrize("cohort", ["bogus", "arch=x86", "compiler=gcc,pie"])
     def test_bad_cohort_exits_3_on_every_table(self, capsys, three_binaries, cohort):
         results, manifest, outputs = three_binaries
@@ -991,15 +1019,18 @@ class TestReportCommand:
         assert "--tools" in err and "repeated alpha" in err
 
     @pytest.mark.parametrize("argv,message", [
-        (["--cohort", "relocation=pi"], "bad cohort value relocation='pi'"),
-        (["--tools", "a,a"], "bad --tools value 'a,a': repeated a"),
-        (["--cohort", "compiler=gcc, compiler=clang"],
+        (["report", "/dev/null", "--cohort", "relocation=pi"],
+         "bad cohort value relocation='pi'"),
+        (["report", "/dev/null", "--tools", "a,a"], "bad --tools value 'a,a': repeated a"),
+        (["run", "--manifest", "/dev/null", "--adapters", "/dev/null", "--out", "/dev/null",
+          "--tasks", "NOP,NOP"], "bad --tasks value 'NOP,NOP': repeated NOP"),
+        (["report", "/dev/null", "--cohort", "compiler=gcc, compiler=clang"],
          "bad --cohort value 'compiler=gcc, compiler=clang': repeated compiler"),
-        (["--table", "size"], "--manifest is required for this table"),
-    ], ids=["cohort", "tools", "cohort_key", "manifest"])
+        (["report", "/dev/null", "--table", "size"], "--manifest is required for this table"),
+    ], ids=["cohort", "tools", "tasks", "cohort_key", "manifest"])
     def test_options_are_checked_before_the_results_load(self, capsys, argv, message):
-        # /dev/null is no results CSV: loading it would exit 2
-        code, out, err = run_cli(capsys, "report", "/dev/null", *argv)
+        # /dev/null is no results CSV, manifest or adapter list: loading it would fail
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert message in err and "cannot load" not in err
 

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rweval import cli, harness
 from rweval.dtree import Task
@@ -29,7 +31,7 @@ from rweval.report import (
 )
 from rweval.util import round_half_up, trunc_pct
 
-from oracles import tally_success
+from oracles import per_tool_size_ratios, tally_success
 
 
 def variant(program="prog", compiler="gcc", pie=True, symbols=True):
@@ -397,6 +399,16 @@ class TestRelativeSize:
 
     def test_zero_original_skipped(self):
         assert relative_size([("t", 0, 50)]) == {"t": None}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["t2", "t0", "t1", ""]),
+        st.one_of(st.just(0), st.integers(0, 1 << 20), st.integers(0, 1 << 62)),
+        st.one_of(st.just(0), st.integers(0, 1 << 20), st.integers(0, 1 << 62)))))
+    def test_equals_the_per_tool_loop(self, pairs):
+        got = relative_size(iter(pairs))
+        want = per_tool_size_ratios(pairs)
+        assert list(got.items()) == list(want.items())  # key order too
 
 
 class TestSectionSizeTable:
