@@ -157,6 +157,10 @@ def cmd_run(args) -> int:
     with _failing_as(CliConfigError, "bad run settings: "):
         harness.check_run_settings(manifest, adapters, tasks, args.parallelism,
                                    args.timeout_s, args.afl_driver)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus and args.parallelism > cpus:
+        print(f"rweval: --parallelism {args.parallelism} exceeds the {cpus} usable CPUs: "
+              "wall times (runtime_s) will include waiting for a CPU", file=sys.stderr)
     if args.keep_outputs is not None:
         with _failing_as(CliInputError, f"cannot write {args.keep_outputs!r}: "):
             os.makedirs(args.keep_outputs, exist_ok=True)

@@ -312,6 +312,19 @@ class TestRunCommand:
                              "--adapters", str(adapters), "--out", str(tmp_path / "o.csv"))
         assert code == 3
 
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_parallelism_past_the_usable_cpus_is_noted(self, capsys, monkeypatch,
+                                                       campaign_files, tmp_path, parallelism):
+        manifest, adapters = campaign_files
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, _, err = run_cli(capsys, "run", "--manifest", str(manifest),
+                               "--adapters", str(adapters), "--out", str(tmp_path / "o.csv"),
+                               "--parallelism", parallelism)
+        assert code == 0 and len(read_rows(tmp_path / "o.csv")) == 9
+        assert err == ("" if parallelism == "1" else
+                       "rweval: --parallelism 2 exceeds the 1 usable CPUs: wall times "
+                       "(runtime_s) will include waiting for a CPU\n")
+
     @pytest.mark.parametrize("flag,value", [
         ("--parallelism", "0"), ("--timeout-s", "0"), ("--timeout-s", "-1"),
         ("--afl-driver", "x 'unclosed {target}"), ("--afl-driver", ""),
@@ -518,6 +531,24 @@ class TestTrainCommand:
                                  "--seed", "7", "--out-model", str(out_model))
             assert code == 0
         assert m1.read_bytes() == m2.read_bytes()
+
+    def test_a_results_cache_hit_writes_the_same_model(self, capsys, monkeypatch,
+                                                       trainable_corpus, tmp_path):
+        # MIN_CACHE_BYTES 1: the second load of results reads the cache the first wrote
+        manifest, results = trainable_corpus
+        cache, runs, inodes = tmp_path / ".results.csv.rwcache", [], set()
+        for name, threshold in (("plain", 1 << 62), ("miss", 1), ("hit", 1)):
+            monkeypatch.setattr(harness, "MIN_CACHE_BYTES", threshold)
+            model = tmp_path / f"{name}.json"
+            code, out, err = run_cli(capsys, "train", "--results", str(results), "--manifest",
+                                     str(manifest), "--tool", "toolx", "--seed", "3",
+                                     "--out-model", str(model))
+            runs.append((code, out.replace(str(model), "MODEL"), err, model.read_bytes()))
+            if threshold == 1:
+                inodes.add(cache.stat().st_ino)  # a rewrite would be a new inode
+        assert runs[0][0] == 0 and runs[0][2] == ""
+        assert runs[0] == runs[1] == runs[2]
+        assert len(inodes) == 1
 
     def test_features_are_ranked_on_the_train_split_alone(self, capsys, monkeypatch,
                                                           trainable_corpus, tmp_path):

@@ -1589,6 +1589,253 @@ class TestRangeLines:
                 assert set(map(type, lines)) == {bytes}
 
 
+class TestResultsCache:
+    """A regular results file of at least MIN_CACHE_BYTES loads through
+    rweval.results_cache. These tests make MIN_CACHE_BYTES 1, so that a few
+    rows are cached; full_loads counts the loads that parsed the file."""
+
+    VARIANTS = (variant(), variant(compiler="clang", relocation="nopie"), None)
+
+    @pytest.fixture
+    def full_loads(self, monkeypatch):
+        from rweval import results_cache
+
+        monkeypatch.setattr(harness, "MIN_CACHE_BYTES", 1)
+        calls = []
+
+        def counted(f):
+            calls.append(f.name)
+            return harness._load_file(f)
+
+        monkeypatch.setattr(results_cache, "_load_file", counted)
+        return calls
+
+    @classmethod
+    def write(cls, tmp_path, seed=0):
+        """Seeded rows of nine binaries, three to each of VARIANTS."""
+        records = [replace(r, variant=cls.VARIANTS[int(r.binary_id[1:]) % 3])
+                   for r in TestSerialization.seeded_records(seed)]
+        path = tmp_path / "results.csv"
+        write_records_csv(records, str(path))
+        return path
+
+    @staticmethod
+    def cache_of(path):
+        return path.parent / f".{path.name}.rwcache"
+
+    @staticmethod
+    def full_load(path):
+        saved = harness.MIN_CACHE_BYTES
+        harness.MIN_CACHE_BYTES = 1 << 62
+        try:
+            return load_records_csv(str(path))
+        finally:
+            harness.MIN_CACHE_BYTES = saved
+
+    def test_a_hit_equals_a_full_load(self, tmp_path, full_loads):
+        path = self.write(tmp_path)
+        miss = load_records_csv(str(path))
+        assert full_loads == [str(path)] and self.cache_of(path).is_file()
+        assert stat.S_IMODE(self.cache_of(path).stat().st_mode) == 0o600
+        hit = load_records_csv(str(path))
+        assert full_loads == [str(path)]
+        assert loaded(hit) == loaded(miss) == loaded(self.full_load(path))
+        assert all(sys.intern(x) is x for x in [*hit.binary_ids, *hit.tools, *hit.variants])
+        # one VariantConfig per distinct variant, shared by its binaries
+        assert len({id(v) for v in hit.variants.values() if v is not None}) == 2
+        assert sorted(os.listdir(tmp_path)) == [self.cache_of(path).name, path.name]
+
+    def test_report_prints_the_same_on_a_hit(self, tmp_path, capsys, full_loads):
+        from rweval import cli
+
+        path = self.write(tmp_path)
+        argvs = [["report", str(path), *options] for options in (
+            ["--table", "success"], ["--table", "success", "--cohort", "gcc"],
+            ["--table", "comparative", "--metric", "mem_kb", "--format", "json"],
+            ["--table", "comparative", "--mean-of-ratios", "--format", "csv"])]
+        outputs = []
+        for argv in argvs + argvs:  # the first call misses, the other seven hit
+            outputs.append((cli.main(argv), capsys.readouterr()))
+        assert len(full_loads) == 1
+        harness.MIN_CACHE_BYTES = 1 << 62  # the fixture's monkeypatch restores it
+        plain = [(cli.main(argv), capsys.readouterr()) for argv in argvs]
+        assert outputs == plain + plain
+        assert all(code == 0 and err == "" for code, (_, err) in plain)
+
+    def test_a_path_object_and_a_relative_path_share_the_cache(self, tmp_path, monkeypatch,
+                                                               full_loads):
+        path = self.write(tmp_path)
+        load_records_csv(path)
+        monkeypatch.chdir(tmp_path)
+        assert loaded(load_records_csv(path.name)) == loaded(self.full_load(path))
+        assert len(full_loads) == 1
+
+    def test_a_change_at_the_same_size_and_mtime_is_read_fresh(self, tmp_path, full_loads):
+        path = self.write(tmp_path)
+        before = os.stat(path)
+        old = load_records_csv(str(path))
+        data = path.read_bytes()
+        cut = data.index(b".", data.index(b"\n")) - 1  # the first row's runtime units
+        path.write_bytes(data[:cut] + (b"2" if data[cut:cut + 1] == b"1" else b"1")
+                         + data[cut + 1:])
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        assert os.stat(path).st_mtime_ns == before.st_mtime_ns
+        fresh = load_records_csv(str(path))
+        assert len(full_loads) == 2
+        assert loaded(fresh) == loaded(self.full_load(path)) != loaded(old)
+        assert loaded(load_records_csv(str(path))) == loaded(fresh)
+        assert len(full_loads) == 2  # the fresh load was cached in its turn
+
+    @staticmethod
+    def payload_edits():
+        """Edits of a cache's unmarshalled payload list, each to a wrong shape."""
+        return {
+            "short_payload": lambda p: p.pop(),
+            "ids_not_a_list": lambda p: p.__setitem__(1, tuple(p[1])),
+            "a_cell_too_few": lambda p: p[2].__setitem__(0, p[2][0][:-1]),
+            "a_cell_not_str": lambda p: p[2].__setitem__(0, (*p[2][0][:-1], 1)),
+            "a_cell_unhashable": lambda p: p[2].__setitem__(0, (*p[2][0][:-1], [])),
+            "a_bad_variant": lambda p: p[2].__setitem__(0, ("p", "gcc", "O9", *p[2][0][3:])),
+            "a_repeated_id": lambda p: p[1].__setitem__(1, p[1][0]),
+            "an_unknown_binary": lambda p: p[3].__setitem__(0, "nobody"),
+            "a_tool_not_str": lambda p: p[4].__setitem__(0, 7),
+            "tools_too_few": lambda p: p[4].pop(),
+            "a_state_out_of_range": lambda p: p.__setitem__(
+                5, bytes([len(harness.STATES)]) + p[5][1:]),
+            "states_too_few": lambda p: p.__setitem__(5, p[5][:-1]),
+            "runtime_too_long": lambda p: p.__setitem__(6, p[6] + bytes(8)),
+            "mem_not_bytes": lambda p: p.__setitem__(7, p[7].decode("latin-1")),
+            "sizes_too_short": lambda p: p.__setitem__(8, p[8][:-1]),
+        }
+
+    @pytest.mark.parametrize("case", [
+        "corrupt", "truncated", "empty", "other_schema", "other_key", "not_a_tuple",
+        "symlink", "not_owned", "group_writable", *payload_edits()])
+    def test_a_bad_cache_is_a_miss_and_is_rewritten(self, tmp_path, monkeypatch, capfd,
+                                                    full_loads, case):
+        import marshal
+
+        from rweval import results_cache
+
+        path = self.write(tmp_path)
+        cache, schema, geteuid = self.cache_of(path), results_cache.SCHEMA, os.geteuid
+        if case == "other_schema":
+            monkeypatch.setattr(results_cache, "SCHEMA", schema + b"x")
+        load_records_csv(str(path))
+        monkeypatch.setattr(results_cache, "SCHEMA", schema)
+        blob = cache.read_bytes()
+        if case == "corrupt":
+            cache.write_bytes(bytes(b ^ 0x5A for b in blob))
+        elif case == "truncated":
+            cache.write_bytes(blob[:len(blob) // 2])
+        elif case == "empty":
+            cache.write_bytes(b"")
+        elif case == "other_key":
+            cache.write_bytes(marshal.dumps((bytes(32), *marshal.loads(blob)[1:])))
+        elif case == "not_a_tuple":
+            cache.write_bytes(marshal.dumps(list(marshal.loads(blob))))
+        elif case == "symlink":
+            target = tmp_path / "elsewhere"
+            cache.rename(target)
+            cache.symlink_to(target)
+        elif case == "not_owned":
+            monkeypatch.setattr(os, "geteuid", lambda: os.stat(cache).st_uid + 1)
+        elif case == "group_writable":
+            cache.chmod(0o620)
+        elif case in self.payload_edits():
+            payload = list(marshal.loads(blob))
+            self.payload_edits()[case](payload)
+            cache.write_bytes(marshal.dumps(tuple(payload)))
+        assert loaded(load_records_csv(str(path))) == loaded(self.full_load(path))
+        assert len(full_loads) == 2
+        assert capfd.readouterr() == ("", "")
+        monkeypatch.setattr(os, "geteuid", geteuid)
+        assert cache.is_file() and not cache.is_symlink()
+        if case == "symlink":
+            assert (tmp_path / "elsewhere").read_bytes() == blob  # the target is untouched
+        assert loaded(load_records_csv(str(path))) == loaded(self.full_load(path))
+        assert len(full_loads) == 2  # the rewritten cache is read
+
+    @pytest.mark.parametrize("case", ["directory", "no_new_file", "replace_fails",
+                                      "read_only_directory"])
+    def test_where_no_cache_can_be_written_the_load_is_a_full_load(
+            self, tmp_path, monkeypatch, capfd, full_loads, case):
+        from rweval import results_cache
+
+        path = self.write(tmp_path)
+        cache = self.cache_of(path)
+        if case == "directory":
+            cache.mkdir()
+        elif case == "no_new_file":
+            def refuse(*args, **kwargs):
+                raise PermissionError(errno.EACCES, "Permission denied")
+            monkeypatch.setattr(results_cache.tempfile, "mkstemp", refuse)
+        elif case == "replace_fails":
+            def refuse(src, dst):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            monkeypatch.setattr(results_cache.os, "replace", refuse)
+        elif case == "read_only_directory":
+            if os.geteuid() == 0:
+                pytest.skip("a read-only mode does not stop root")
+            tmp_path.chmod(0o555)
+        listing, fds = sorted(os.listdir(tmp_path)), sorted(os.listdir("/proc/self/fd"))
+        try:
+            for _ in range(2):
+                assert loaded(load_records_csv(str(path))) == loaded(self.full_load(path))
+        finally:
+            tmp_path.chmod(0o755)
+        assert len(full_loads) == 2
+        assert sorted(os.listdir(tmp_path)) == listing  # no temporary file is left
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_file_that_changes_during_its_load_is_not_cached(self, tmp_path, monkeypatch,
+                                                               full_loads):
+        from rweval import results_cache
+
+        path = self.write(tmp_path)
+
+        def load_then_append(f):
+            results = harness._load_file(f)
+            with open(path, "a") as out:
+                out.write("\n")
+            return results
+
+        monkeypatch.setattr(results_cache, "_load_file", load_then_append)
+        load_records_csv(str(path))
+        assert not self.cache_of(path).exists()
+
+    def test_a_malformed_file_names_its_line_and_writes_no_cache(self, tmp_path, full_loads):
+        path = self.write(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace(",pie,", ",PIE,").replace(",nopie,", ",PIE,")
+        path.write_text("".join(lines))
+        message = "line 6: unknown relocation 'PIE'"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_records_csv(str(path))
+        assert len(full_loads) == 2
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_a_fifo_and_a_small_file_write_no_cache(self, tmp_path, monkeypatch, full_loads):
+        data = self.write(tmp_path).read_bytes()
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            piped = load_records_csv(str(fifo))
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert loaded(piped) == loaded(self.full_load(tmp_path / "results.csv"))
+        monkeypatch.setattr(harness, "MIN_CACHE_BYTES", len(data) + 1)
+        load_records_csv(str(tmp_path / "results.csv"))
+        assert full_loads == []
+        assert sorted(os.listdir(tmp_path)) == ["fifo.csv", "results.csv"]
+
+
 class TestConfigLoaders:
     def test_manifest_round_trip(self, tmp_path):
         entries = [

@@ -197,6 +197,34 @@ def test_report_in_parts_loads_no_more_modules(tmp_path, bare_modules):
     assert {"multiprocessing", "pickle", "concurrent.futures"} & loaded == set()
 
 
+# CLI_PROBE with harness.MIN_CACHE_BYTES set to int(argv[2]).
+CACHE_PROBE = """
+import contextlib, io, json, sys
+from rweval import cli, harness
+harness.MIN_CACHE_BYTES = int(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+# A results file under MIN_CACHE_BYTES loads with one fstat more: it pays for
+# neither the cache nor hashlib. At a threshold of 1 byte the same file loads
+# both, so the probe can see them.
+@pytest.mark.parametrize("cached", [False, True])
+def test_report_under_the_cache_threshold_loads_no_hashlib(tmp_path, bare_modules, cached):
+    from rweval.harness import MIN_CACHE_BYTES
+
+    argv = _report_argv(tmp_path)
+    assert os.path.getsize(argv[1]) < MIN_CACHE_BYTES
+    probe = _fresh_modules(CACHE_PROBE, json.dumps(argv), str(1 if cached else MIN_CACHE_BYTES))
+    assert probe["rc"] == 0
+    loaded = set(probe["modules"]) - bare_modules
+    assert {"hashlib", "_hashlib", "rweval.results_cache"} & loaded == (
+        {"hashlib", "_hashlib", "rweval.results_cache"} if cached else set())
+    assert (tmp_path / ".results.csv.rwcache").exists() is cached
+
+
 def test_train_loads_no_third_party_module(tmp_path, bare_modules):
     loaded = _loaded_by(_train_argv(tmp_path), bare_modules)
     tops = {name.partition(".")[0] for name in loaded}
